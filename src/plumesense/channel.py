@@ -594,8 +594,9 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
                        unwrap_phase: bool = False) -> ComplexResponse:
     """Channel transfer function at a fixed observation point.
 
-    Magnitude decays as a Gaussian in omega and the phase is the pure
-    transport delay -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.
+    Magnitude decays as a Gaussian in omega from H(0) = integral of h dt,
+    the steady plume per unit rate; the phase is the pure transport delay
+    -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.
     """
     x, y, z = _point3(point)
     _check_height(source_height)
@@ -609,7 +610,7 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     u = params.wind_speed
     magnitude = (
         _crosswind_factor(Y, Z, s, source_height)
-        / (8.0 * u * s * np.sqrt(np.pi))
+        / (4.0 * np.pi * u * s)
         * np.exp(-(W * W) * s / (u * u))
     )
     raw_phase = -W * X / u

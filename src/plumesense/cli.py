@@ -13,8 +13,11 @@ Exit codes: 0 success; 2 usage or configuration error; 3 numeric failure
 
 If ``--scenario`` names a file that does not exist, the directory in the
 ``PLUMESENSE_SCENARIO_DIR`` environment variable is tried next.  ``--seed``
-overrides the scenario's seed; when neither is given a random seed is drawn
-and logged so the run stays reproducible after the fact.
+overrides the scenario's seed.  When neither is given, a run that consumes
+randomness (``mc-pmd``, ``validate-oracles``, and ``pmd`` with empirical
+trials) draws a random seed and logs it, so the run stays reproducible after
+the fact; every other run records ``seed: none`` and writes the same bytes
+each time.  ``--out -`` (or no ``--out``) writes to stdout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PlumesenseError, QuadratureError, ScenarioError
-from .runners import RUNNERS, write_results
+from .runners import RUNNERS, needs_seed, write_results
 from .scenario import parse_scenario, scenario_schema
 
 logger = logging.getLogger("plumesense")
@@ -60,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, kind in _SUBCOMMAND_KINDS.items():
         p = sub.add_parser(name, help=f"run the {kind} experiment")
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help="output file (stdout if omitted)")
+        p.add_argument("--out", default=None, help="output file (stdout if omitted or -)")
         p.add_argument(
             "--set", action="append", default=[], metavar="PATH=VALUE", dest="overrides",
             help="override a scenario field, e.g. --set channel.wind_speed=70",
@@ -71,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output format (default: scenario output.format)")
         p.add_argument("-v", "--verbose", action="count", default=0)
     schema = sub.add_parser("schema", help="print the scenario file schema")
-    schema.add_argument("--out", default=None, help="write the schema here instead")
+    schema.add_argument("--out", default=None,
+                        help="write the schema here instead (- for stdout)")
     schema.add_argument("-v", "--verbose", action="count", default=0)
     return parser
 
@@ -143,6 +147,11 @@ def _draw_seed() -> int:
     return int(np.random.SeedSequence().entropy % (2**32))
 
 
+def _writes_file(out) -> bool:
+    """``--out`` names a file unless it is omitted or ``-`` (stdout)."""
+    return out not in (None, "", "-")
+
+
 def _run_experiment(args) -> int:
     kind = _SUBCOMMAND_KINDS[args.command]
     path = _resolve_scenario_path(args.scenario)
@@ -171,17 +180,16 @@ def _run_experiment(args) -> int:
 
     if args.seed is not None:
         raw["seed"] = args.seed
-    elif raw.get("seed") is None:
-        seed = _draw_seed()
-        raw["seed"] = seed
-        logger.info("no seed given; drew %d", seed)
-
     config = parse_scenario(raw)
+    if config.seed is None and needs_seed(config):
+        raw["seed"] = _draw_seed()
+        logger.info("no seed given; drew %d", raw["seed"])
+        config = parse_scenario(raw)
     logger.info("running %s (config %s, seed %s)", kind, config.config_hash, config.seed)
     table = RUNNERS[kind](config, jobs=max(1, args.jobs))
 
     fmt = args.format or config.output_format
-    if args.out:
+    if _writes_file(args.out):
         write_results(table, args.out, fmt)
         destination = args.out
     else:
@@ -221,7 +229,7 @@ def dispatch(argv=None) -> int:
     try:
         if args.command == "schema":
             text = json.dumps(scenario_schema(), indent=2) + "\n"
-            if args.out:
+            if _writes_file(args.out):
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             else:

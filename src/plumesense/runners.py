@@ -193,6 +193,14 @@ def _metadata(config: ScenarioConfig) -> dict:
     }
 
 
+def needs_seed(config: ScenarioConfig) -> bool:
+    """Whether the experiment draws random numbers, so its output depends on
+    the seed: Monte Carlo detection, the oracle suite, and pmd with
+    empirical trials."""
+    exp = config.experiment
+    return exp["kind"] in ("mc_pmd", "validate_oracles") or exp.get("empirical_trials", 0) > 0
+
+
 def _require_seed(config: ScenarioConfig) -> int:
     if config.seed is None:
         raise ScenarioError("seed", "stochastic experiments need a seed")

@@ -704,5 +704,6 @@ def scenario_schema() -> dict:
         },
         "output": {"format": {"type": "'csv' or 'json'", "default": "csv"}},
         "seed": {"type": "int >= 0 or null",
-                 "doc": "fully determines stochastic outputs; null lets the CLI pick"},
+                 "doc": "fully determines stochastic outputs; null lets the CLI pick one "
+                        "for stochastic runs and records none otherwise"},
     }

@@ -409,6 +409,12 @@ class TestFrequencyResponse:
         ratio = np.asarray(response.magnitude) / response.magnitude[0]
         assert np.allclose(ratio, expected, rtol=1e-12)
 
+    def test_zero_frequency_is_steady_plume_per_unit_rate(self, params):
+        for point in ((100.0, 0.0, HEIGHT), (40.0, 0.7, HEIGHT - 1.2), (250.0, -2.0, 20.0)):
+            response = frequency_response(point, 0.0, params, HEIGHT)
+            steady = steady_state_concentration(1.0, point, params, HEIGHT)
+            assert response.magnitude == pytest.approx(steady, rel=1e-12)
+
     def test_phase_is_transport_delay(self, params):
         point = (100.0, 0.0, HEIGHT)
         omega = 0.02

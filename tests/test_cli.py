@@ -44,6 +44,15 @@ class TestHappyPath:
         assert "ratio" in captured.out
         assert "3 rows" in captured.err
 
+    def test_dash_out_means_stdout(self, scenario_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli.dispatch(["conc-vs-dist", "--scenario", str(scenario_file), "--out", "-"])
+        assert code == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert "ratio" in captured.out
+        assert "-> stdout" in captured.err
+        assert not (tmp_path / "-").exists()
+
     def test_json_format_flag(self, scenario_file, tmp_path):
         out = tmp_path / "t.json"
         code = cli.dispatch(["conc-vs-dist", "--scenario", str(scenario_file),
@@ -121,6 +130,22 @@ class TestSeeding:
         assert seed_line.split(":")[1].strip() != "none"
 
 
+    def test_seedless_deterministic_runs_write_identical_bytes(self, tmp_path):
+        scenario = tmp_path / "delay.json"
+        scenario.write_text(json.dumps({
+            "experiment": {"kind": "delay", "distances": [50.0, 100.0],
+                           "wind_speeds": [140.0]},
+        }))
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code = cli.dispatch(["delay", "--scenario", str(scenario), "--out", str(out)])
+            assert code == cli.EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b"# seed: none\n" in outs[0]
+
+
 class TestEnvScenarioDir:
     def test_bare_name_resolved_from_env(self, scenario_file, tmp_path, monkeypatch):
         elsewhere = tmp_path / "elsewhere"
@@ -156,6 +181,12 @@ class TestSchema:
         assert cli.dispatch(["schema"]) == cli.EXIT_OK
         printed = json.loads(capsys.readouterr().out)
         assert printed == scenario_schema()
+
+    def test_schema_dash_out_prints(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.dispatch(["schema", "--out", "-"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == scenario_schema()
+        assert not (tmp_path / "-").exists()
 
     def test_schema_out_file(self, tmp_path):
         out = tmp_path / "schema.json"

@@ -144,7 +144,51 @@ def transient_result(params):
         step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
     )
     return march_transient_jet(params, HEIGHT, grid, jet_mass=2.0,
-                               probes=[(30.0, 0.0, HEIGHT)])
+                               probes=[(30.0, 0.0, HEIGHT)], snapshot_times=(0.10, 0.35))
+
+
+def full_box_march(result, params):
+    """Reference: the march from the t_start snapshot with every step
+    advecting and diffusing the whole box.  Returns probes, mass, snapshots."""
+    g = result.grid
+    K, dt = params.diffusivity.k0, result.dt
+    cells = int(round(dt * params.wind_speed / g.step_x))
+    cx, cy, cz = K * dt / g.step_x**2, K * dt / g.step_y**2, K * dt / g.step_z**2
+    snap_times = {t for t, _ in result.snapshots}
+    C = result.snapshots[0][1].copy()
+    idx = [tuple(int(np.argmin(np.abs(axis - c))) for axis, c in
+                 zip((result.x, result.y, result.z), point)) for point in result.probe_points]
+    probes, mass, snaps = [], [], []
+    scratch = np.zeros_like(C)
+    core = slice(1, -1)
+    for step, t in enumerate(result.times):
+        if step:
+            C[cells:] = C[:-cells]
+            C[:cells] = 0.0
+            acc = scratch[core, core, core]
+            np.multiply(C[core, core, core], -2.0 * (cx + cy + cz), out=acc)
+            acc += (C[2:, core, core] + C[:-2, core, core]) * cx
+            acc += (C[core, 2:, core] + C[core, :-2, core]) * cy
+            acc += (C[core, core, 2:] + C[core, core, :-2]) * cz
+            C += scratch
+        probes.append([C[i] for i in idx])
+        mass.append(C.sum() * (g.step_x * g.step_y * g.step_z))
+        if float(t) in snap_times:
+            snaps.append((float(t), C.copy()))
+    return np.array(probes).T, np.array(mass), snaps
+
+
+def assert_matches_full_box(result, params):
+    probes, mass, snaps = full_box_march(result, params)
+    assert np.array_equal(result.probe_values, probes)
+    assert np.array_equal(result.mass, mass)
+    assert [t for t, _ in result.snapshots] == [t for t, _ in snaps]
+    for (_, marched), (_, reference) in zip(result.snapshots, snaps):
+        assert np.array_equal(marched, reference)
+
+
+def x_support(field):
+    return np.flatnonzero(field.any(axis=(1, 2)))
 
 
 class TestTransientMarch:
@@ -172,6 +216,61 @@ class TestTransientMarch:
         coarse_report = transient_oracle_report(coarse, params, HEIGHT)
         fine_report = transient_oracle_report(transient_result, params, HEIGHT)
         assert fine_report.max_rel_error < coarse_report.max_rel_error
+
+    def test_bit_identical_to_full_box_on_validation_grid(self, params, transient_result):
+        # the support starts inside the box and is clipped at its far end
+        assert x_support(transient_result.snapshots[0][1]).size < transient_result.x.size
+        assert x_support(transient_result.snapshots[-1][1])[-1] == transient_result.x.size - 1
+        assert_matches_full_box(transient_result, params)
+
+    def test_bit_identical_when_pulse_leaves_box(self, params):
+        grid = TransientGrid(
+            x_span=(4.0, 12.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.04, t_end=0.12,
+        )
+        # the mid-march snapshot holds the diffused trailing edge of the
+        # initial field, which the box cut off at a nonzero plane
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(8.0, 0.0, HEIGHT)],
+                                     snapshot_times=(0.04, 0.06, 0.12))
+        assert result.mass[-1] == 0.0
+        assert x_support(result.snapshots[-1][1]).size == 0
+        assert_matches_full_box(result, params)
+
+    def test_bit_identical_when_support_outgrows_shift(self, params):
+        # one cell per step: the support widens by two planes and moves by one
+        grid = TransientGrid(
+            x_span=(4.0, 36.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.1, t_end=0.11,
+            advection_cells=1,
+        )
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(14.0, 0.0, HEIGHT)],
+                                     snapshot_times=(0.1, 0.11))
+        first, last = x_support(result.snapshots[0][1]), x_support(result.snapshots[-1][1])
+        assert 0 < first[0] and last[-1] < result.x.size - 1
+        assert last.size > first.size
+        assert_matches_full_box(result, params)
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    def test_bit_identical_from_sharp_edged_field(self, params, monkeypatch, cells):
+        # a closed-form pulse fades into underflowed zeros at the support's
+        # edges; a field cut off at full strength also checks the edge planes
+        def slab_field(jet_mass, release_time, point, params, source_height):
+            x, y, z, _ = point
+            band = (x >= 10.0) & (x < 11.0) & (np.abs(y) < 0.5) & (z > HEIGHT - 0.5)
+            return np.where(band, 1.0 + np.cos(7.0 * x + 3.0 * y + z), 0.0)
+
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", slab_field)
+        grid = TransientGrid(
+            x_span=(4.0, 16.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.05, t_end=0.09,
+            advection_cells=cells,
+        )
+        dt = cells * grid.step_x / WIND
+        times = grid.t_start + dt * np.arange(int(np.ceil(0.04 / dt)) + 1)
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)],
+                                     snapshot_times=times)
+        assert len(result.snapshots) == result.times.size
+        assert_matches_full_box(result, params)
 
     def test_configuration_errors(self, params):
         grid = TransientGrid(
@@ -236,6 +335,10 @@ class TestSampledSpectrum:
             report.extras["constant_ratio_variation"]
             <= BUDGETS["spectrum_constant_variation"]
         )
+
+    def test_closed_form_constant_matches_dft(self, params, spectrum):
+        report = spectrum_oracle_report(spectrum, params, HEIGHT)
+        assert report.extras["constant_ratio_mean"] == pytest.approx(1.0, rel=5e-3)
 
     def test_shift_theorem(self, params, spectrum):
         # a later release multiplies the spectrum by a pure linear phase
