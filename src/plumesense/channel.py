@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import erfc
 
 from .errors import DomainError, EvaluationDomainError, ScenarioError
@@ -54,8 +52,6 @@ __all__ = [
     "steady_state_concentration",
     "frequency_response",
     "steady_field",
-    "person_field",
-    "multi_user_field",
 ]
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
@@ -385,6 +381,8 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
     if params.diffusivity.is_constant:
         out = params.diffusivity.k0 * arr / params.wind_speed
         return float(out) if arr.ndim == 0 else out
+    from scipy.integrate import quad
+
     flat = arr.reshape(-1)
     vals = np.empty(flat.shape)
     for i, xi in enumerate(flat):
@@ -406,6 +404,8 @@ def distance_for_scale(scale: float, params: ChannelParams) -> float:
         return 0.0
     if params.diffusivity.is_constant:
         return params.wind_speed * scale / params.diffusivity.k0
+    from scipy.optimize import brentq
+
     hi = 1.0
     while diffusion_scale(hi, params) < scale:
         hi *= 2.0
@@ -634,20 +634,3 @@ def steady_field(rate: float, params: ChannelParams, source_height: float):
 
     return field
 
-
-def person_field(source: SourceSpec, params: ChannelParams):
-    """Space-time field of a single person's breath-plus-jets response."""
-
-    def field(x, y, z, t):
-        return person_response(source, (x, y, z, t), params)
-
-    return field
-
-
-def multi_user_field(scenario: MultiUserScenario, params: ChannelParams):
-    """Space-time field of the gated multi-user superposition."""
-
-    def field(x, y, z, t):
-        return multi_user_response(scenario, (x, y, z, t), params)
-
-    return field

@@ -3,7 +3,7 @@
 Usage::
 
     plumesense <subcommand> --scenario s.json [--out table.csv]
-               [--set dotted.path=value ...] [--seed N] [--jobs N] [--format csv|json]
+               [--set dotted.path=value ...] [--seed N] [--format csv|json]
 
 Subcommands: ``field``, ``timeseries``, ``freq``, ``delay``, ``conc-vs-dist``,
 ``pmd``, ``mc-pmd``, ``validate-oracles``, ``schema``.
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a scenario field, e.g. --set channel.wind_speed=70",
         )
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep evaluations")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default: scenario output.format)")
         p.add_argument("-v", "--verbose", action="count", default=0)
@@ -186,7 +185,7 @@ def _run_experiment(args) -> int:
         logger.info("no seed given; drew %d", raw["seed"])
         config = parse_scenario(raw)
     logger.info("running %s (config %s, seed %s)", kind, config.config_hash, config.seed)
-    table = RUNNERS[kind](config, jobs=max(1, args.jobs))
+    table = RUNNERS[kind](config)
 
     fmt = args.format or config.output_format
     if _writes_file(args.out):

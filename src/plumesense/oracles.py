@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import solve_banded
 
 from .channel import (
     ChannelParams,
@@ -321,6 +319,8 @@ def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchG
             C += d * lap
             integrals[k + 1] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
     else:
+        from scipy.linalg import solve_banded
+
         r_z = 0.5 * d / (dz * dz)
         r_y = 0.5 * d / (dy * dy)
         ab_z = _adi_matrices(z.size, r_z, no_flux_first=True)
@@ -671,6 +671,8 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     elapsed = t - entry_time
     if elapsed <= 0.0:
         return 0.0
+
+    from scipy.integrate import quad
 
     def integrand(s):
         return impulse_response((px, py, pz, s), params, source_height)

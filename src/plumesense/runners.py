@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Tuple
@@ -65,24 +64,31 @@ __all__ = [
 
 _FILE_METADATA_KEYS = ("version", "config_hash", "seed")
 
+# rows formatted per C-level string operation; bounds the serialisers'
+# transient token lists while keeping per-block overhead negligible
+_FORMAT_BLOCK_ROWS = 4096
+
 
 # ---------------------------------------------------------------------------
 # result tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
     """Rectangular numeric table; every column carries a unit annotation.
 
-    ``metadata`` holds strings; only version, config_hash and seed are
-    persisted (anything volatile like timestamps stays in memory so files
-    are bit-stable for a fixed config and seed).
+    ``rows`` is any rectangular sequence of numbers on input and an
+    ``(n_rows, n_columns)`` float64 array afterwards.  Tables compare by
+    identity; compare ``rows`` with ``np.array_equal``.  ``metadata`` holds
+    strings; only version, config_hash and seed are persisted (anything
+    volatile like timestamps stays in memory so files are bit-stable for a
+    fixed config and seed).
     """
 
     columns: Tuple[str, ...]
     units: Tuple[str, ...]
-    rows: list
+    rows: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -90,10 +96,15 @@ class ResultTable:
         self.units = tuple(self.units)
         if len(self.columns) != len(self.units):
             raise DomainError("each column needs a unit annotation")
-        self.rows = [tuple(float(v) for v in row) for row in self.rows]
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise DomainError("table must be rectangular")
+        try:
+            rows = np.array(self.rows, dtype=float)
+        except ValueError as exc:
+            raise DomainError(f"table must be rectangular ({exc})") from exc
+        if rows.ndim == 1 and rows.size == 0:
+            rows = rows.reshape(0, len(self.columns))
+        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+            raise DomainError("table must be rectangular")
+        self.rows = rows
         self.metadata = {str(k): str(v) for k, v in self.metadata.items()}
 
     def column(self, name: str) -> np.ndarray:
@@ -101,7 +112,13 @@ class ResultTable:
             idx = self.columns.index(name)
         except ValueError:
             raise DomainError(f"no column named {name!r}") from None
-        return np.array([row[idx] for row in self.rows])
+        return self.rows[:, idx].copy()
+
+    def _blocks(self):
+        """Row count and flat Python floats of each block of rows."""
+        for start in range(0, len(self.rows), _FORMAT_BLOCK_ROWS):
+            block = self.rows[start:start + _FORMAT_BLOCK_ROWS]
+            yield len(block), block.ravel().tolist()
 
     def to_csv_text(self) -> str:
         lines = []
@@ -109,19 +126,33 @@ class ResultTable:
             if key in self.metadata:
                 lines.append(f"# {key}: {self.metadata[key]}")
         lines.append(",".join(f"{c} [{u}]" for c, u in zip(self.columns, self.units)))
-        for row in self.rows:
-            lines.append(",".join(f"{v:.8e}" for v in row))
-        return "\n".join(lines) + "\n"
+        # "%.8e" % v is the same text as f"{v:.8e}", nan, inf and -0.0 included
+        row_fmt = ",".join(["%.8e"] * len(self.columns)) + "\n"
+        body = [(row_fmt * n) % tuple(values) for n, values in self._blocks()]
+        return "\n".join(lines) + "\n" + "".join(body)
 
     def to_json_text(self) -> str:
+        """The text ``json.dumps(record, indent=1)`` gives, without its
+        pure-Python encoder: the C encoder writes each block's numbers
+        (``NaN`` and ``Infinity`` included) and they are spliced into the
+        ``indent=1`` row layout."""
         record = {
             "metadata": {k: self.metadata[k] for k in _FILE_METADATA_KEYS
                          if k in self.metadata},
             "columns": list(self.columns),
             "units": list(self.units),
-            "rows": [list(row) for row in self.rows],
+            "rows": [],
         }
-        return json.dumps(record, indent=1) + "\n"
+        head = json.dumps(record, indent=1)
+        if not len(self.rows):
+            return head + "\n"
+        cells = ",\n   ".join(["%s"] * len(self.columns))
+        row_fmt = "  [\n   " + cells + "\n  ]" if self.columns else "  []"
+        body = [",\n".join([row_fmt] * n)
+                % tuple(json.dumps(values)[1:-1].split(", ") if values else ())
+                for n, values in self._blocks()]
+        # head ends with the empty rows list: '"rows": []\n}'
+        return head[:-len("[]\n}")] + "[\n" + ",\n".join(body) + "\n ]\n}\n"
 
 
 def write_results(table: ResultTable, path, fmt: str = "csv"):
@@ -150,7 +181,7 @@ def read_results(path) -> ResultTable:
         return ResultTable(
             columns=tuple(record["columns"]),
             units=tuple(record["units"]),
-            rows=[tuple(row) for row in record["rows"]],
+            rows=record["rows"],
             metadata=record.get("metadata", {}),
         )
     metadata = {}
@@ -207,14 +238,6 @@ def _require_seed(config: ScenarioConfig) -> int:
     return config.seed
 
 
-def _ordered_map(fn, items, jobs: int = 1):
-    """Map preserving input order; optionally fan out across threads."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _primary_rate(config: ScenarioConfig) -> float:
     """Breath rate of the first emitting user (the paper's single-emitter
     experiments); falls back to 1.0 so ratios stay well defined."""
@@ -233,7 +256,7 @@ def _linspace(rng: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_concentration_vs_distance(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_concentration_vs_distance(config: ScenarioConfig) -> ResultTable:
     """Steady received-concentration ratio versus downwind distance.
 
     Mode "center" reports the plume value at the receiver center per unit
@@ -261,7 +284,7 @@ def run_concentration_vs_distance(config: ScenarioConfig, jobs: int = 1) -> Resu
         return (u, d, value / rate)
 
     cases = [(u, d) for u in exp["wind_speeds"] for d in exp["distances"]]
-    rows = _ordered_map(one, cases, jobs)
+    rows = [one(case) for case in cases]
     return ResultTable(
         columns=("wind_speed", "distance", "ratio"),
         units=("cm/s", "cm", "1/cm^3 per unit/s"),
@@ -298,7 +321,7 @@ def _delay_to_fraction(params: ChannelParams, height: float, distance: float,
     return hi
 
 
-def run_delay_to_fraction(config: ScenarioConfig, jobs: int = 1,
+def run_delay_to_fraction(config: ScenarioConfig,
                           fraction: Optional[float] = None) -> ResultTable:
     """Propagation delay until the breath response reaches a fraction of its
     steady value, for each wind speed and distance.  ``fraction`` overrides
@@ -316,7 +339,7 @@ def run_delay_to_fraction(config: ScenarioConfig, jobs: int = 1,
         return (u, d, _delay_to_fraction(params, height, d, fraction, rel_tol))
 
     cases = [(u, d) for u in exp["wind_speeds"] for d in exp["distances"]]
-    rows = _ordered_map(one, cases, jobs)
+    rows = [one(case) for case in cases]
     return ResultTable(
         columns=("wind_speed", "distance", "delay"),
         units=("cm/s", "cm", "s"),
@@ -332,7 +355,7 @@ _PMD_VARIANTS = (
 )
 
 
-def run_pmd_vs_distance(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
     """Analytic missed-detection probability versus distance for the three
     variants (base, half emission rate, half receiver volume).
 
@@ -382,7 +405,7 @@ def run_pmd_vs_distance(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
         return tuple(row)
 
     cases = [(d, variant) for d in distances for variant in _PMD_VARIANTS]
-    rows = _ordered_map(one, cases, jobs)
+    rows = [one(case) for case in cases]
     columns = ["distance", "variant", "pmd_conservative", "pmd_exact"]
     units = ["cm", "0=base;1=half-rate;2=half-volume", "1", "1"]
     if trials > 0:
@@ -392,7 +415,7 @@ def run_pmd_vs_distance(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
                        metadata=_metadata(config))
 
 
-def run_field_grid(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_field_grid(config: ScenarioConfig) -> ResultTable:
     """Steady plume samples (x, y, z, concentration) for contour plotting,
     superposing every user's breath plume."""
     exp = config.experiment
@@ -411,16 +434,15 @@ def run_field_grid(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
                 user.breath_rate, (X - user.x, Y - user.y, Z), params, user.height
             )
         )
-    rows = list(zip(X.ravel(), Y.ravel(), Z.ravel(), total.ravel()))
     return ResultTable(
         columns=("x", "y", "z", "concentration"),
         units=("cm", "cm", "cm", "1/cm^3"),
-        rows=rows,
+        rows=np.column_stack([X.ravel(), Y.ravel(), Z.ravel(), total.ravel()]),
         metadata=_metadata(config),
     )
 
 
-def run_timeseries(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_timeseries(config: ScenarioConfig) -> ResultTable:
     """Concentration versus time at a fixed observation point (receiver
     center unless the experiment names one)."""
     exp = config.experiment
@@ -431,16 +453,15 @@ def run_timeseries(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
     values = np.asarray(
         multi_user_response(scenario, (point[0], point[1], point[2], times), params)
     )
-    rows = list(zip(times, values))
     return ResultTable(
         columns=("time", "concentration"),
         units=("s", "1/cm^3"),
-        rows=rows,
+        rows=np.column_stack([times, values]),
         metadata=_metadata(config),
     )
 
 
-def run_frequency_sweep(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
     """Closed-form transfer function (magnitude, phase) between the first
     user's position and the receiver center."""
     exp = config.experiment
@@ -451,16 +472,15 @@ def run_frequency_sweep(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
     omegas = _linspace(exp["omega"])
     response = frequency_response(point, omegas, params, user.height,
                                   unwrap_phase=exp["unwrap"])
-    rows = list(zip(omegas, np.asarray(response.magnitude), np.asarray(response.phase)))
     return ResultTable(
         columns=("omega", "magnitude", "phase"),
         units=("rad/s", "s/cm^3", "rad"),
-        rows=rows,
+        rows=np.column_stack([omegas, response.magnitude, response.phase]),
         metadata=_metadata(config),
     )
 
 
-def run_mc_pmd(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
     """Monte Carlo missed-detection estimates against the analytic value at
     configured detection arguments gain*exposure/(2*sigma)."""
     exp = config.experiment
@@ -480,7 +500,7 @@ def run_mc_pmd(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
         return (argument, q_function(argument), est.estimate, est.lower, est.upper,
                 float(trials))
 
-    rows = _ordered_map(one, list(enumerate(exp["snr_arguments"])), jobs)
+    rows = [one(case) for case in enumerate(exp["snr_arguments"])]
     return ResultTable(
         columns=("argument", "pmd_analytic", "pmd_empirical", "ci_lower", "ci_upper",
                  "trials"),
@@ -509,7 +529,7 @@ _ORACLE_CHECKS = (
 )
 
 
-def run_validate_oracles(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     """Run the full oracle suite at desk scale and report value-vs-budget per
     check.  Rows: (check id, value, budget, passed); the id legend travels in
     the metadata.  A failed row means an oracle disagreed beyond budget."""

@@ -1,9 +1,13 @@
 """Command-line front end: exit codes, overrides, seeding, output files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plumesense
 from plumesense import cli
 from plumesense.runners import ResultTable, read_results
 from plumesense.scenario import scenario_schema
@@ -169,7 +173,7 @@ class TestValidateOraclesExit:
                       "checks": "0=steady_l2"},
         )
         monkeypatch.setitem(cli.RUNNERS, "validate_oracles",
-                            lambda config, jobs=1: failing)
+                            lambda config: failing)
         code = cli.dispatch(["validate-oracles", "--scenario", str(scenario_file),
                              "--set", "experiment={\"kind\": \"validate_oracles\"}"])
         assert code == cli.EXIT_NUMERIC
@@ -192,3 +196,15 @@ class TestSchema:
         out = tmp_path / "schema.json"
         assert cli.dispatch(["schema", "--out", str(out)]) == cli.EXIT_OK
         assert json.loads(out.read_text()) == scenario_schema()
+
+
+def test_import_leaves_solver_modules_unloaded():
+    """Closed-form subcommands do not pay for the oracles' scipy solvers."""
+    src = os.path.dirname(os.path.dirname(plumesense.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, plumesense.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

@@ -1,12 +1,19 @@
 """Experiment runners: table mechanics, persistence, determinism, and the
 physical trends each figure-style experiment must reproduce."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plumesense.channel import diffusion_scale
 from plumesense.errors import DomainError, ScenarioError
 from plumesense.runners import (
+    _FILE_METADATA_KEYS,
     ResultTable,
     read_results,
     run_concentration_vs_distance,
@@ -24,6 +31,64 @@ from plumesense.scenario import parse_scenario
 from conftest import HEIGHT, WIND
 
 
+# the per-row serialisers the block formatters replaced; their bytes are the
+# file format
+def reference_csv_text(table):
+    lines = []
+    for key in _FILE_METADATA_KEYS:
+        if key in table.metadata:
+            lines.append(f"# {key}: {table.metadata[key]}")
+    lines.append(",".join(f"{c} [{u}]" for c, u in zip(table.columns, table.units)))
+    for row in table.rows.tolist():
+        lines.append(",".join(f"{v:.8e}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_text(table):
+    record = {
+        "metadata": {k: table.metadata[k] for k in _FILE_METADATA_KEYS
+                     if k in table.metadata},
+        "columns": list(table.columns),
+        "units": list(table.units),
+        "rows": [list(row) for row in table.rows.tolist()],
+    }
+    return json.dumps(record, indent=1) + "\n"
+
+
+def first_difference(text, reference):
+    """None when the texts are equal, else both texts around the first
+    differing character (a short failure report for multi-megabyte texts)."""
+    if text == reference:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(text, reference)) if a != b),
+             min(len(text), len(reference)))
+    return text[max(0, i - 60):i + 60], reference[max(0, i - 60):i + 60]
+
+
+_SPECIAL_VALUES = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308)
+
+
+@st.composite
+def result_tables(draw):
+    """Tables of 0, 1, 4095, 4096 or 4097 rows (around the 4096-row format
+    block) and 1 to 7 columns; special values over random bit patterns."""
+    n_rows = draw(st.sampled_from([0, 1, 4095, 4096, 4097]))
+    n_cols = draw(st.integers(1, 7))
+    cells = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(width=64))
+    rows = draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=cells))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, size=rows.shape, dtype=np.uint64, endpoint=False)
+    mask = rng.random(rows.shape) < 0.5
+    rows[mask] = bits.view(np.float64)[mask]
+    return ResultTable(
+        columns=tuple(f"c{i}" for i in range(n_cols)),
+        units=("1",) * n_cols,
+        rows=rows,
+        metadata={"version": "0.1.0", "config_hash": "deadbeef", "seed": "none"},
+    )
+
+
 class TestResultTable:
     def make(self):
         return ResultTable(
@@ -38,6 +103,12 @@ class TestResultTable:
             ResultTable(columns=("a", "b"), units=("cm",), rows=[])
         with pytest.raises(DomainError):
             ResultTable(columns=("a",), units=("cm",), rows=[(1.0, 2.0)])
+        with pytest.raises(DomainError):
+            ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[(1.0, 2.0), (3.0,)])
+        with pytest.raises(DomainError):
+            ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[1.0, 2.0])
+        empty = ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[])
+        assert empty.rows.shape == (0, 2)
 
     def test_column_lookup(self):
         table = self.make()
@@ -74,7 +145,17 @@ class TestResultTable:
         back = read_results(path)
         assert back.columns == table.columns
         assert back.units == table.units
-        assert back.rows == table.rows
+        assert np.array_equal(back.rows, table.rows)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
+    @given(table=result_tables())
+    def test_block_formatters_match_per_row_reference(self, table, tmp_path_factory):
+        assert first_difference(table.to_csv_text(), reference_csv_text(table)) is None
+        assert first_difference(table.to_json_text(), reference_json_text(table)) is None
+        path = tmp_path_factory.mktemp("round_trip") / "table.json"
+        back = read_results(write_results(table, path, "json"))
+        assert np.array_equal(back.rows, table.rows, equal_nan=True)
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
         table = self.make()
@@ -96,13 +177,6 @@ class TestDeterminism:
             write_results(table, path, "csv")
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_jobs_do_not_change_results(self):
-        config = parse_scenario({"experiment": {"kind": "conc_vs_distance",
-                                                "mode": "collected"}})
-        serial = run_concentration_vs_distance(config, jobs=1)
-        threaded = run_concentration_vs_distance(config, jobs=4)
-        assert serial.rows == threaded.rows
 
     def test_runner_does_not_mutate_config(self):
         config = parse_scenario({"experiment": {"kind": "pmd"}, "seed": 1})
@@ -146,13 +220,13 @@ class TestConcentrationVsDistance:
         )
         a = run_concentration_vs_distance(base)
         b = run_concentration_vs_distance(doubled)
-        assert a.rows == b.rows
+        assert np.array_equal(a.rows, b.rows)
 
 
 @pytest.fixture(scope="module")
 def delay_table():
     config = parse_scenario({"experiment": {"kind": "delay"}})
-    return run_delay_to_fraction(config, jobs=2)
+    return run_delay_to_fraction(config)
 
 
 class TestDelayToFraction:
@@ -196,7 +270,7 @@ def pmd_table():
     config = parse_scenario(
         {"experiment": {"kind": "pmd", "empirical_trials": 100000}, "seed": 5}
     )
-    return run_pmd_vs_distance(config, jobs=2)
+    return run_pmd_vs_distance(config)
 
 
 class TestPmdVsDistance:
