@@ -16,6 +16,7 @@ predicts a higher miss rate.  Their arguments differ by exactly that factor.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -161,8 +162,18 @@ class DetectionResult:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre(n, lo, hi):
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n):
+    """Gauss-Legendre nodes and weights of order ``n`` on [-1, 1], computed
+    once per order and read-only, since every caller shares them."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gauss_legendre(n, lo, hi):
+    nodes, weights = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (nodes + 1.0), half * weights
 

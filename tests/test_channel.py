@@ -8,6 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from plumesense.channel import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
     ChannelParams,
     DiffusivityProfile,
     MultiUserScenario,
@@ -33,6 +36,25 @@ from conftest import DIFFUSIVITY, HEIGHT, WIND, simpson
 # ---------------------------------------------------------------------------
 # transformed coordinate
 # ---------------------------------------------------------------------------
+
+VARIABLE_K0 = 0.242
+VARIABLE_LENGTH = 150.0
+
+
+def reference_diffusion_scale(x, params):
+    """Variable-K diffusion_scale as one adaptive quad per point over [0, x]."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    vals = np.empty(flat.shape)
+    for i, xi in enumerate(flat):
+        if xi == 0.0:
+            vals[i] = 0.0
+        else:
+            integral, _ = quad(
+                lambda s: params.diffusivity(s), 0.0, xi, epsabs=0.0, epsrel=1e-10, limit=200
+            )
+            vals[i] = integral / params.wind_speed
+    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 class TestDiffusionScale:
@@ -70,9 +92,12 @@ class TestDiffusionScale:
         assert np.all(np.diff(scales) >= 0.0)
 
     def test_inverse_round_trip(self, params):
-        for x in (1.0, 75.0, 480.0):
-            s = diffusion_scale(x, params)
-            assert distance_for_scale(s, params) == pytest.approx(x, rel=1e-12)
+        linear = ChannelParams(WIND, DiffusivityProfile.from_function(
+            lambda x: VARIABLE_K0 * (1.0 + x / VARIABLE_LENGTH)))
+        for p in (params, linear):
+            for x in (1.0, 75.0, 480.0):
+                s = diffusion_scale(x, p)
+                assert distance_for_scale(s, p) == pytest.approx(x, rel=1e-12)
 
     def test_nonpositive_profile_rejected(self):
         with pytest.raises(DomainError):
@@ -80,6 +105,74 @@ class TestDiffusionScale:
         broken = DiffusivityProfile.from_function(lambda x: -1.0)
         with pytest.raises(DomainError):
             broken(3.0)
+        with pytest.raises(DomainError):
+            diffusion_scale(3.0, ChannelParams(2.0, broken))
+        # positive near the source, negative beyond x = 1
+        turning = ChannelParams(2.0, DiffusivityProfile.from_function(lambda x: 1.0 - x))
+        with pytest.raises(DomainError):
+            diffusion_scale(np.array([0.5, 3.0]), turning)
+
+    def test_scalar_only_profile_on_2d_input(self):
+        profile = DiffusivityProfile.from_function(lambda x: math.exp(-x))
+        xs = np.arange(6.0).reshape(2, 3) / 2.0
+        got = profile(xs)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[math.exp(-v) for v in row] for row in xs])
+
+    @pytest.mark.parametrize("func", [
+        lambda x: VARIABLE_K0 * (1.0 + x / VARIABLE_LENGTH),
+        lambda x: math.exp(-x),
+        lambda x: 0.5 + 0.4 * np.sin(x),
+        lambda x: 0.2 + np.sqrt(x),
+    ], ids=["linear", "exp_scalar_only", "sine", "sqrt"])
+    def test_variable_profile_against_per_point_quad(self, func):
+        p = ChannelParams(2.0, DiffusivityProfile.from_function(func))
+        # unsorted, with duplicates and exact zeros
+        grid = np.array([[75.0, 0.0, 3.3, 480.0], [1e-3, 75.0, 0.0, 12.5], [1.0, 3.3, 480.0, 0.25]])
+        got = diffusion_scale(grid, p)
+        assert got.shape == grid.shape
+        np.testing.assert_allclose(got, reference_diffusion_scale(grid, p), rtol=1e-10, atol=0.0)
+        assert got[0, 1] == 0.0 and got[1, 2] == 0.0
+        assert got[0, 0] == got[1, 1] and got[0, 2] == got[2, 1]
+        scalar = diffusion_scale(42.0, p)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(reference_diffusion_scale(42.0, p), rel=1e-10)
+        assert np.all(np.diff(diffusion_scale(np.unique(grid), p)) >= 0.0)
+
+    def test_linear_profile_closed_form(self):
+        p = ChannelParams(2.0, DiffusivityProfile.from_function(
+            lambda x: VARIABLE_K0 * (1.0 + x / VARIABLE_LENGTH)))
+        xs = np.array([480.0, 0.0, 1.0, 75.0, 1e-3, 75.0, 3000.0])
+        expected = VARIABLE_K0 * (xs + xs * xs / (2.0 * VARIABLE_LENGTH)) / 2.0
+        np.testing.assert_allclose(diffusion_scale(xs, p), expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("func", [
+        lambda x: 1.0 / np.sqrt(x),              # integrable singularity at the source
+        lambda x: 1.0 + 0.5 * np.sin(1e4 * x),   # far too many oscillations to resolve
+    ], ids=["singular", "oscillating"])
+    def test_unconverged_integral_raises(self, func):
+        p = ChannelParams(1.0, DiffusivityProfile.from_function(func))
+        with pytest.raises(DomainError, match="did not reach relative 1e-10"):
+            diffusion_scale(np.array([0.5, 480.0]), p)
+
+    def test_nonfinite_distance_rejected_for_variable_profile(self):
+        p = ChannelParams(1.0, DiffusivityProfile.from_function(lambda x: 1.0 + 0.0 * x))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                diffusion_scale(np.array([1.0, bad]), p)
+
+    def test_kronrod_rule_constants(self):
+        # the 7-point Gauss rule nested in the hard-coded 15-point Kronrod rule
+        gauss = _GAUSS_WEIGHTS > 0.0
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(_KRONROD_NODES[gauss], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_GAUSS_WEIGHTS[gauss], weights, rtol=0.0, atol=1e-15)
+        # Kronrod 15 is exact through degree 22, Gauss 7 through degree 13
+        for k in range(23):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert _KRONROD_WEIGHTS @ _KRONROD_NODES**k == pytest.approx(exact, abs=1e-15)
+            if k <= 13:
+                assert _GAUSS_WEIGHTS @ _KRONROD_NODES**k == pytest.approx(exact, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

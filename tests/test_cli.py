@@ -198,13 +198,34 @@ class TestSchema:
         assert json.loads(out.read_text()) == scenario_schema()
 
 
-def test_import_leaves_solver_modules_unloaded():
-    """Closed-form subcommands do not pay for the oracles' scipy solvers."""
+def _fresh_python(code):
+    """Standard output of ``code`` run in a fresh interpreter on this checkout."""
     src = os.path.dirname(os.path.dirname(plumesense.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, plumesense.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_solver_modules_unloaded():
+    """Closed-form subcommands do not pay for the oracles' scipy solvers."""
+    code = ("import sys, plumesense.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_variable_diffusivity_exposure_leaves_quadrature_unloaded():
+    """Variable-K diffusion_scale integrates without scipy.integrate."""
+    code = (
+        "import sys\n"
+        "from plumesense.channel import ChannelParams, DiffusivityProfile, steady_field\n"
+        "from plumesense.receiver import ReceiverSpec, receiver_exposure\n"
+        "profile = DiffusivityProfile.from_function(lambda x: 0.242 * (1.0 + x / 150.0))\n"
+        "params = ChannelParams(140.0, profile)\n"
+        "recv = ReceiverSpec(center=(100.0, 0.0, 180.0), radius=2.0, sampling_window=3.0,\n"
+        "                    sampler_efficiency=0.85, binding_fraction=0.5)\n"
+        "value = receiver_exposure(recv, steady_field(1.0, params, 180.0), 0.0, (4, 4, 4, 2))\n"
+        "print(value > 0.0, 'scipy.integrate' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == "True False"

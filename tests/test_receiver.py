@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from plumesense.channel import steady_field
+from plumesense.channel import ChannelParams, breath_response, jet_concentration, steady_field
 from plumesense.errors import DomainError, GeometryError
 from plumesense.receiver import (
+    _legendre_rule,
     BindingParams,
     Decision,
     NoiseModel,
@@ -24,6 +25,37 @@ from plumesense.receiver import (
 )
 
 from conftest import HEIGHT, RADIUS
+
+
+def reference_exposure(recv, field, t_start, orders):
+    """receiver_exposure with Gauss-Legendre nodes computed afresh on every call."""
+    def gauss_legendre(n, lo, hi):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (hi - lo)
+        return lo + half * (nodes + 1.0), half * weights
+
+    n_r, n_theta, n_phi, n_t = orders
+    r, w_r = gauss_legendre(n_r, 0.0, recv.radius)
+    theta, w_theta = gauss_legendre(n_theta, 0.0, np.pi)
+    phi, w_phi = gauss_legendre(n_phi, 0.0, 2.0 * np.pi)
+    t, w_t = gauss_legendre(n_t, t_start, t_start + recv.sampling_window)
+    R = r[:, None, None, None]
+    TH = theta[None, :, None, None]
+    PH = phi[None, None, :, None]
+    TT = np.broadcast_to(t[None, None, None, :], (n_r, n_theta, n_phi, n_t))
+    cx, cy, cz = recv.center
+    X = cx + R * np.sin(TH) * np.cos(PH)
+    Y = cy + R * np.sin(TH) * np.sin(PH)
+    Z = cz + R * np.cos(TH)
+    values = np.asarray(field(X, Y, Z, TT), dtype=float)
+    jacobian = (R * R) * np.sin(TH)
+    weight = (
+        w_r[:, None, None, None]
+        * w_theta[None, :, None, None]
+        * w_phi[None, None, :, None]
+        * w_t[None, None, None, :]
+    )
+    return float(np.sum(values * jacobian * weight))
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +156,31 @@ class TestReceiverExposure:
     def test_deterministic(self, recv, params):
         f = steady_field(1.0, params, HEIGHT)
         assert receiver_exposure(recv, f) == receiver_exposure(recv, f)
+
+    @pytest.mark.parametrize("orders", [(32, 16, 32, 4), (16, 16, 16, 8)])
+    def test_cached_nodes_match_fresh_nodes(self, recv, params, orders):
+        # in slow air the jet's pulse passes the sphere mid-window and spans
+        # several time nodes; at 140 cm/s it falls between them
+        slow = ChannelParams.with_constant(8.0, params.diffusivity.k0)
+        fields = {
+            "steady": steady_field(1.0, params, HEIGHT),
+            "breath": lambda x, y, z, t: breath_response(1.0, 0.0, (x, y, z, t), params, HEIGHT),
+            "jet": lambda x, y, z, t: jet_concentration(1.0, -11.0, (x, y, z, t), slow, HEIGHT),
+        }
+        for name, field in fields.items():
+            expected = reference_exposure(recv, field, 0.0, orders)
+            assert expected > 0.0, name
+            # the first call may fill the cache, the second reads it
+            assert receiver_exposure(recv, field, 0.0, orders) == expected, name
+            assert receiver_exposure(recv, field, 0.0, orders) == expected, name
+
+    def test_cached_nodes_are_read_only(self):
+        nodes, weights = _legendre_rule(8)
+        assert _legendre_rule(8)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestMeasurement:
