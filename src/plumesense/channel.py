@@ -398,44 +398,84 @@ _GAUSS_WEIGHTS = np.array([
     0.0, 0.129484966168869693270611432679082, 0.0,
 ])
 _SCALE_RTOL = 1e-10
-_MAX_BISECTION_ROUNDS = 100
 _MAX_SUBINTERVALS_PER_GAP = 200
+
+
+def _kronrod(profile: DiffusivityProfile, lo: np.ndarray, hi: np.ndarray):
+    """15-point Kronrod estimates over [lo, hi] and QUADPACK's qk15 error
+    estimates, from one profile call.
+
+    The error estimate scales the Kronrod-Gauss distance d against the
+    integral of |K - mean K|, r, as r * min(1, (200 d / r)^1.5): below d for
+    a smooth K, and r itself where the two rules disagree, as at an
+    integrable singularity.
+    """
+    half = 0.5 * (hi - lo)
+    values = profile((lo + half)[:, None] + half[:, None] * _KRONROD_NODES)
+    weighted = values @ _KRONROD_WEIGHTS
+    kronrod = half * weighted
+    distance = half * np.abs(weighted - values @ _GAUSS_WEIGHTS)
+    deviation = values - 0.5 * weighted[:, None]
+    spread = half * (np.abs(deviation, out=deviation) @ _KRONROD_WEIGHTS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = spread * np.minimum(1.0, (200.0 * distance / spread) ** 1.5)
+    return kronrod, np.where(spread > 0.0, scaled, distance)
+
+
+def _suffix_min(values: np.ndarray) -> np.ndarray:
+    return np.minimum.accumulate(values[::-1])[::-1]
 
 
 def _gap_integrals(profile: DiffusivityProfile, ends: np.ndarray) -> np.ndarray:
     """Integrals of ``profile`` over [0, ends[0]], [ends[0], ends[1]], ... for
     strictly increasing positive ``ends``.
 
-    Every round evaluates the profile once on the nodes of all open
-    subintervals and bisects those whose Kronrod and Gauss estimates differ by
-    more than ``_SCALE_RTOL`` of the Kronrod estimate.  K > 0 makes every
-    subinterval integral positive, so each gap, and each cumulative sum of
-    gaps, is then within ``_SCALE_RTOL`` relative.
+    The integral S_j over [0, ends[j]] is the sum of the Kronrod estimates of
+    the subintervals up to ends[j], and its error bound the sum of their error
+    estimates.  The pass ends once every bound is within ``_SCALE_RTOL * S_j``.
+    Until then each round bisects, with one profile call for all of them, the
+    subintervals whose error exceeds their share of half that budget, so that
+    rounding cannot keep a converged pass open.  A share is the mean of two
+    allotments, each of which sums to at most S_j over [0, ends[j]] for every
+    j: by width, width * min S_j / ends[j], and per subinterval,
+    min S_j / (subintervals up to ends[j]), both minima over j at or past the
+    subinterval's gap.  The width allotment keeps a smooth K cheap; the
+    per-subinterval one lets the subinterval at the source converge where K
+    behaves like x^p there, for every p > 0 and for integrable singularities
+    such as 1/sqrt(x).
     """
+    n = ends.size
     lo = np.concatenate(([0.0], ends[:-1]))
     hi = ends
-    owner = np.arange(ends.size)
-    gaps = np.zeros(ends.size)
-    for _ in range(_MAX_BISECTION_ROUNDS):
-        if lo.size > _MAX_SUBINTERVALS_PER_GAP * ends.size:
-            break
-        half = 0.5 * (hi - lo)
-        mid = lo + half
-        values = profile(mid[:, None] + half[:, None] * _KRONROD_NODES)
-        kronrod = half * (values @ _KRONROD_WEIGHTS)
-        split = np.abs(kronrod - half * (values @ _GAUSS_WEIGHTS)) > _SCALE_RTOL * kronrod
-        done = ~split
-        gaps += np.bincount(owner[done], weights=kronrod[done], minlength=ends.size)
-        if not split.any():
+    owner = np.arange(n)
+    kronrod, error = _kronrod(profile, lo, hi)
+    while True:
+        gaps = np.bincount(owner, weights=kronrod, minlength=n)
+        cumulative = np.cumsum(gaps)
+        bound = np.cumsum(np.bincount(owner, weights=error, minlength=n))
+        if np.all(bound <= _SCALE_RTOL * cumulative):
             return gaps
-        lo = np.concatenate((lo[split], mid[split]))
-        hi = np.concatenate((mid[split], hi[split]))
-        owner = np.concatenate((owner[split], owner[split]))
-    raise DomainError(
-        f"integral of the diffusivity did not reach relative {_SCALE_RTOL:g} within "
-        f"{_MAX_BISECTION_ROUNDS} bisection rounds and {_MAX_SUBINTERVALS_PER_GAP} "
-        "subintervals per point"
-    )
+        count = np.bincount(owner, minlength=n)
+        per_width = _suffix_min(cumulative / ends)
+        per_leaf = _suffix_min(cumulative / np.cumsum(count))
+        share = 0.25 * _SCALE_RTOL * ((hi - lo) * per_width[owner] + per_leaf[owner])
+        split = error > share
+        keep = ~split
+        count += np.bincount(owner[split], minlength=n)
+        if not split.any() or count.max() > _MAX_SUBINTERVALS_PER_GAP:
+            raise DomainError(
+                f"integral of the diffusivity did not reach relative {_SCALE_RTOL:g} "
+                f"within {_MAX_SUBINTERVALS_PER_GAP} subintervals per point"
+            )
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_kronrod, new_error = _kronrod(profile, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        owner = np.concatenate((owner[keep], owner[split], owner[split]))
+        kronrod = np.concatenate((kronrod[keep], new_kronrod))
+        error = np.concatenate((error[keep], new_error))
 
 
 def diffusion_scale(x: ArrayLike, params: ChannelParams):
@@ -443,9 +483,11 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
 
     Exact for a constant profile.  Otherwise one cumulative pass over the
     sorted unique points: the gaps between neighbours are integrated by
-    adaptive 7/15-point Gauss-Kronrod quadrature to relative 1e-10 and summed
-    in order, so every value is within 1e-10 relative.  Monotone
-    nondecreasing in x.
+    adaptive 7/15-point Gauss-Kronrod quadrature and summed in order, with
+    the error of every cumulative value bounded to 1e-10 relative.  Monotone
+    nondecreasing in x.  A profile that needs more than 200 subintervals per
+    point, such as x^-0.9 at the source or one oscillating far faster than
+    the points are spaced, raises :class:`DomainError`.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):

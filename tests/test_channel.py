@@ -124,7 +124,11 @@ class TestDiffusionScale:
         lambda x: math.exp(-x),
         lambda x: 0.5 + 0.4 * np.sin(x),
         lambda x: 0.2 + np.sqrt(x),
-    ], ids=["linear", "exp_scalar_only", "sine", "sqrt"])
+        lambda x: VARIABLE_K0 * np.sqrt(x),
+        lambda x: VARIABLE_K0 * x ** (4.0 / 3.0),
+        lambda x: 1.0 / np.sqrt(x),
+    ], ids=["linear", "exp_scalar_only", "sine", "offset_sqrt", "sqrt", "power_4_3",
+            "inverse_sqrt"])
     def test_variable_profile_against_per_point_quad(self, func):
         p = ChannelParams(2.0, DiffusivityProfile.from_function(func))
         # unsorted, with duplicates and exact zeros
@@ -147,13 +151,23 @@ class TestDiffusionScale:
         np.testing.assert_allclose(diffusion_scale(xs, p), expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("func", [
-        lambda x: 1.0 / np.sqrt(x),              # integrable singularity at the source
+        lambda x: x ** -0.9,                     # too strong a singularity at the source
         lambda x: 1.0 + 0.5 * np.sin(1e4 * x),   # far too many oscillations to resolve
     ], ids=["singular", "oscillating"])
     def test_unconverged_integral_raises(self, func):
         p = ChannelParams(1.0, DiffusivityProfile.from_function(func))
         with pytest.raises(DomainError, match="did not reach relative 1e-10"):
             diffusion_scale(np.array([0.5, 480.0]), p)
+
+    def test_subinterval_cap_is_per_point(self):
+        # fast oscillation beyond x = 400 only: the easy gaps below it must not
+        # lend their subintervals to the one hard gap
+        p = ChannelParams(1.0, DiffusivityProfile.from_function(
+            lambda x: 1.0 + 0.5 * np.sin(50.0 * x) * (x > 400.0)))
+        xs = np.append(np.linspace(1.0, 400.0, 1000), 480.0)
+        with pytest.raises(DomainError, match="200 subintervals per point"):
+            diffusion_scale(xs, p)
+        np.testing.assert_allclose(diffusion_scale(xs[:-1], p), xs[:-1], rtol=1e-10, atol=0.0)
 
     def test_nonfinite_distance_rejected_for_variable_profile(self):
         p = ChannelParams(1.0, DiffusivityProfile.from_function(lambda x: 1.0 + 0.0 * x))
