@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlumesenseError, QuadratureError, ScenarioError
+from .errors import EvaluationDomainError, PlumesenseError, QuadratureError, ScenarioError
 from .runners import RUNNERS, needs_seed, write_results
 from .scenario import parse_scenario, scenario_schema
 
@@ -120,17 +120,18 @@ def _apply_override(raw: dict, spec: str):
     value = _parse_override_value(value_text)
     parts = path.split(".")
     node = raw
-    for i, part in enumerate(parts[:-1]):
-        key = int(part) if isinstance(node, list) else part
-        try:
-            nxt = node[key]
-        except (KeyError, IndexError, TypeError):
-            nxt = None
-        if not isinstance(nxt, (dict, list)):
-            if isinstance(node, list):
-                raise ScenarioError(path, f"list index {part} out of range")
-            node[key] = {}
-            nxt = node[key]
+    for part in parts[:-1]:
+        if isinstance(node, list):
+            try:
+                nxt = node[int(part)]
+            except (ValueError, IndexError):
+                raise ScenarioError(path, f"bad list index {part!r}") from None
+            if not isinstance(nxt, (dict, list)):
+                raise ScenarioError(path, f"list entry {part} is not an object or a list")
+        else:
+            nxt = node.get(part)
+            if not isinstance(nxt, (dict, list)):
+                node[part] = nxt = {}
         node = nxt
     last = parts[-1]
     if isinstance(node, list):
@@ -185,7 +186,11 @@ def _run_experiment(args) -> int:
         logger.info("no seed given; drew %d", raw["seed"])
         config = parse_scenario(raw)
     logger.info("running %s (config %s, seed %s)", kind, config.config_hash, config.seed)
-    table = RUNNERS[kind](config)
+    try:
+        table = RUNNERS[kind](config)
+    except EvaluationDomainError as exc:
+        # a point of the experiment lies between the source and x_min downwind
+        raise ScenarioError("channel.x_min", str(exc)) from exc
 
     fmt = args.format or config.output_format
     if _writes_file(args.out):

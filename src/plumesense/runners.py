@@ -28,6 +28,7 @@ from .channel import (
     multi_user_response,
     steady_state_concentration,
     steady_field,
+    stochastic_expected_response,
 )
 from .errors import DomainError, ScenarioError
 from .oracles import (
@@ -114,11 +115,50 @@ class ResultTable:
             raise DomainError(f"no column named {name!r}") from None
         return self.rows[:, idx].copy()
 
-    def _blocks(self):
-        """Row count and flat Python floats of each block of rows."""
-        for start in range(0, len(self.rows), _FORMAT_BLOCK_ROWS):
-            block = self.rows[start:start + _FORMAT_BLOCK_ROWS]
-            yield len(block), block.ravel().tolist()
+    def _cell_blocks(self, tokens, tokenise_rest):
+        """Which columns are deduplicated, and the row count and row-major
+        cells of each block of rows.
+
+        A column whose distinct bit patterns (so -0.0 and 0.0, and NaN
+        payloads, stay apart) number at most half its rows is deduplicated:
+        ``tokens`` (a list of floats to a list of strings, one C-level
+        operation) formats each distinct value once, and each block gathers
+        its cells through its inverse index, found by binary search in the
+        sorted distinct patterns.  The other columns' cells are their
+        floats, or ``tokens`` of them per block if ``tokenise_rest``.
+        """
+        n_rows, n_cols = self.rows.shape
+        bits = self.rows.view(np.uint64)
+        distinct = {}
+        for j in range(n_cols):
+            # np.sort, not np.unique: a quarter of the time on a
+            # mostly-distinct column, and no whole-column inverse is kept
+            ordered = np.sort(bits[:, j])
+            first = np.ones(n_rows, dtype=bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            patterns = ordered[first]
+            if 2 * patterns.size <= n_rows:
+                distinct[j] = (
+                    patterns,
+                    np.array(tokens(patterns.view(np.float64).tolist()), dtype=object),
+                )
+        rest = [j for j in range(n_cols) if j not in distinct]
+
+        def blocks():
+            for start in range(0, n_rows, _FORMAT_BLOCK_ROWS):
+                stop = min(start + _FORMAT_BLOCK_ROWS, n_rows)
+                cells = np.empty((stop - start, n_cols), dtype=object)
+                for j, (patterns, column_tokens) in distinct.items():
+                    cells[:, j] = column_tokens[np.searchsorted(patterns, bits[start:stop, j])]
+                if rest:
+                    values = self.rows[start:stop, rest]
+                    if tokenise_rest:
+                        values = np.array(tokens(values.ravel().tolist()),
+                                          dtype=object).reshape(values.shape)
+                    cells[:, rest] = values
+                yield stop - start, tuple(cells.ravel().tolist())
+
+        return [j in distinct for j in range(n_cols)], blocks()
 
     def to_csv_text(self) -> str:
         lines = []
@@ -127,15 +167,19 @@ class ResultTable:
                 lines.append(f"# {key}: {self.metadata[key]}")
         lines.append(",".join(f"{c} [{u}]" for c, u in zip(self.columns, self.units)))
         # "%.8e" % v is the same text as f"{v:.8e}", nan, inf and -0.0 included
-        row_fmt = ",".join(["%.8e"] * len(self.columns)) + "\n"
-        body = [(row_fmt * n) % tuple(values) for n, values in self._blocks()]
-        return "\n".join(lines) + "\n" + "".join(body)
+        deduplicated, blocks = self._cell_blocks(
+            lambda values: (("%.8e\n" * len(values)) % tuple(values)).split("\n")[:-1],
+            tokenise_rest=False)
+        row_fmt = ",".join("%s" if d else "%.8e" for d in deduplicated) + "\n"
+        # one join over header and blocks: the text is copied once
+        return "".join(["\n".join(lines) + "\n"]
+                       + [(row_fmt * n) % values for n, values in blocks])
 
     def to_json_text(self) -> str:
         """The text ``json.dumps(record, indent=1)`` gives, without its
-        pure-Python encoder: the C encoder writes each block's numbers
-        (``NaN`` and ``Infinity`` included) and they are spliced into the
-        ``indent=1`` row layout."""
+        pure-Python encoder: the C encoder writes the numbers (``NaN`` and
+        ``Infinity`` included) and they are spliced into the ``indent=1``
+        row layout."""
         record = {
             "metadata": {k: self.metadata[k] for k in _FILE_METADATA_KEYS
                          if k in self.metadata},
@@ -146,13 +190,16 @@ class ResultTable:
         head = json.dumps(record, indent=1)
         if not len(self.rows):
             return head + "\n"
+        _, blocks = self._cell_blocks(lambda values: json.dumps(values)[1:-1].split(", "),
+                                      tokenise_rest=True)
         cells = ",\n   ".join(["%s"] * len(self.columns))
         row_fmt = "  [\n   " + cells + "\n  ]" if self.columns else "  []"
-        body = [",\n".join([row_fmt] * n)
-                % tuple(json.dumps(values)[1:-1].split(", ") if values else ())
-                for n, values in self._blocks()]
-        # head ends with the empty rows list: '"rows": []\n}'
-        return head[:-len("[]\n}")] + "[\n" + ",\n".join(body) + "\n ]\n}\n"
+        body = [",\n".join([row_fmt] * n) % values for n, values in blocks]
+        # head ends with the empty rows list: '"rows": []\n}'; the ends go
+        # into the first and last blocks, so the text is copied once
+        body[0] = head[:-len("[]\n}")] + "[\n" + body[0]
+        body[-1] += "\n ]\n}\n"
+        return ",\n".join(body)
 
 
 def write_results(table: ResultTable, path, fmt: str = "csv"):
@@ -311,7 +358,11 @@ def _delay_to_fraction(params: ChannelParams, height: float, distance: float,
             break
         lo, hi = hi, hi * 2.0
     else:
-        return math.inf
+        raise ScenarioError(
+            "experiment.fraction",
+            f"the breath response at {distance} cm does not reach {fraction} of its "
+            "steady value within 2**200 * distance / wind_speed",
+        )
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if reached(mid):
@@ -444,19 +495,25 @@ def run_field_grid(config: ScenarioConfig) -> ResultTable:
 
 def run_timeseries(config: ScenarioConfig) -> ResultTable:
     """Concentration versus time at a fixed observation point (receiver
-    center unless the experiment names one)."""
+    center unless the experiment names one).  With a stochastic release
+    grid, an ``expected`` column adds the expected concentration of the
+    grid's jets."""
     exp = config.experiment
     scenario = config.multi_user_scenario()
     params = config.channel_params()
     point = exp["point"] if exp["point"] is not None else list(config.receiver_spec().center)
     times = _linspace(exp["times"])
-    values = np.asarray(
-        multi_user_response(scenario, (point[0], point[1], point[2], times), params)
-    )
+    where = (point[0], point[1], point[2], times)
+    columns = [times, np.asarray(multi_user_response(scenario, where, params))]
+    names, units = ["time", "concentration"], ["s", "1/cm^3"]
+    if scenario.stochastic is not None:
+        columns.append(np.asarray(stochastic_expected_response(scenario, where, params)))
+        names.append("expected")
+        units.append("1/cm^3")
     return ResultTable(
-        columns=("time", "concentration"),
-        units=("s", "1/cm^3"),
-        rows=np.column_stack([times, values]),
+        columns=tuple(names),
+        units=tuple(units),
+        rows=np.column_stack(columns),
         metadata=_metadata(config),
     )
 

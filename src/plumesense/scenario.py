@@ -155,6 +155,8 @@ def _expect_range(value, path, positive=False):
     num = _expect_int(obj.get("num", 2), f"{path}.num", minimum=2)
     if stop <= start:
         raise ScenarioError(f"{path}.stop", "must exceed start")
+    if not math.isfinite(stop - start):
+        raise ScenarioError(path, "stop - start must be finite")
     return {"start": start, "stop": stop, "num": num}
 
 
@@ -654,7 +656,10 @@ def scenario_schema() -> dict:
                 "interval": {"type": "number > 0", "unit": "s"},
                 "horizon": {"type": "number > 0", "unit": "s"},
                 "probabilities": {"type": "ceil(horizon/interval) rows of one [0,1] "
-                                          "value per user"},
+                                          "value per user",
+                                  "doc": "row i, entry j: chance that user j releases "
+                                         "its jet at i*interval; timeseries adds the "
+                                         "expected concentration as column 'expected'"},
                 "jet_masses": {"type": "one number > 0 per user, or null", "unit": "units"},
             },
         },

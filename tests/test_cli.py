@@ -1,11 +1,16 @@
 """Command-line front end: exit codes, overrides, seeding, output files."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import plumesense
 from plumesense import cli
@@ -99,6 +104,130 @@ class TestConfigErrors:
         code = cli.dispatch(["conc-vs-dist", "--scenario", str(scenario_file),
                              "--out", "/nonexistent-dir/x.csv"])
         assert code == cli.EXIT_IO
+
+
+# keys of each scenario section, of a user, a jet, a stochastic grid and a
+# range, plus one unknown key; random dicts and override paths draw from these
+_SECTION_KEYS = {
+    "channel": ["wind_speed", "diffusivity", "source_height", "x_min"],
+    "sources": ["users", "stochastic"],
+    "receiver": ["center", "distance", "radius", "sampling_window",
+                 "sampler_efficiency", "binding_fraction", "prior_infected"],
+    "noise": ["variance", "snr_calibration"],
+    "experiment": ["kind", "x", "y", "z", "times", "point", "omega", "unwrap",
+                   "distances", "wind_speeds", "fraction", "rel_tol"],
+    "output": ["format"],
+}
+_USER_KEYS = ["location", "breath_rate", "jets", "entry_time"]
+_NESTED_KEYS = ["time", "mass", "interval", "horizon", "probabilities", "jet_masses",
+                "start", "stop", "num"]
+_ALL_KEYS = sorted({k for keys in _SECTION_KEYS.values() for k in keys}
+                   | set(_SECTION_KEYS) | set(_USER_KEYS) | set(_NESTED_KEYS)
+                   | {"seed", "bogus"})
+
+# the subcommands whose runs take milliseconds; a drawn experiment.kind may
+# name another kind, which the subcommand then rejects
+_FAST_COMMANDS = ("field", "timeseries", "freq", "delay")
+
+# integers stay small so that a valid grid or time range stays small
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(),
+              st.sampled_from(["", "x", "csv", "json", "center", "collected",
+                               "field", "timeseries", "freq", "delay", "pmd"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(_ALL_KEYS), inner, max_size=4)),
+    max_leaves=8,
+)
+_user = st.dictionaries(st.sampled_from(_USER_KEYS + ["bogus"]), _json_values, max_size=4)
+_scenarios = st.fixed_dictionaries({}, optional={
+    **{name: st.dictionaries(st.sampled_from(keys + ["bogus"]), _json_values, max_size=5)
+       for name, keys in _SECTION_KEYS.items() if name != "sources"},
+    "sources": st.fixed_dictionaries({}, optional={
+        "users": st.one_of(st.lists(_user, max_size=3), _json_values),
+        "stochastic": _json_values,
+    }),
+    "seed": _json_values,
+    "bogus": _json_values,
+})
+# dotted paths of real fields (sections, ranges, the first user) or of junk
+_REAL_PATHS = sorted(
+    {f"{section}.{key}" for section, keys in _SECTION_KEYS.items() for key in keys}
+    | {f"experiment.{axis}.{part}" for axis in ("x", "y", "z", "times", "omega")
+       for part in ("start", "stop", "num")}
+    | {f"sources.users.0.{key}" for key in _USER_KEYS}
+    | {f"sources.stochastic.{key}" for key in _NESTED_KEYS[2:6]}
+    | set(_SECTION_KEYS) | {"seed", "sources.users.0", "sources.users.0.jets.0.mass"})
+_override_paths = st.one_of(
+    st.sampled_from(_REAL_PATHS),
+    st.lists(st.one_of(st.sampled_from(_ALL_KEYS), st.sampled_from(["0", "1", "-1", "x", ""])),
+             min_size=1, max_size=4).map(".".join),
+)
+_override_values = st.one_of(
+    _json_values.map(json.dumps),
+    st.sampled_from(["", "abc", "[", "{", "NaN", "Infinity", "-Infinity", "1e400", "=1"]),
+)
+
+# "configuration error: <path>: <message>", the path rooted in a scenario
+# section (or naming an override's own path)
+_NAMED_PATH = re.compile(
+    r"configuration error: (<scenario>|(?:channel|sources|receiver|noise|experiment"
+    r"|output|seed)(?:[.\[][^:]*)?): ")
+
+
+def _dispatch_quietly(argv):
+    """Exit code and standard error of one CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.dispatch(argv)
+    return code, err.getvalue()
+
+
+class TestMalformedInput:
+    """Random scenarios and overrides end in success or exit code 2 with a
+    message naming a scenario path; never a traceback, never an inf."""
+
+    def check(self, code, err, out, override_paths=()):
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err
+        if code == cli.EXIT_CONFIG:
+            assert _NAMED_PATH.match(err) or any(
+                err.startswith(f"configuration error: {path}: ") for path in override_paths
+            ), err
+        else:
+            assert "inf" not in out.read_text().lower()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_scenarios, command=st.sampled_from(_FAST_COMMANDS))
+    def test_random_scenario_dicts(self, raw, command, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("scenario")
+        (folder / "s.json").write_text(json.dumps(raw))
+        out = folder / "out.csv"
+        code, err = _dispatch_quietly([command, "--scenario", str(folder / "s.json"),
+                                       "--out", str(out)])
+        self.check(code, err, out)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(_FAST_COMMANDS),
+           overrides=st.lists(st.tuples(_override_paths, _override_values),
+                              min_size=1, max_size=3))
+    # a word as a list index, a fraction the rise never reaches in floating
+    # point, x_min past the receiver, and a time range whose span overflows
+    @example(command="field",
+             overrides=[("sources.users", "[{}]"), ("sources.users.x.breath_rate", "1")])
+    @example(command="delay", overrides=[("experiment.fraction", "0.9999999999999999")])
+    @example(command="timeseries", overrides=[("channel.x_min", "1e300")])
+    @example(command="timeseries", overrides=[("experiment.times.start", "-1.7e308"),
+                                              ("experiment.times.stop", "1.7e308")])
+    def test_random_overrides_name_their_path(self, command, overrides, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("override")
+        (folder / "s.json").write_text(json.dumps({"experiment": {"kind": command}}))
+        out = folder / "out.csv"
+        argv = [command, "--scenario", str(folder / "s.json"), "--out", str(out)]
+        # one argument each, so that argparse takes a path like "-1" as a value
+        argv += [f"--set={path}={value}" for path, value in overrides]
+        code, err = _dispatch_quietly(argv)
+        self.check(code, err, out, [path for path, _ in overrides])
 
 
 class TestSeeding:

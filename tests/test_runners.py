@@ -1,8 +1,10 @@
 """Experiment runners: table mechanics, persistence, determinism, and the
 physical trends each figure-style experiment must reproduce."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from plumesense.channel import diffusion_scale
+from plumesense.channel import diffusion_scale, stochastic_expected_response
 from plumesense.errors import DomainError, ScenarioError
 from plumesense.runners import (
     _FILE_METADATA_KEYS,
+    RUNNERS,
     ResultTable,
     read_results,
     run_concentration_vs_distance,
@@ -26,9 +29,11 @@ from plumesense.runners import (
     run_validate_oracles,
     write_results,
 )
-from plumesense.scenario import parse_scenario
+from plumesense.scenario import load_scenario, parse_scenario
 
 from conftest import HEIGHT, WIND
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # the per-row serialisers the block formatters replaced; their bytes are the
@@ -68,11 +73,33 @@ def first_difference(text, reference):
 _SPECIAL_VALUES = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                    2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308)
 
+# bit patterns of a small pool: both zeros, NaNs with different signs and
+# payloads (quiet and signalling), both infinities and two ordinary values
+_POOL_BITS = np.array([0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+                       0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                       0x7FF0000000000000, 0xFFF0000000000000, 0x3FF0000000000000,
+                       0x0000000000000001], dtype=np.uint64)
+
+
+def _column_bits(kind, n_rows, rng):
+    """A column's bit patterns: ``pool`` cycles through the pool in random
+    order; ``half`` has exactly n_rows // 2 distinct values (the largest
+    count the formatters deduplicate) and ``half+1`` one more."""
+    if kind == "pool":
+        return rng.permutation(np.resize(_POOL_BITS, n_rows))
+    m = max(n_rows // 2 + (kind == "half+1"), 1)
+    distinct = np.unique(rng.integers(0, 2**64, size=m + 8, dtype=np.uint64,
+                                      endpoint=False))[:m]
+    return rng.permutation(np.resize(distinct, n_rows))
+
 
 @st.composite
 def result_tables(draw):
     """Tables of 0, 1, 4095, 4096 or 4097 rows (around the 4096-row format
-    block) and 1 to 7 columns; special values over random bit patterns."""
+    block) and 1 to 7 columns.  One column cycles a small pool of values and
+    another (if any) has n_rows // 2 distinct values; the rest have special
+    values over random bit patterns, or are of either kind, or have
+    n_rows // 2 + 1 distinct values.  Rows are in C or Fortran order."""
     n_rows = draw(st.sampled_from([0, 1, 4095, 4096, 4097]))
     n_cols = draw(st.integers(1, 7))
     cells = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(width=64))
@@ -81,6 +108,15 @@ def result_tables(draw):
     bits = rng.integers(0, 2**64, size=rows.shape, dtype=np.uint64, endpoint=False)
     mask = rng.random(rows.shape) < 0.5
     rows[mask] = bits.view(np.float64)[mask]
+    kinds = ["pool", "half"] + draw(st.lists(
+        st.sampled_from(["special", "pool", "half", "half+1"]),
+        min_size=max(n_cols - 2, 0), max_size=max(n_cols - 2, 0)))
+    order = draw(st.permutations(range(n_cols)))
+    for j, kind in zip(order, kinds):
+        if kind != "special":
+            rows[:, j] = _column_bits(kind, n_rows, rng).view(np.float64)
+    if draw(st.booleans()):
+        rows = np.asfortranarray(rows)  # ResultTable keeps the memory order
     return ResultTable(
         columns=tuple(f"c{i}" for i in range(n_cols)),
         units=("1",) * n_cols,
@@ -156,6 +192,16 @@ class TestResultTable:
         path = tmp_path_factory.mktemp("round_trip") / "table.json"
         back = read_results(write_results(table, path, "json"))
         assert np.array_equal(back.rows, table.rows, equal_nan=True)
+
+    # validate.json is left out: its oracle suite is the slowest runner, and
+    # its 11-row table adds no case the others lack
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")
+                                            if p.name != "validate.json"))
+    def test_shipped_scenarios_match_per_row_reference(self, name):
+        config = load_scenario(SCENARIOS / name)
+        table = RUNNERS[config.experiment["kind"]](config)
+        assert first_difference(table.to_csv_text(), reference_csv_text(table)) is None
+        assert first_difference(table.to_json_text(), reference_json_text(table)) is None
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
         table = self.make()
@@ -363,6 +409,40 @@ class TestSmallRunners:
         assert values[0] == 0.0
         assert np.all(np.diff(values) >= 0.0)
         assert np.all(values >= 0.0) and np.all(np.isfinite(values))
+
+    def test_timeseries_expected_column_with_stochastic_grid(self):
+        raw = {
+            "sources": {
+                "users": [{"breath_rate": 1.0},
+                          {"location": [-20.0, 1.0, HEIGHT], "breath_rate": 0.0}],
+                "stochastic": {"interval": 1.0, "horizon": 3.0,
+                               "probabilities": [[0.5, 0.2], [0.0, 1.0], [0.3, 0.0]],
+                               "jet_masses": [100.0, 50.0]},
+            },
+            "experiment": {"kind": "timeseries",
+                           "times": {"start": 0.0, "stop": 6.0, "num": 61}},
+        }
+        config = parse_scenario(raw)
+        table = run_timeseries(config)
+        assert table.columns == ("time", "concentration", "expected")
+        assert table.units == ("s", "1/cm^3", "1/cm^3")
+        center = config.receiver_spec().center
+        direct = stochastic_expected_response(
+            config.multi_user_scenario(), (*center, table.column("time")),
+            config.channel_params())
+        assert np.array_equal(table.column("expected"), direct)
+        assert table.column("expected").max() > 0.0
+        del raw["sources"]["stochastic"]
+        plain = run_timeseries(parse_scenario(raw))
+        assert plain.columns == ("time", "concentration")
+        assert np.array_equal(plain.rows, table.rows[:, :2])
+
+    def test_shipped_timeseries_bytes_unchanged(self):
+        # digest of the CSV before the expected column existed; a scenario
+        # without a stochastic grid keeps its two columns and its bytes
+        table = run_timeseries(load_scenario(SCENARIOS / "timeseries.json"))
+        digest = hashlib.sha256(table.to_csv_text().encode()).hexdigest()
+        assert digest == "82b4b39af6a86e6b77bbd213d125cfdb4ce8b150f81494e8c47339cce42f0079"
 
     def test_frequency_sweep_shape(self):
         config = parse_scenario({"experiment": {"kind": "freq"}})
