@@ -107,12 +107,21 @@ def _parse_override_value(text: str):
         return text
 
 
+def _is_index(part: str) -> bool:
+    try:
+        int(part)
+    except ValueError:
+        return False
+    return True
+
+
 def _apply_override(raw: dict, spec: str):
     """Apply one ``dotted.path=value`` assignment onto the raw scenario dict.
 
     Intermediate objects are created as needed; list indices are written as
-    numeric path parts (``sources.users.0.breath_rate``).  Whether the final
-    field is legal is decided by schema validation afterwards.
+    numeric path parts (``sources.users.0.breath_rate``) and must name an
+    existing entry, because an override cannot create list entries.  Whether
+    the final field is legal is decided by schema validation afterwards.
     """
     path, sep, value_text = spec.partition("=")
     if not sep:
@@ -120,7 +129,7 @@ def _apply_override(raw: dict, spec: str):
     value = _parse_override_value(value_text)
     parts = path.split(".")
     node = raw
-    for part in parts[:-1]:
+    for depth, part in enumerate(parts[:-1]):
         if isinstance(node, list):
             try:
                 nxt = node[int(part)]
@@ -131,6 +140,10 @@ def _apply_override(raw: dict, spec: str):
         else:
             nxt = node.get(part)
             if not isinstance(nxt, (dict, list)):
+                if _is_index(parts[depth + 1]):
+                    raise ScenarioError(
+                        path, f"{'.'.join(parts[:depth + 1])} is not a list in the scenario; "
+                        "an override cannot create list entries")
                 node[part] = nxt = {}
         node = nxt
     last = parts[-1]

@@ -45,7 +45,6 @@ __all__ = [
     "McExposureEstimate",
     "march_steady_plume",
     "steady_oracle_report",
-    "steady_convergence_factor",
     "march_transient_jet",
     "transient_oracle_report",
     "step_convolution",
@@ -185,7 +184,6 @@ class SteadyMarchResult:
     field: np.ndarray  # final slice, indexed [z, y]
     crosswind_integrals: np.ndarray
     rate: float
-    scheme: str
     runtime_s: float
     warnings: Tuple[str, ...] = ()
 
@@ -225,58 +223,16 @@ def _laplacian_2d(C, dy, dz, out):
     return out
 
 
-def _adi_matrices(n, r, no_flux_first: bool):
-    """Banded (1 + 2r, -r) tridiagonal for (I - (d/2) L); last row Dirichlet,
-    first row either no-flux (mirrored neighbor) or Dirichlet.
-
-    solve_banded layout: ab[0, j] = A[j-1, j], ab[1, j] = A[j, j],
-    ab[2, j] = A[j+1, j].  Dirichlet rows are identity rows (off-diagonal
-    couplings zeroed); interior rows keep their couplings into the boundary
-    columns, whose values the identity rows pin at zero.
-    """
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 1:] = -r
-    ab[2, :-1] = -r
-    ab[1, n - 1] = 1.0
-    ab[2, n - 2] = 0.0
-    if no_flux_first:
-        ab[0, 1] = -2.0 * r
-    else:
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-    return ab
-
-
-def _half_apply_z(C, r):
-    """(I + (d/2) Lz) with no-flux ground row; Dirichlet top row left at zero."""
-    out = C.copy()
-    out[1:-1, :] += r * (C[2:, :] - 2.0 * C[1:-1, :] + C[:-2, :])
-    out[0, :] += r * (2.0 * C[1, :] - 2.0 * C[0, :])
-    out[-1, :] = 0.0
-    return out
-
-
-def _half_apply_y(C, r):
-    out = C.copy()
-    out[:, 1:-1] += r * (C[:, 2:] - 2.0 * C[:, 1:-1] + C[:, :-2])
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
-
-
 def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchGrid,
-                       rate: float = 1.0, scheme: str = "explicit") -> SteadyMarchResult:
+                       rate: float = 1.0) -> SteadyMarchResult:
     """March the crosswind heat equation from the closed form at scale_start.
 
     The initial slice is the narrow Gaussian the heat kernel makes of the
     point source by scale_start, so the marched field is directly comparable
     to the closed form at scale_end.  The ground row is no-flux; the outer
-    boundaries hold zero.  ``scheme`` is "explicit" (default, stability
-    checked) or "implicit" (Peaceman-Rachford ADI, unconditionally stable).
+    boundaries hold zero.  The march is explicit, so the scale step must meet
+    the stability bound.
     """
-    if scheme not in ("explicit", "implicit"):
-        raise GridError(f"unknown scheme '{scheme}'")
     _check_containment(grid, source_height)
     start = time.perf_counter()
 
@@ -286,10 +242,10 @@ def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchG
     z = np.arange(0, n_z + 1) * grid.step_z
     dy, dz = grid.step_y, grid.step_z
 
-    if scheme == "explicit" and grid.step_scale > 0.25 * min(dy * dy, dz * dz) * (1 + 1e-12):
+    if grid.step_scale > 0.25 * min(dy * dy, dz * dz) * (1 + 1e-12):
         raise GridError(
             "explicit march needs step_scale <= 0.25 * min(step_y^2, step_z^2); "
-            "refine the scale step or use the implicit scheme"
+            "refine the scale step"
         )
 
     warnings = []
@@ -312,23 +268,11 @@ def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchG
     integrals = np.empty(n_steps + 1)
     integrals[0] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
 
-    if scheme == "explicit":
-        lap = np.empty_like(C)
-        for k in range(n_steps):
-            _laplacian_2d(C, dy, dz, lap)
-            C += d * lap
-            integrals[k + 1] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
-    else:
-        from scipy.linalg import solve_banded
-
-        r_z = 0.5 * d / (dz * dz)
-        r_y = 0.5 * d / (dy * dy)
-        ab_z = _adi_matrices(z.size, r_z, no_flux_first=True)
-        ab_y = _adi_matrices(y.size, r_y, no_flux_first=False)
-        for k in range(n_steps):
-            half = solve_banded((1, 1), ab_z, _half_apply_y(C, r_y))
-            C = solve_banded((1, 1), ab_y, _half_apply_z(half, r_z).T).T
-            integrals[k + 1] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
+    lap = np.empty_like(C)
+    for k in range(n_steps):
+        _laplacian_2d(C, dy, dz, lap)
+        C += d * lap
+        integrals[k + 1] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
 
     scales = grid.scale_start + d * np.arange(n_steps + 1)
     return SteadyMarchResult(
@@ -339,7 +283,6 @@ def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchG
         field=C,
         crosswind_integrals=integrals,
         rate=rate,
-        scheme=scheme,
         runtime_s=time.perf_counter() - start,
         warnings=tuple(warnings),
     )
@@ -370,25 +313,8 @@ def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
             "crosswind_max_rel_dev": crosswind_dev,
             "crosswind_budget": BUDGETS["steady_crosswind"],
             "distance_at_end": x_end,
-            "scheme": result.scheme,
         },
     )
-
-
-def steady_convergence_factor(params: ChannelParams, source_height: float, grid: MarchGrid,
-                              rate: float = 1.0, scheme: str = "explicit"):
-    """Run the march on the grid and its refinement; return both reports and
-    the error-reduction factor (second-order scheme: expect about 4)."""
-    coarse = steady_oracle_report(
-        march_steady_plume(params, source_height, grid, rate, scheme), params, source_height
-    )
-    fine = steady_oracle_report(
-        march_steady_plume(params, source_height, grid.refined(), rate, scheme),
-        params,
-        source_height,
-    )
-    factor = coarse.l2_rel_error / fine.l2_rel_error if fine.l2_rel_error > 0 else math.inf
-    return coarse, fine, factor
 
 
 # ---------------------------------------------------------------------------

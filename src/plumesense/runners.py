@@ -15,13 +15,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
+from scipy.special import erfc, erfcinv
 
 from . import __version__
 from .channel import (
-    ChannelParams,
     breath_response,
     diffusion_scale,
     frequency_response,
@@ -30,7 +30,7 @@ from .channel import (
     steady_field,
     stochastic_expected_response,
 )
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, EvaluationDomainError, ScenarioError
 from .oracles import (
     BUDGETS,
     MarchGrid,
@@ -340,61 +340,47 @@ def run_concentration_vs_distance(config: ScenarioConfig) -> ResultTable:
     )
 
 
-def _delay_to_fraction(params: ChannelParams, height: float, distance: float,
-                       fraction: float, rel_tol: float) -> float:
-    """First time the breath response reaches ``fraction`` of its steady value
-    at the in-line receiver point, by bisection on the monotone rise."""
-    point = (distance, 0.0, height)
-    steady = steady_state_concentration(1.0, point, params, height)
-    target = fraction * steady
+def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
+    """Propagation delay until the breath response on the source axis
+    reaches ``experiment.fraction`` of its steady value, for each wind speed
+    and distance.
 
-    def reached(t):
-        return breath_response(1.0, 0.0, (distance, 0.0, height, t), params, height) >= target
-
-    lo = 0.0
-    hi = distance / params.wind_speed
-    for _ in range(200):
-        if reached(hi):
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise ScenarioError(
-            "experiment.fraction",
-            f"the breath response at {distance} cm does not reach {fraction} of its "
-            "steady value within 2**200 * distance / wind_speed",
-        )
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def run_delay_to_fraction(config: ScenarioConfig,
-                          fraction: Optional[float] = None) -> ResultTable:
-    """Propagation delay until the breath response reaches a fraction of its
-    steady value, for each wind speed and distance.  ``fraction`` overrides
-    the configured target when given."""
+    On the axis the breath response over the steady plume is the erfc front
+    (erfc((d - u t)/r) - erfc(d/r))/2 with r = 2 sqrt(diffusion_scale(d)), so
+    the delay is its exact inverse t = (d - r erfcinv(2f + erfc(d/r)))/u.
+    ``experiment.rel_tol`` is accepted but not used.
+    """
     exp = config.experiment
-    height = config.source_height
-    fraction = exp["fraction"] if fraction is None else float(fraction)
-    if not (0.0 < fraction < 1.0):
-        raise ScenarioError("experiment.fraction", "must lie in (0, 1)")
-    rel_tol = exp["rel_tol"]
-
-    def one(case):
-        u, d = case
-        params = config.channel_params(wind_speed=u)
-        return (u, d, _delay_to_fraction(params, height, d, fraction, rel_tol))
-
-    cases = [(u, d) for u in exp["wind_speeds"] for d in exp["distances"]]
-    rows = [one(case) for case in cases]
+    fraction = exp["fraction"]
+    distances = np.asarray(exp["distances"])
+    x_min = config.channel_params().x_min
+    if distances[0] < x_min:
+        raise EvaluationDomainError(
+            f"delay distance {distances[0]} cm lies below x_min = {x_min} cm; the closed "
+            "form is singular near the source"
+        )
+    blocks = []
+    for u in exp["wind_speeds"]:
+        root = 2.0 * np.sqrt(diffusion_scale(distances, config.channel_params(wind_speed=u)))
+        front = 2.0 * fraction + erfc(distances / root)
+        # erfc stays below 2, so the rise never reaches the target there
+        unreached = front >= 2.0
+        if unreached.any():
+            raise ScenarioError(
+                "experiment.fraction",
+                f"the breath response at {distances[unreached][0]} cm does not reach "
+                f"{fraction} of its steady value",
+            )
+        with np.errstate(over="ignore"):
+            delay = (distances - root * erfcinv(front)) / u
+        if not np.all(np.isfinite(delay)):
+            raise ScenarioError("experiment.wind_speeds",
+                                f"the delay at {u} cm/s overflows; the wind is too slow")
+        blocks.append(np.column_stack([np.full(distances.shape, u), distances, delay]))
     return ResultTable(
         columns=("wind_speed", "distance", "delay"),
         units=("cm/s", "cm", "s"),
-        rows=rows,
+        rows=np.concatenate(blocks),
         metadata=_metadata(config),
     )
 
@@ -529,6 +515,13 @@ def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
     omegas = _linspace(exp["omega"])
     response = frequency_response(point, omegas, params, user.height,
                                   unwrap_phase=exp["unwrap"])
+    # the magnitude fails where u * u underflows or x K / u overflows, the
+    # phase where omega x / u overflows
+    for path, values in (("channel.wind_speed", response.magnitude),
+                         ("experiment.omega", response.phase)):
+        if not np.all(np.isfinite(values)):
+            raise ScenarioError(path, "the transfer function is not finite at "
+                                f"{params.wind_speed} cm/s and up to {omegas[-1]} rad/s")
     return ResultTable(
         columns=("omega", "magnitude", "phase"),
         units=("rad/s", "s/cm^3", "rad"),

@@ -50,7 +50,6 @@ _RECEIVER_DEFAULTS = {
     "sampling_window": 3.0,
     "sampler_efficiency": 0.85,
     "binding_fraction": 0.5,
-    "prior_infected": 0.5,
 }
 
 _DEFAULT_DISTANCES_NEAR = [50.0 + 50.0 * i for i in range(10)]  # 50..500 cm
@@ -135,12 +134,12 @@ def _expect_triple(value, path):
     return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(seq)]
 
 
-def _expect_sweep(value, path):
+def _expect_sweep(value, path, positive=False):
     """Nonempty, strictly increasing list of numbers."""
     seq = _expect_list(value, path)
     if not seq:
         raise ScenarioError(path, "sweep must be nonempty")
-    vals = [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(seq)]
+    vals = [_expect_number(v, f"{path}[{i}]", positive=positive) for i, v in enumerate(seq)]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ScenarioError(path, "sweep values must be strictly increasing")
     return vals
@@ -341,10 +340,6 @@ def _resolve_receiver(raw, source_height):
             raw.get("binding_fraction", _RECEIVER_DEFAULTS["binding_fraction"]),
             "receiver.binding_fraction",
         ),
-        "prior_infected": _expect_fraction(
-            raw.get("prior_infected", _RECEIVER_DEFAULTS["prior_infected"]),
-            "receiver.prior_infected", closed_top=False,
-        ),
     }
 
 
@@ -406,10 +401,10 @@ def _resolve_experiment(raw):
     elif kind == "delay":
         _reject_unknown(raw, ("kind", "distances", "wind_speeds", "fraction", "rel_tol"), path)
         out["distances"] = _expect_sweep(
-            raw.get("distances", _DEFAULT_DISTANCES_NEAR), f"{path}.distances"
+            raw.get("distances", _DEFAULT_DISTANCES_NEAR), f"{path}.distances", positive=True
         )
         out["wind_speeds"] = _expect_sweep(
-            raw.get("wind_speeds", _DEFAULT_WIND_SPEEDS), f"{path}.wind_speeds"
+            raw.get("wind_speeds", _DEFAULT_WIND_SPEEDS), f"{path}.wind_speeds", positive=True
         )
         out["fraction"] = _expect_fraction(
             raw.get("fraction", 0.01), f"{path}.fraction", closed_top=False
@@ -422,10 +417,10 @@ def _resolve_experiment(raw):
             raw, ("kind", "distances", "wind_speeds", "mode", "quadrature_orders"), path
         )
         out["distances"] = _expect_sweep(
-            raw.get("distances", _DEFAULT_DISTANCES_NEAR), f"{path}.distances"
+            raw.get("distances", _DEFAULT_DISTANCES_NEAR), f"{path}.distances", positive=True
         )
         out["wind_speeds"] = _expect_sweep(
-            raw.get("wind_speeds", _DEFAULT_WIND_SPEEDS), f"{path}.wind_speeds"
+            raw.get("wind_speeds", _DEFAULT_WIND_SPEEDS), f"{path}.wind_speeds", positive=True
         )
         mode = raw.get("mode", "center")
         if mode not in ("center", "collected"):
@@ -441,7 +436,7 @@ def _resolve_experiment(raw):
             path,
         )
         out["distances"] = _expect_sweep(
-            raw.get("distances", _DEFAULT_DISTANCES_FAR), f"{path}.distances"
+            raw.get("distances", _DEFAULT_DISTANCES_FAR), f"{path}.distances", positive=True
         )
         out["quadrature_orders"] = _expect_orders(
             raw.get("quadrature_orders", _DEFAULT_ORDERS), f"{path}.quadrature_orders"
@@ -569,7 +564,6 @@ class ScenarioConfig:
             sampling_window=r["sampling_window"],
             sampler_efficiency=r["sampler_efficiency"],
             binding_fraction=r["binding_fraction"],
-            prior_infected=r["prior_infected"],
         )
 
     def noise_sigma(self, reference_rate: float) -> float:
@@ -607,6 +601,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         "seed": None if raw.get("seed") is None else _expect_int(raw["seed"], "seed",
                                                                  minimum=0),
     }
+    kind = resolved["experiment"]["kind"]
+    if resolved["sources"]["stochastic"] is not None and kind != "timeseries":
+        raise ScenarioError("sources.stochastic",
+                            f"only the timeseries experiment reads a release grid, not {kind}")
     config = ScenarioConfig(resolved=resolved)
     # constructing the typed objects re-checks every cross-field invariant
     try:
@@ -659,7 +657,8 @@ def scenario_schema() -> dict:
                                           "value per user",
                                   "doc": "row i, entry j: chance that user j releases "
                                          "its jet at i*interval; timeseries adds the "
-                                         "expected concentration as column 'expected'"},
+                                         "expected concentration as column 'expected' "
+                                         "(the grid is rejected for every other kind)"},
                 "jet_masses": {"type": "one number > 0 per user, or null", "unit": "units"},
             },
         },
@@ -672,8 +671,6 @@ def scenario_schema() -> dict:
             "sampling_window": {"type": "number > 0", "unit": "s", "default": 3.0},
             "sampler_efficiency": {"type": "fraction in (0, 1]", "default": 0.85},
             "binding_fraction": {"type": "fraction in (0, 1]", "default": 0.5},
-            "prior_infected": {"type": "fraction in (0, 1)", "default": 0.5,
-                               "doc": "hypothesis prior for the decision threshold"},
         },
         "noise": {
             "variance": {"type": "number > 0 or null", "unit": "(units*s/cm^3 * cm^3 * s)^2",
@@ -688,15 +685,17 @@ def scenario_schema() -> dict:
                            "point": "[x, y, z] or null (receiver center)"},
             "freq": {"omega": "range {start, stop, num} in rad/s",
                      "unwrap": "bool, default false"},
-            "delay": {"distances": "strictly increasing list, cm",
-                      "wind_speeds": "strictly increasing list, cm/s",
+            "delay": {"distances": "strictly increasing list of numbers > 0, cm",
+                      "wind_speeds": "strictly increasing list of numbers > 0, cm/s",
                       "fraction": "target fraction in (0, 1), default 0.01",
-                      "rel_tol": "bisection tolerance, default 1e-6"},
-            "conc_vs_distance": {"distances": "list, cm", "wind_speeds": "list, cm/s",
+                      "rel_tol": "number > 0, default 1e-6; accepted but unused: the "
+                                 "delay is the exact closed-form inverse"},
+            "conc_vs_distance": {"distances": "list of numbers > 0, cm",
+                                 "wind_speeds": "list of numbers > 0, cm/s",
                                  "mode": "'center' (point value) or 'collected' "
                                          "(normalized sphere integral)",
                                  "quadrature_orders": "[radial, polar, azimuthal, time]"},
-            "pmd": {"distances": "list, cm",
+            "pmd": {"distances": "list of numbers > 0, cm",
                     "quadrature_orders": "[radial, polar, azimuthal, time]",
                     "empirical_trials": "int >= 0 (0 disables Monte Carlo columns)",
                     "empirical_count": "how many of the largest distances get Monte Carlo"},

@@ -100,6 +100,25 @@ class TestConfigErrors:
     def test_unknown_subcommand(self):
         assert cli.dispatch(["explode"]) == cli.EXIT_CONFIG
 
+    def test_override_cannot_create_list_entries(self, scenario_file, capsys):
+        code = cli.dispatch([
+            "conc-vs-dist", "--scenario", str(scenario_file),
+            "--set", "sources.users.0.breath_rate=2",
+        ])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sources.users.0.breath_rate: ")
+        assert "cannot create list entries" in err
+
+    def test_nonpositive_delay_distance_named(self, tmp_path, capsys):
+        scenario = tmp_path / "delay.json"
+        scenario.write_text(json.dumps({"experiment": {"kind": "delay"}}))
+        for distances, index in (("[-10.0,50.0]", 0), ("[10.0,0]", 1)):
+            code = cli.dispatch(["delay", "--scenario", str(scenario), "--out", "-",
+                                 "--set", f"experiment.distances={distances}"])
+            assert code == cli.EXIT_CONFIG
+            assert f"experiment.distances[{index}]" in capsys.readouterr().err
+
     def test_io_error(self, scenario_file):
         code = cli.dispatch(["conc-vs-dist", "--scenario", str(scenario_file),
                              "--out", "/nonexistent-dir/x.csv"])
@@ -112,7 +131,7 @@ _SECTION_KEYS = {
     "channel": ["wind_speed", "diffusivity", "source_height", "x_min"],
     "sources": ["users", "stochastic"],
     "receiver": ["center", "distance", "radius", "sampling_window",
-                 "sampler_efficiency", "binding_fraction", "prior_infected"],
+                 "sampler_efficiency", "binding_fraction"],
     "noise": ["variance", "snr_calibration"],
     "experiment": ["kind", "x", "y", "z", "times", "point", "omega", "unwrap",
                    "distances", "wind_speeds", "fraction", "rel_tol"],
@@ -184,7 +203,7 @@ def _dispatch_quietly(argv):
 
 class TestMalformedInput:
     """Random scenarios and overrides end in success or exit code 2 with a
-    message naming a scenario path; never a traceback, never an inf."""
+    message naming a scenario path; never a traceback, never an inf or a nan."""
 
     def check(self, code, err, out, override_paths=()):
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err
@@ -193,7 +212,8 @@ class TestMalformedInput:
                 err.startswith(f"configuration error: {path}: ") for path in override_paths
             ), err
         else:
-            assert "inf" not in out.read_text().lower()
+            text = out.read_text().lower()
+            assert "inf" not in text and "nan" not in text
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -211,14 +231,18 @@ class TestMalformedInput:
     @given(command=st.sampled_from(_FAST_COMMANDS),
            overrides=st.lists(st.tuples(_override_paths, _override_values),
                               min_size=1, max_size=3))
-    # a word as a list index, a fraction the rise never reaches in floating
-    # point, x_min past the receiver, and a time range whose span overflows
+    # a word as a list index, a list entry on a scenario without the list, a
+    # fraction the rise never reaches in floating point, x_min past the
+    # receiver, a time range whose span overflows, and a wind so slow that
+    # u * u underflows
     @example(command="field",
              overrides=[("sources.users", "[{}]"), ("sources.users.x.breath_rate", "1")])
+    @example(command="freq", overrides=[("sources.users.0.breath_rate", "2")])
     @example(command="delay", overrides=[("experiment.fraction", "0.9999999999999999")])
     @example(command="timeseries", overrides=[("channel.x_min", "1e300")])
     @example(command="timeseries", overrides=[("experiment.times.start", "-1.7e308"),
                                               ("experiment.times.stop", "1.7e308")])
+    @example(command="freq", overrides=[("channel.wind_speed", "1e-300")])
     def test_random_overrides_name_their_path(self, command, overrides, tmp_path_factory):
         folder = tmp_path_factory.mktemp("override")
         (folder / "s.json").write_text(json.dumps({"experiment": {"kind": command}}))
@@ -327,13 +351,14 @@ class TestSchema:
         assert json.loads(out.read_text()) == scenario_schema()
 
 
-def _fresh_python(code):
-    """Standard output of ``code`` run in a fresh interpreter on this checkout."""
+def _fresh_python(code, *args):
+    """Standard output of ``code`` run with ``args`` in a fresh interpreter on
+    this checkout; it must exit 0 within 60 s."""
     src = os.path.dirname(os.path.dirname(plumesense.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, env=env, check=True, timeout=60)
     return result.stdout.strip()
 
 
@@ -358,3 +383,20 @@ def test_variable_diffusivity_exposure_leaves_quadrature_unloaded():
         "print(value > 0.0, 'scipy.integrate' in sys.modules)\n"
     )
     assert _fresh_python(code) == "True False"
+
+
+def test_delay_returns_for_any_rel_tol(tmp_path):
+    """A tolerance below the spacing of doubles cannot stall the delay: the
+    closed form does not iterate, so the rows equal those at 1e-6."""
+    scenario = tmp_path / "delay.json"
+    scenario.write_text(json.dumps({"experiment": {"kind": "delay"}}))
+    rows = []
+    for rel_tol in ("1e-6", "1e-17"):
+        out = tmp_path / f"{rel_tol}.csv"
+        _fresh_python("from plumesense.cli import main; main()", "delay",
+                      "--scenario", str(scenario), "--out", str(out),
+                      "--set", f"experiment.rel_tol={rel_tol}")
+        rows.append([line for line in out.read_text().splitlines()
+                     if not line.startswith("#")])
+    assert len(rows[0]) == 31
+    assert rows[0] == rows[1]

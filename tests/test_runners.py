@@ -12,8 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from plumesense.channel import diffusion_scale, stochastic_expected_response
-from plumesense.errors import DomainError, ScenarioError
+from plumesense.channel import (
+    breath_response,
+    diffusion_scale,
+    steady_state_concentration,
+    stochastic_expected_response,
+)
+from plumesense.errors import DomainError, EvaluationDomainError, ScenarioError
 from plumesense.runners import (
     _FILE_METADATA_KEYS,
     RUNNERS,
@@ -186,12 +191,38 @@ class TestResultTable:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
     @given(table=result_tables())
-    def test_block_formatters_match_per_row_reference(self, table, tmp_path_factory):
+    def test_block_formatters_match_per_row_reference(self, table):
         assert first_difference(table.to_csv_text(), reference_csv_text(table)) is None
         assert first_difference(table.to_json_text(), reference_json_text(table)) is None
-        path = tmp_path_factory.mktemp("round_trip") / "table.json"
-        back = read_results(write_results(table, path, "json"))
-        assert np.array_equal(back.rows, table.rows, equal_nan=True)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
+    @given(table=result_tables())
+    def test_write_read_round_trip(self, table, tmp_path_factory):
+        """JSON gives back every bit and CSV 9 significant digits.  NaN comes
+        back as NaN (its sign and payload are not written); infinities and
+        the sign of zero are kept."""
+        folder = tmp_path_factory.mktemp("round_trip")
+        rows = table.rows
+        nan = np.isnan(rows)
+        finite = np.isfinite(rows)
+        for fmt in ("json", "csv"):
+            back = read_results(write_results(table, folder / f"table.{fmt}", fmt))
+            assert (back.columns, back.units) == (table.columns, table.units)
+            assert back.metadata == table.metadata
+            assert np.array_equal(np.isnan(back.rows), nan)
+            if fmt == "json":
+                assert np.array_equal(back.rows.view(np.uint64)[~nan],
+                                      rows.view(np.uint64)[~nan])
+                continue
+            assert np.array_equal(np.signbit(back.rows[~nan]), np.signbit(rows[~nan]))
+            assert np.array_equal(back.rows[~nan & ~finite], rows[~nan & ~finite])
+            # "%.8e" rounds to half a unit in the 9th digit, and parsing the
+            # text back adds at most one unit in the last place (2**-52
+            # relative, or the smallest subnormal)
+            exact, read = rows[finite], back.rows[finite]
+            assert np.all(np.abs(read - exact)
+                          <= (5e-9 + 2.0**-52) * np.abs(exact) + 5e-324)
 
     # validate.json is left out: its oracle suite is the slowest runner, and
     # its 11-row table adds no case the others lack
@@ -275,6 +306,29 @@ def delay_table():
     return run_delay_to_fraction(config)
 
 
+def reference_delay(params, height, distance, fraction, rel_tol=1e-6):
+    """First time the on-axis breath response reaches ``fraction`` of the
+    steady plume, by bisection on its monotone rise: the runner's former
+    method.  The returned upper end lies within ``rel_tol`` above the root."""
+    point = (distance, 0.0, height)
+    target = fraction * steady_state_concentration(1.0, point, params, height)
+
+    def reached(t):
+        return breath_response(1.0, 0.0, (*point, t), params, height) >= target
+
+    lo = 0.0
+    hi = distance / params.wind_speed
+    while not reached(hi):
+        lo, hi = hi, hi * 2.0
+    while (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestDelayToFraction:
     def test_monotone_in_distance(self, delay_table):
         for u in (70.0, 140.0, 280.0):
@@ -292,7 +346,26 @@ class TestDelayToFraction:
             assert fast / slow == pytest.approx(0.5, rel=0.1)
             assert faster / fast == pytest.approx(0.5, rel=0.1)
 
-    def test_bisection_matches_dense_scan(self):
+    # at 50 cm^2/s the erfc(d/r) term is not negligible near the source
+    @pytest.mark.parametrize("fraction, diffusivity",
+                             [(f, 0.242) for f in (0.001, 0.01, 0.5, 0.99)]
+                             + [(f, 50.0) for f in (0.001, 0.01, 0.5)])
+    def test_closed_form_within_bisection_tolerance(self, fraction, diffusivity):
+        config = parse_scenario(
+            {"channel": {"diffusivity": diffusivity},
+             "experiment": {"kind": "delay", "fraction": fraction,
+                            "wind_speeds": [70.0, 140.0, 280.0],
+                            "distances": [1.5, 10.0, 50.0, 500.0, 5000.0]}}
+        )
+        table = run_delay_to_fraction(config)
+        assert len(table.rows) == 15
+        for u, d, delay in table.rows:
+            reference = reference_delay(config.channel_params(wind_speed=u), HEIGHT, d,
+                                        fraction)
+            # the bisection stops within 1e-6 above the root, never below it
+            assert -1e-12 <= (reference - delay) / delay <= 1e-6 + 1e-12
+
+    def test_delay_matches_dense_scan(self):
         config = parse_scenario(
             {"experiment": {"kind": "delay", "distances": [100.0],
                             "wind_speeds": [140.0]}}
@@ -300,8 +373,6 @@ class TestDelayToFraction:
         table = run_delay_to_fraction(config)
         delay = table.column("delay")[0]
         # brute-force time scan at fine resolution
-        from plumesense.channel import breath_response, steady_state_concentration
-
         params = config.channel_params()
         steady = steady_state_concentration(1.0, (100.0, 0.0, HEIGHT), params, HEIGHT)
         step = 1e-4
@@ -309,6 +380,23 @@ class TestDelayToFraction:
         values = breath_response(1.0, 0.0, (100.0, 0.0, HEIGHT, times), params, HEIGHT)
         scan = times[np.argmax(values >= 0.01 * steady)]
         assert abs(delay - scan) <= step
+
+    def test_unreachable_fraction_names_fraction(self):
+        config = parse_scenario(
+            {"experiment": {"kind": "delay", "fraction": 0.99, "distances": [1.5],
+                            "wind_speeds": [140.0]},
+             "channel": {"diffusivity": 1e3}}
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            run_delay_to_fraction(config)
+        assert excinfo.value.path == "experiment.fraction"
+
+    def test_distance_below_x_min_raises(self):
+        config = parse_scenario(
+            {"experiment": {"kind": "delay", "distances": [0.5, 50.0]}}
+        )
+        with pytest.raises(EvaluationDomainError):
+            run_delay_to_fraction(config)
 
 
 @pytest.fixture(scope="module")
@@ -438,11 +526,12 @@ class TestSmallRunners:
         assert np.array_equal(plain.rows, table.rows[:, :2])
 
     def test_shipped_timeseries_bytes_unchanged(self):
-        # digest of the CSV before the expected column existed; a scenario
-        # without a stochastic grid keeps its two columns and its bytes
+        # digest of the CSV before the expected column existed, with the
+        # config_hash of the schema without receiver.prior_infected; a
+        # scenario without a stochastic grid keeps its two columns and its bytes
         table = run_timeseries(load_scenario(SCENARIOS / "timeseries.json"))
         digest = hashlib.sha256(table.to_csv_text().encode()).hexdigest()
-        assert digest == "82b4b39af6a86e6b77bbd213d125cfdb4ce8b150f81494e8c47339cce42f0079"
+        assert digest == "de7c25c5864b89f238e8b25b4cbca363fd9a6e728c5ebd6f171983dd0d98d7aa"
 
     def test_frequency_sweep_shape(self):
         config = parse_scenario({"experiment": {"kind": "freq"}})

@@ -67,6 +67,21 @@ class TestRejections:
             ({"sources": {"users": [{"jets": [{"time": 1.0}]}]}}, "jets[0].mass"),
             ({"seed": -1}, "seed"),
             ({"seed": 1.5}, "seed"),
+            ({"experiment": {"kind": "delay", "distances": [-10.0, 50.0]}},
+             "experiment.distances[0]"),
+            ({"experiment": {"kind": "delay", "distances": [10.0, 0.0]}},
+             "experiment.distances[1]"),
+            ({"experiment": {"kind": "delay", "wind_speeds": [0.0, 140.0]}},
+             "experiment.wind_speeds[0]"),
+            ({"receiver": {"prior_infected": 0.1}}, "receiver"),
+            ({"sources": {"users": [{"jets": [{"time": 0.0, "mass": 2.0}]}],
+                          "stochastic": {"interval": 5.0, "horizon": 5.0,
+                                         "probabilities": [[0.5]]}},
+              "experiment": {"kind": "pmd"}}, "sources.stochastic"),
+            ({"experiment": {"kind": "conc_vs_distance", "distances": [0.0, 50.0]}},
+             "experiment.distances[0]"),
+            ({"experiment": {"kind": "pmd", "distances": [-10.0, 50.0]}},
+             "experiment.distances[0]"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
@@ -147,7 +162,8 @@ class TestTypedAccessors:
                     "users": [{"jets": [{"time": 0.0, "mass": 2.0}]}],
                     "stochastic": {"interval": 5.0, "horizon": 9.0,
                                    "probabilities": [[0.25], [0.5]]},
-                }
+                },
+                "experiment": {"kind": "timeseries"},
             }
         )
         scenario = config.multi_user_scenario()
