@@ -706,7 +706,10 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
 
     Magnitude decays as a Gaussian in omega from H(0) = integral of h dt,
     the steady plume per unit rate; the phase is the pure transport delay
-    -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.
+    -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.  Raises
+    :class:`DomainError` where the magnitude is not finite: below about
+    1.6e-162 cm/s u * u underflows to 0, and for a slower wind still (or a
+    large x K) x K / u overflows.
     """
     x, y, z = _point3(point)
     _check_height(source_height)
@@ -716,13 +719,17 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     if np.any(X <= 0.0):
         raise EvaluationDomainError("frequency response requires x >= x_min downwind")
     _check_downwind_band(X, params)
-    s = np.asarray(diffusion_scale(X, params))
     u = params.wind_speed
-    magnitude = (
-        _crosswind_factor(Y, Z, s, source_height)
-        / (4.0 * np.pi * u * s)
-        * np.exp(-(W * W) * s / (u * u))
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.asarray(diffusion_scale(X, params))
+        magnitude = (
+            _crosswind_factor(Y, Z, s, source_height)
+            / (4.0 * np.pi * u * s)
+            * np.exp(-(W * W) * s / (u * u))
+        )
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(magnitude))):
+        raise DomainError(f"the transfer function is not finite at wind speed {u} cm/s; "
+                          "x K / u or u * u leaves the range of doubles")
     raw_phase = -W * X / u
     phase = raw_phase if unwrap_phase else _principal_phase(raw_phase)
     return ComplexResponse(

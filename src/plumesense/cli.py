@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvaluationDomainError, PlumesenseError, QuadratureError, ScenarioError
-from .runners import RUNNERS, needs_seed, write_results
+from .runners import ORACLE_CHECKS, RUNNERS, needs_seed, write_results
 from .scenario import parse_scenario, scenario_schema
 
 logger = logging.getLogger("plumesense")
@@ -220,16 +220,10 @@ def _run_experiment(args) -> int:
 
     if kind == "validate_oracles":
         failed = [row for row in table.rows if row[3] == 0.0]
+        for check, value, budget, _ in failed:
+            print(f"oracle budget exceeded: {ORACLE_CHECKS[int(check)]} value={value:.4g} "
+                  f"budget={budget:.4g}", file=sys.stderr)
         if failed:
-            legend = dict(
-                item.split("=") for item in table.metadata.get("checks", "").split(";")
-            )
-            for row in failed:
-                name = legend.get(str(int(row[0])), f"check {int(row[0])}")
-                print(
-                    f"oracle budget exceeded: {name} value={row[1]:.4g} budget={row[2]:.4g}",
-                    file=sys.stderr,
-                )
             return EXIT_NUMERIC
     return EXIT_OK
 

@@ -791,7 +791,11 @@ def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: 
     remaining = int(trials)
     while remaining > 0:
         n = min(remaining, 1_000_000)
-        received = mean + sigma * rng.standard_normal(n)
+        # in place: one draw-sized array, whether mean is a float or a
+        # numpy scalar
+        received = rng.standard_normal(n)
+        received *= sigma
+        received += mean
         misses += int(np.count_nonzero(received < threshold))
         remaining -= n
     lower, upper = _wilson_interval(misses, trials, z)

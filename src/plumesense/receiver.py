@@ -179,19 +179,16 @@ def _gauss_legendre(n, lo, hi):
 
 
 def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
-                      orders=DEFAULT_QUADRATURE_ORDERS, normalized: bool = False) -> float:
+                      orders=DEFAULT_QUADRATURE_ORDERS) -> float:
     """Space-time integral of the field over the receiver sphere and window.
 
     Tensor Gauss-Legendre quadrature in spherical coordinates with
     (radial, polar, azimuthal, time) orders; deterministic for fixed orders.
-    ``field(x, y, z, t)`` must broadcast over numpy arrays.  With
-    ``normalized`` the integral is divided by volume * window, turning the
-    accumulated value into an average concentration.
+    ``field(x, y, z, t)`` must broadcast over numpy arrays.  Dividing by
+    ``recv.volume * recv.sampling_window`` gives the mean concentration.
 
-    Units: concentration * cm^3 * s (or plain concentration when normalized).
+    Units: concentration * cm^3 * s.
     """
-    if recv.center[2] - recv.radius <= 0.0:
-        raise GeometryError("receiver sphere must lie strictly above the ground")
     n_r, n_theta, n_phi, n_t = orders
     r, w_r = _gauss_legendre(n_r, 0.0, recv.radius)
     theta, w_theta = _gauss_legendre(n_theta, 0.0, np.pi)
@@ -216,10 +213,7 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
         * w_phi[None, None, :, None]
         * w_t[None, None, None, :]
     )
-    total = float(np.sum(values * jacobian * weight))
-    if normalized:
-        total /= recv.volume * recv.sampling_window
-    return total
+    return float(np.sum(values * jacobian * weight))
 
 
 # ---------------------------------------------------------------------------

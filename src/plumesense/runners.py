@@ -60,6 +60,7 @@ __all__ = [
     "run_frequency_sweep",
     "run_mc_pmd",
     "run_validate_oracles",
+    "ORACLE_CHECKS",
     "RUNNERS",
 ]
 
@@ -307,35 +308,33 @@ def run_concentration_vs_distance(config: ScenarioConfig) -> ResultTable:
     """Steady received-concentration ratio versus downwind distance.
 
     Mode "center" reports the plume value at the receiver center per unit
-    emission rate; mode "collected" reports the normalized sphere-and-window
-    integral per unit rate, which is the quantity that actually drops when
-    the wind speeds up (the on-axis point value is wind-invariant because
-    the crosswind spread shrinks in exact proportion).
+    emission rate; mode "collected" reports the sphere-and-window integral
+    over volume * window (the mean concentration) per unit rate, which is
+    the quantity that actually drops when the wind speeds up (the on-axis
+    point value is wind-invariant because the crosswind spread shrinks in
+    exact proportion).
     """
     exp = config.experiment
     height = config.source_height
     rate = _primary_rate(config)
-    mode = exp["mode"]
     orders = tuple(exp["quadrature_orders"])
-
-    def one(case):
-        u, d = case
+    distances = np.asarray(exp["distances"])
+    receivers = [config.receiver_spec(distance=d) for d in exp["distances"]]
+    blocks = []
+    for u in exp["wind_speeds"]:
         params = config.channel_params(wind_speed=u)
-        if mode == "center":
-            value = steady_state_concentration(rate, (d, 0.0, height), params, height)
+        if exp["mode"] == "center":
+            value = steady_state_concentration(rate, (distances, 0.0, height), params, height)
         else:
-            recv = config.receiver_spec(distance=d)
-            value = receiver_exposure(
-                recv, steady_field(rate, params, height), orders=orders, normalized=True
-            )
-        return (u, d, value / rate)
-
-    cases = [(u, d) for u in exp["wind_speeds"] for d in exp["distances"]]
-    rows = [one(case) for case in cases]
+            field = steady_field(rate, params, height)
+            value = np.array([receiver_exposure(recv, field, 0.0, orders)
+                              for recv in receivers])
+            value /= receivers[0].volume * receivers[0].sampling_window
+        blocks.append(np.column_stack([np.full(distances.shape, u), distances, value / rate]))
     return ResultTable(
         columns=("wind_speed", "distance", "ratio"),
         units=("cm/s", "cm", "1/cm^3 per unit/s"),
-        rows=rows,
+        rows=np.concatenate(blocks),
         metadata=_metadata(config),
     )
 
@@ -385,71 +384,58 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
     )
 
 
-_PMD_VARIANTS = (
-    (0, 1.0, 1.0),  # base rate, base volume
-    (1, 0.5, 1.0),  # half rate
-    (2, 1.0, 0.5),  # half volume
-)
-
-
 def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
     """Analytic missed-detection probability versus distance for the three
-    variants (base, half emission rate, half receiver volume).
+    variants (0 base, 1 half emission rate, 2 half receiver volume).
 
-    The noise level is solved once from the calibration constant at the base
-    rate, then shared by all variants.  Optional Monte Carlo columns validate
-    the threshold-consistent probability at the largest distances (NaN
-    elsewhere).
+    The steady plume is linear in the rate, so the half-rate exposure is
+    half the base one: halving is exact in binary floating point, and the
+    product equals integrating the half-rate plume unless a value is
+    subnormal.  The noise level is solved once from the calibration
+    constant at the base rate, then shared by all variants.  Optional Monte
+    Carlo columns validate the threshold-consistent probability at the
+    largest distances (NaN elsewhere).
     """
     exp = config.experiment
-    height = config.source_height
-    params = config.channel_params()
-    base_rate = _primary_rate(config)
-    sigma = config.noise_sigma(base_rate)
-    orders = tuple(exp["quadrature_orders"])
+    rate = _primary_rate(config)
+    sigma = config.noise_sigma(rate)
     trials = exp["empirical_trials"]
+    if trials > 0:
+        seed = _require_seed(config)
+    field = steady_field(rate, config.channel_params(), config.source_height)
+    orders = tuple(exp["quadrature_orders"])
     recv0 = config.receiver_spec()
     gain_args = (recv0.sampler_efficiency, recv0.binding_fraction)
 
-    distances = exp["distances"]
-    sampled = set()
-    if trials > 0:
-        sampled = set(distances[-exp["empirical_count"]:])
-        seed = _require_seed(config)
-
-    def one(case):
-        d, (variant, rate_factor, volume_factor) = case
-        rate = base_rate * rate_factor
-        recv = config.receiver_spec(distance=d, volume_factor=volume_factor)
-        exposure = receiver_exposure(
-            recv, steady_field(rate, params, height), orders=orders
-        )
-        row = [
-            d,
-            float(variant),
-            pmd_conservative(exposure, *gain_args, sigma),
-            pmd_exact(exposure, *gain_args, sigma),
-        ]
-        if trials > 0:
-            if d in sampled:
-                est = empirical_pmd(
-                    exposure, *gain_args, sigma, trials,
-                    np.random.SeedSequence(entropy=seed, spawn_key=(variant, distances.index(d))),
-                )
-                row += [est.estimate, est.lower, est.upper]
-            else:
-                row += [math.nan, math.nan, math.nan]
-        return tuple(row)
-
-    cases = [(d, variant) for d in distances for variant in _PMD_VARIANTS]
-    rows = [one(case) for case in cases]
-    columns = ["distance", "variant", "pmd_conservative", "pmd_exact"]
+    distances = np.asarray(exp["distances"])
+    n = distances.size
+    # one row per (distance, variant), variants innermost
+    exposure = np.empty((n, 3))
+    for i, d in enumerate(exp["distances"]):
+        exposure[i, 0] = receiver_exposure(config.receiver_spec(distance=d), field, 0.0, orders)
+        exposure[i, 2] = receiver_exposure(config.receiver_spec(distance=d, volume_factor=0.5),
+                                           field, 0.0, orders)
+    exposure[:, 1] = 0.5 * exposure[:, 0]
+    exposure = exposure.ravel()
+    columns = [np.repeat(distances, 3), np.tile([0.0, 1.0, 2.0], n),
+               pmd_conservative(exposure, *gain_args, sigma),
+               pmd_exact(exposure, *gain_args, sigma)]
+    names = ["distance", "variant", "pmd_conservative", "pmd_exact"]
     units = ["cm", "0=base;1=half-rate;2=half-volume", "1", "1"]
     if trials > 0:
-        columns += ["pmd_empirical", "pmd_ci_lower", "pmd_ci_upper"]
+        empirical = np.full((3 * n, 3), math.nan)
+        for row in range(3 * max(n - exp["empirical_count"], 0), 3 * n):
+            i, variant = divmod(row, 3)
+            est = empirical_pmd(
+                exposure[row], *gain_args, sigma, trials,
+                np.random.SeedSequence(entropy=seed, spawn_key=(variant, i)),
+            )
+            empirical[row] = (est.estimate, est.lower, est.upper)
+        columns += list(empirical.T)
+        names += ["pmd_empirical", "pmd_ci_lower", "pmd_ci_upper"]
         units += ["1", "1", "1"]
-    return ResultTable(columns=tuple(columns), units=tuple(units), rows=rows,
-                       metadata=_metadata(config))
+    return ResultTable(columns=tuple(names), units=tuple(units),
+                       rows=np.column_stack(columns), metadata=_metadata(config))
 
 
 def run_field_grid(config: ScenarioConfig) -> ResultTable:
@@ -513,15 +499,17 @@ def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
     center = config.receiver_spec().center
     point = (center[0] - user.x, center[1] - user.y, center[2])
     omegas = _linspace(exp["omega"])
-    response = frequency_response(point, omegas, params, user.height,
-                                  unwrap_phase=exp["unwrap"])
-    # the magnitude fails where u * u underflows or x K / u overflows, the
-    # phase where omega x / u overflows
-    for path, values in (("channel.wind_speed", response.magnitude),
-                         ("experiment.omega", response.phase)):
-        if not np.all(np.isfinite(values)):
-            raise ScenarioError(path, "the transfer function is not finite at "
-                                f"{params.wind_speed} cm/s and up to {omegas[-1]} rad/s")
+    try:
+        response = frequency_response(point, omegas, params, user.height,
+                                      unwrap_phase=exp["unwrap"])
+    except EvaluationDomainError:
+        raise
+    except DomainError as exc:
+        raise ScenarioError("channel.wind_speed", str(exc)) from exc
+    # the phase fails where omega x / u overflows
+    if not np.all(np.isfinite(response.phase)):
+        raise ScenarioError("experiment.omega", "the transfer function phase is not finite "
+                            f"at {params.wind_speed} cm/s and up to {omegas[-1]} rad/s")
     return ResultTable(
         columns=("omega", "magnitude", "phase"),
         units=("rad/s", "s/cm^3", "rad"),
@@ -537,25 +525,21 @@ def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
     seed = _require_seed(config)
     recv = config.receiver_spec()
     sigma = config.noise_sigma(_primary_rate(config))
-    gain = recv.capture_gain
     trials = exp["trials"]
-
-    def one(case):
-        index, argument = case
-        exposure = 2.0 * sigma * argument / gain
+    arguments = np.asarray(exp["snr_arguments"])
+    empirical = np.empty((arguments.size, 3))
+    for index, exposure in enumerate(2.0 * sigma * arguments / recv.capture_gain):
         est = empirical_pmd(
             exposure, recv.sampler_efficiency, recv.binding_fraction, sigma, trials,
             np.random.SeedSequence(entropy=seed, spawn_key=(index,)),
         )
-        return (argument, q_function(argument), est.estimate, est.lower, est.upper,
-                float(trials))
-
-    rows = [one(case) for case in enumerate(exp["snr_arguments"])]
+        empirical[index] = (est.estimate, est.lower, est.upper)
     return ResultTable(
         columns=("argument", "pmd_analytic", "pmd_empirical", "ci_lower", "ci_upper",
                  "trials"),
         units=("1", "1", "1", "1", "1", "count"),
-        rows=rows,
+        rows=np.column_stack([arguments, q_function(arguments), empirical,
+                              np.full(arguments.shape, float(trials))]),
         metadata=_metadata(config),
     )
 
@@ -564,7 +548,8 @@ def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
 # oracle validation runner
 # ---------------------------------------------------------------------------
 
-_ORACLE_CHECKS = (
+# the check names; a validate-oracles row's check column is an index here
+ORACLE_CHECKS = (
     "steady_l2",
     "steady_crosswind",
     "steady_refinement_factor",
@@ -581,8 +566,8 @@ _ORACLE_CHECKS = (
 
 def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     """Run the full oracle suite at desk scale and report value-vs-budget per
-    check.  Rows: (check id, value, budget, passed); the id legend travels in
-    the metadata.  A failed row means an oracle disagreed beyond budget."""
+    check.  Rows: (check id, value, budget, passed); the id indexes
+    ``ORACLE_CHECKS``.  A failed row means an oracle disagreed beyond budget."""
     params = config.channel_params()
     height = config.source_height
     exp = config.experiment
@@ -590,7 +575,7 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     rows = []
 
     def add(check, value, budget, ok):
-        rows.append((float(_ORACLE_CHECKS.index(check)), float(value), float(budget),
+        rows.append((float(ORACLE_CHECKS.index(check)), float(value), float(budget),
                      1.0 if ok else 0.0))
 
     # steady-plume march against the closed form, plus refinement gain
@@ -674,15 +659,11 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     add("mc_exposure_sigmas", sigmas, BUDGETS["mc_exposure_sigmas"],
         sigmas <= BUDGETS["mc_exposure_sigmas"])
 
-    metadata = _metadata(config)
-    metadata["checks"] = ";".join(
-        f"{i}={name}" for i, name in enumerate(_ORACLE_CHECKS)
-    )
     return ResultTable(
         columns=("check", "value", "budget", "passed"),
         units=("id", "1", "1", "bool"),
         rows=rows,
-        metadata=metadata,
+        metadata=_metadata(config),
     )
 
 

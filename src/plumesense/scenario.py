@@ -51,6 +51,8 @@ _RECEIVER_DEFAULTS = {
     "sampler_efficiency": 0.85,
     "binding_fraction": 0.5,
 }
+_DEFAULT_RECEIVER_DISTANCE = 100.0
+_DEFAULT_SNR_CALIBRATION = 1.96e4
 
 _DEFAULT_DISTANCES_NEAR = [50.0 + 50.0 * i for i in range(10)]  # 50..500 cm
 _DEFAULT_DISTANCES_FAR = [2500.0 * (i + 1) for i in range(12)]  # 2.5 km of cm.. 30 m
@@ -320,7 +322,7 @@ def _resolve_receiver(raw, source_height):
         center = _expect_triple(raw["center"], "receiver.center")
     else:
         distance = _expect_number(
-            raw.get("distance", 100.0), "receiver.distance", positive=True
+            raw.get("distance", _DEFAULT_RECEIVER_DISTANCE), "receiver.distance", positive=True
         )
         center = [distance, 0.0, source_height]
     if center[2] - radius <= 0.0:
@@ -354,7 +356,7 @@ def _resolve_noise(raw):
         return {"variance": _expect_number(variance, "noise.variance", positive=True),
                 "snr_calibration": None}
     if calibration is None:
-        calibration = 1.96e4
+        calibration = _DEFAULT_SNR_CALIBRATION
     return {
         "variance": None,
         "snr_calibration": _expect_number(
@@ -444,6 +446,9 @@ def _resolve_experiment(raw):
         out["empirical_trials"] = _expect_int(
             raw.get("empirical_trials", 0), f"{path}.empirical_trials", minimum=0
         )
+        if 0 < out["empirical_trials"] < 10_000:
+            raise ScenarioError(f"{path}.empirical_trials",
+                                "must be 0 (no Monte Carlo) or at least 10000")
         out["empirical_count"] = _expect_int(
             raw.get("empirical_count", 3), f"{path}.empirical_count", minimum=1
         )
@@ -629,13 +634,17 @@ def load_scenario(path) -> ScenarioConfig:
 def scenario_schema() -> dict:
     """Machine-readable description of the scenario file: keys, types, units,
     defaults.  Shipped verbatim as ``docs/scenario-schema.json``."""
+    channel, receiver = _CHANNEL_DEFAULTS, _RECEIVER_DEFAULTS
     return {
         "format": "JSON object; unknown keys rejected; units fixed to cm and s",
         "channel": {
-            "wind_speed": {"type": "number > 0", "unit": "cm/s", "default": 140.0},
-            "diffusivity": {"type": "number > 0", "unit": "cm^2/s", "default": 0.242},
-            "source_height": {"type": "number > 0", "unit": "cm", "default": 180.0},
-            "x_min": {"type": "number > 0", "unit": "cm", "default": 1.0,
+            "wind_speed": {"type": "number > 0", "unit": "cm/s",
+                           "default": channel["wind_speed"]},
+            "diffusivity": {"type": "number > 0", "unit": "cm^2/s",
+                            "default": channel["diffusivity"]},
+            "source_height": {"type": "number > 0", "unit": "cm",
+                              "default": channel["source_height"]},
+            "x_min": {"type": "number > 0", "unit": "cm", "default": channel["x_min"],
                       "doc": "smallest downwind distance for closed forms"},
         },
         "sources": {
@@ -665,17 +674,21 @@ def scenario_schema() -> dict:
         "receiver": {
             "center": {"type": "[x, y, z] or null", "unit": "cm",
                        "doc": "mutually exclusive with distance"},
-            "distance": {"type": "number > 0", "unit": "cm", "default": 100.0,
+            "distance": {"type": "number > 0", "unit": "cm",
+                         "default": _DEFAULT_RECEIVER_DISTANCE,
                          "doc": "center becomes [distance, 0, source_height]"},
-            "radius": {"type": "number > 0", "unit": "cm", "default": 2.0},
-            "sampling_window": {"type": "number > 0", "unit": "s", "default": 3.0},
-            "sampler_efficiency": {"type": "fraction in (0, 1]", "default": 0.85},
-            "binding_fraction": {"type": "fraction in (0, 1]", "default": 0.5},
+            "radius": {"type": "number > 0", "unit": "cm", "default": receiver["radius"]},
+            "sampling_window": {"type": "number > 0", "unit": "s",
+                                "default": receiver["sampling_window"]},
+            "sampler_efficiency": {"type": "fraction in (0, 1]",
+                                   "default": receiver["sampler_efficiency"]},
+            "binding_fraction": {"type": "fraction in (0, 1]",
+                                 "default": receiver["binding_fraction"]},
         },
         "noise": {
             "variance": {"type": "number > 0 or null", "unit": "(units*s/cm^3 * cm^3 * s)^2",
                          "doc": "mutually exclusive with snr_calibration"},
-            "snr_calibration": {"type": "number > 0", "default": 1.96e4,
+            "snr_calibration": {"type": "number > 0", "default": _DEFAULT_SNR_CALIBRATION,
                                 "doc": "gain*breath_rate/(8*sigma^2); sigma solved from it"},
         },
         "experiment": {

@@ -2,6 +2,7 @@
 boundary behavior, and the linear/time-invariant structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -537,6 +538,16 @@ class TestFrequencyResponse:
             neg = frequency_response(point, -omega, params, HEIGHT)
             assert pos.magnitude == neg.magnitude
             assert pos.phase == pytest.approx(-neg.phase, rel=1e-12)
+
+    # u * u underflows to 0 at 1e-300 cm/s, and x K / u overflows at a
+    # subnormal wind
+    @pytest.mark.parametrize("wind", [1e-300, 5e-324])
+    def test_slow_wind_raises_without_warnings(self, wind):
+        params = ChannelParams.with_constant(wind, DIFFUSIVITY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0], params, HEIGHT)
 
     def test_principal_phase_within_interval(self, params):
         omegas = np.linspace(0.0, 2000.0, 501)

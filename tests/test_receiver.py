@@ -116,9 +116,6 @@ class TestReceiverExposure:
         uniform = lambda x, y, z, t: np.full(np.shape(x), c0)
         expected = c0 * recv.volume * recv.sampling_window
         assert receiver_exposure(recv, uniform) == pytest.approx(expected, rel=1e-10)
-        assert receiver_exposure(recv, uniform, normalized=True) == pytest.approx(
-            c0, rel=1e-10
-        )
 
     def test_linear_in_field(self, recv, params):
         f1 = steady_field(1.0, params, HEIGHT)

@@ -8,20 +8,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from plumesense.channel import (
     breath_response,
     diffusion_scale,
+    steady_field,
     steady_state_concentration,
     stochastic_expected_response,
 )
 from plumesense.errors import DomainError, EvaluationDomainError, ScenarioError
+from plumesense.oracles import empirical_pmd
+from plumesense.receiver import pmd_conservative, pmd_exact, receiver_exposure
 from plumesense.runners import (
     _FILE_METADATA_KEYS,
     RUNNERS,
+    _metadata,
+    _primary_rate,
     ResultTable,
     read_results,
     run_concentration_vs_distance,
@@ -265,6 +270,145 @@ class TestDeterminism:
         config = parse_scenario({"experiment": {"kind": "mc_pmd", "trials": 20000}})
         with pytest.raises(ScenarioError):
             run_mc_pmd(config)
+
+
+# the per-case runners the columnar ones replaced: one closure call per
+# (wind, distance) or (distance, variant), and the half-rate variant
+# integrates its own sphere at half the rate
+def reference_concentration_vs_distance(config):
+    exp = config.experiment
+    height = config.source_height
+    rate = _primary_rate(config)
+    mode = exp["mode"]
+    orders = tuple(exp["quadrature_orders"])
+
+    def one(case):
+        u, d = case
+        params = config.channel_params(wind_speed=u)
+        if mode == "center":
+            value = steady_state_concentration(rate, (d, 0.0, height), params, height)
+        else:
+            recv = config.receiver_spec(distance=d)
+            value = receiver_exposure(recv, steady_field(rate, params, height), orders=orders)
+            value /= recv.volume * recv.sampling_window
+        return (u, d, value / rate)
+
+    cases = [(u, d) for u in exp["wind_speeds"] for d in exp["distances"]]
+    return ResultTable(
+        columns=("wind_speed", "distance", "ratio"),
+        units=("cm/s", "cm", "1/cm^3 per unit/s"),
+        rows=[one(case) for case in cases],
+        metadata=_metadata(config),
+    )
+
+
+def reference_pmd_vs_distance(config):
+    exp = config.experiment
+    height = config.source_height
+    params = config.channel_params()
+    base_rate = _primary_rate(config)
+    sigma = config.noise_sigma(base_rate)
+    orders = tuple(exp["quadrature_orders"])
+    trials = exp["empirical_trials"]
+    recv0 = config.receiver_spec()
+    gain_args = (recv0.sampler_efficiency, recv0.binding_fraction)
+    distances = exp["distances"]
+    sampled = set(distances[-exp["empirical_count"]:]) if trials > 0 else set()
+
+    def one(case):
+        d, (variant, rate_factor, volume_factor) = case
+        recv = config.receiver_spec(distance=d, volume_factor=volume_factor)
+        exposure = receiver_exposure(
+            recv, steady_field(base_rate * rate_factor, params, height), orders=orders
+        )
+        row = [d, float(variant), pmd_conservative(exposure, *gain_args, sigma),
+               pmd_exact(exposure, *gain_args, sigma)]
+        if trials > 0:
+            if d in sampled:
+                est = empirical_pmd(
+                    exposure, *gain_args, sigma, trials,
+                    np.random.SeedSequence(entropy=config.seed,
+                                           spawn_key=(variant, distances.index(d))),
+                )
+                row += [est.estimate, est.lower, est.upper]
+            else:
+                row += [math.nan, math.nan, math.nan]
+        return tuple(row)
+
+    variants = ((0, 1.0, 1.0), (1, 0.5, 1.0), (2, 1.0, 0.5))
+    columns = ["distance", "variant", "pmd_conservative", "pmd_exact"]
+    units = ["cm", "0=base;1=half-rate;2=half-volume", "1", "1"]
+    if trials > 0:
+        columns += ["pmd_empirical", "pmd_ci_lower", "pmd_ci_upper"]
+        units += ["1", "1", "1"]
+    return ResultTable(columns=tuple(columns), units=tuple(units),
+                       rows=[one((d, v)) for d in distances for v in variants],
+                       metadata=_metadata(config))
+
+
+_SWEEP_REFERENCES = {"conc_vs_distance": reference_concentration_vs_distance,
+                     "pmd": reference_pmd_vs_distance}
+
+
+def assert_same_text(config):
+    """The runner and its per-case reference write the same CSV and JSON."""
+    table = RUNNERS[config.experiment["kind"]](config)
+    reference = _SWEEP_REFERENCES[config.experiment["kind"]](config)
+    assert first_difference(table.to_csv_text(), reference.to_csv_text()) is None
+    assert first_difference(table.to_json_text(), reference.to_json_text()) is None
+
+
+@st.composite
+def tiny_sweeps(draw):
+    """conc-vs-dist and pmd scenarios of at most 4 distances, 3 wind speeds
+    and quadrature orders up to 4, with a breath rate other than 1.  The
+    wind, diffusivity and distances stay at the paper's scale, where no
+    integrand value is subnormal, so halving the base exposure is exactly
+    the half-rate integral."""
+    kind = draw(st.sampled_from(sorted(_SWEEP_REFERENCES)))
+    distances = draw(st.lists(st.floats(10.0, 3e4), min_size=1, max_size=4, unique=True))
+    experiment = {"kind": kind, "distances": sorted(distances),
+                  "quadrature_orders": draw(st.lists(st.integers(1, 4), min_size=4,
+                                                     max_size=4))}
+    if kind == "pmd":
+        experiment["empirical_trials"] = draw(st.sampled_from([0, 10_000]))
+        experiment["empirical_count"] = draw(st.integers(1, 6))
+    else:
+        winds = draw(st.lists(st.floats(70.0, 280.0), min_size=1, max_size=3, unique=True))
+        experiment["wind_speeds"] = sorted(winds)
+        experiment["mode"] = draw(st.sampled_from(["center", "collected"]))
+    return parse_scenario({
+        "channel": {"wind_speed": draw(st.floats(70.0, 280.0)),
+                    "diffusivity": draw(st.floats(0.2, 0.3))},
+        "sources": {"users": [{"breath_rate": draw(st.floats(0.1, 10.0).filter(
+            lambda rate: rate != 1.0))}]},
+        "experiment": experiment,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    })
+
+
+class TestSweepsMatchPerCaseReference:
+    @pytest.mark.parametrize("name, experiment", [
+        ("concentration.json", {}),
+        ("concentration.json", {"mode": "center"}),
+        ("pmd.json", {}),  # with its Monte Carlo columns
+    ])
+    def test_shipped_scenarios(self, name, experiment):
+        raw = json.loads((SCENARIOS / name).read_text())
+        raw["experiment"].update(experiment)
+        assert_same_text(parse_scenario(raw))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(config=tiny_sweeps())
+    # more Monte Carlo distances than distances, at a rate other than 1
+    @example(config=parse_scenario({
+        "sources": {"users": [{"breath_rate": 0.37}]},
+        "experiment": {"kind": "pmd", "distances": [40.0, 900.0],
+                       "quadrature_orders": [4, 3, 4, 2], "empirical_trials": 10_000,
+                       "empirical_count": 5},
+        "seed": 11}))
+    def test_tiny_sweeps(self, config):
+        assert_same_text(config)
 
 
 class TestConcentrationVsDistance:
@@ -559,4 +703,3 @@ class TestValidateOracles:
         )
         table = run_validate_oracles(config)
         assert np.all(table.column("passed") == 1.0)
-        assert "checks" in table.metadata

@@ -82,6 +82,8 @@ class TestRejections:
              "experiment.distances[0]"),
             ({"experiment": {"kind": "pmd", "distances": [-10.0, 50.0]}},
              "experiment.distances[0]"),
+            ({"experiment": {"kind": "pmd", "empirical_trials": 9999}},
+             "experiment.empirical_trials"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
