@@ -547,11 +547,14 @@ def impulse_response(point, params: ChannelParams, source_height: float):
         _check_downwind_band(X[pos], params)
         s = np.asarray(diffusion_scale(X[pos], params))
         u = params.wind_speed
-        out[pos] = (
-            np.exp(-((X[pos] - u * T[pos]) ** 2) / (4.0 * s))
-            / (8.0 * (np.pi * s) ** 1.5)
-            * _crosswind_factor(Y[pos], Z[pos], s, source_height)
-        )
+        # far downwind the square and the prefactor overflow to inf, and the
+        # response to its exact limit 0
+        with np.errstate(over="ignore"):
+            out[pos] = (
+                np.exp(-((X[pos] - u * T[pos]) ** 2) / (4.0 * s))
+                / (8.0 * (np.pi * s) ** 1.5)
+                * _crosswind_factor(Y[pos], Z[pos], s, source_height)
+            )
     return _as_output(out, shape)
 
 
@@ -597,12 +600,13 @@ def breath_response(breath_rate: float, entry_time: float, point, params: Channe
         root = 2.0 * np.sqrt(s)
         # erfc is monotone, but the rounded difference can dip below zero
         step = np.maximum(erfc((X[live] - u * elapsed[live]) / root) - erfc(X[live] / root), 0.0)
-        out[live] = (
-            breath_rate
-            / (8.0 * np.pi * s * u)
-            * step
-            * _crosswind_factor(Y[live], Z[live], s, source_height)
-        )
+        with np.errstate(over="ignore"):  # far downwind: rate / inf = 0
+            out[live] = (
+                breath_rate
+                / (8.0 * np.pi * s * u)
+                * step
+                * _crosswind_factor(Y[live], Z[live], s, source_height)
+            )
     return _as_output(out, shape)
 
 
@@ -686,11 +690,12 @@ def steady_state_concentration(rate: float, point, params: ChannelParams,
     if pos.any():
         _check_downwind_band(X[pos], params)
         s = np.asarray(diffusion_scale(X[pos], params))
-        out[pos] = (
-            rate
-            / (4.0 * params.wind_speed * np.pi * s)
-            * _crosswind_factor(Y[pos], Z[pos], s, source_height)
-        )
+        with np.errstate(over="ignore"):  # far downwind: rate / inf = 0
+            out[pos] = (
+                rate
+                / (4.0 * params.wind_speed * np.pi * s)
+                * _crosswind_factor(Y[pos], Z[pos], s, source_height)
+            )
     return _as_output(out, shape)
 
 
@@ -709,7 +714,8 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.  Raises
     :class:`DomainError` where the magnitude is not finite: below about
     1.6e-162 cm/s u * u underflows to 0, and for a slower wind still (or a
-    large x K) x K / u overflows.
+    large x K) x K / u overflows.  It raises too where the magnitude is finite
+    but omega x / u overflows, so that the phase is not.
     """
     x, y, z = _point3(point)
     _check_height(source_height)
@@ -730,8 +736,12 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(magnitude))):
         raise DomainError(f"the transfer function is not finite at wind speed {u} cm/s; "
                           "x K / u or u * u leaves the range of doubles")
-    raw_phase = -W * X / u
-    phase = raw_phase if unwrap_phase else _principal_phase(raw_phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_phase = -W * X / u
+        phase = raw_phase if unwrap_phase else _principal_phase(raw_phase)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError(f"the transfer function phase is not finite at {u} cm/s and up "
+                          f"to {np.max(np.abs(W))} rad/s; omega x / u overflows")
     return ComplexResponse(
         magnitude=_as_output(magnitude, shape), phase=_as_output(phase, shape)
     )

@@ -505,11 +505,13 @@ def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
     except EvaluationDomainError:
         raise
     except DomainError as exc:
-        raise ScenarioError("channel.wind_speed", str(exc)) from exc
-    # the phase fails where omega x / u overflows
-    if not np.all(np.isfinite(response.phase)):
-        raise ScenarioError("experiment.omega", "the transfer function phase is not finite "
-                            f"at {params.wind_speed} cm/s and up to {omegas[-1]} rad/s")
+        # the magnitude does not depend on omega and the phase is finite at
+        # omega = 0, so a failure there is the wind's; else omega x / u overflowed
+        try:
+            frequency_response(point, 0.0, params, user.height)
+        except DomainError:
+            raise ScenarioError("channel.wind_speed", str(exc)) from exc
+        raise ScenarioError("experiment.omega", str(exc)) from exc
     return ResultTable(
         columns=("omega", "magnitude", "phase"),
         units=("rad/s", "s/cm^3", "rad"),

@@ -9,16 +9,19 @@ receiver radius 2 cm).
 
 Parsing produces a fully resolved canonical dictionary: every default is
 materialized, so the config hash covers the effective configuration and a
-serialize/parse round trip is the identity.
+serialize/parse round trip is the identity.  Each key is described once, in
+a field table that both the parser and ``scenario_schema()`` read.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .channel import (
     ChannelParams,
@@ -37,39 +40,6 @@ __all__ = [
     "scenario_schema",
     "EXPERIMENT_KINDS",
 ]
-
-_CHANNEL_DEFAULTS = {
-    "wind_speed": 140.0,
-    "diffusivity": 0.242,
-    "source_height": 180.0,
-    "x_min": 1.0,
-}
-
-_RECEIVER_DEFAULTS = {
-    "radius": 2.0,
-    "sampling_window": 3.0,
-    "sampler_efficiency": 0.85,
-    "binding_fraction": 0.5,
-}
-_DEFAULT_RECEIVER_DISTANCE = 100.0
-_DEFAULT_SNR_CALIBRATION = 1.96e4
-
-_DEFAULT_DISTANCES_NEAR = [50.0 + 50.0 * i for i in range(10)]  # 50..500 cm
-_DEFAULT_DISTANCES_FAR = [2500.0 * (i + 1) for i in range(12)]  # 2.5 km of cm.. 30 m
-_DEFAULT_WIND_SPEEDS = [70.0, 140.0, 280.0]
-_DEFAULT_ORDERS = [32, 16, 32, 4]
-
-EXPERIMENT_KINDS = (
-    "field",
-    "timeseries",
-    "freq",
-    "delay",
-    "conc_vs_distance",
-    "pmd",
-    "mc_pmd",
-    "validate_oracles",
-)
-
 
 # ---------------------------------------------------------------------------
 # low-level validators (every error carries the config path)
@@ -123,6 +93,27 @@ def _expect_fraction(value, path, closed_top=True):
     return v
 
 
+def _expect_probability(value, path):
+    p = _expect_number(value, path)
+    if not 0.0 <= p <= 1.0:
+        raise ScenarioError(path, "must lie in [0, 1]")
+    return p
+
+
+def _expect_choice(value, path, options):
+    if value not in options:
+        raise ScenarioError(path, f"must be one of {', '.join(map(repr, options))}, "
+                                  f"got {value!r}")
+    return value
+
+
+def _expect_trials(value, path):
+    trials = _expect_int(value, path, minimum=0)
+    if 0 < trials < 10_000:
+        raise ScenarioError(path, "must be 0 (no Monte Carlo) or at least 10000")
+    return trials
+
+
 def _reject_unknown(mapping, allowed, path):
     unknown = set(mapping) - set(allowed)
     if unknown:
@@ -147,13 +138,14 @@ def _expect_sweep(value, path, positive=False):
     return vals
 
 
-def _expect_range(value, path, positive=False):
-    """{"start", "stop", "num"} with stop > start and num >= 2."""
-    obj = _expect_mapping(value, path)
-    _reject_unknown(obj, ("start", "stop", "num"), path)
-    start = _expect_number(obj.get("start", 0.0), f"{path}.start", positive=positive)
-    stop = _expect_number(obj.get("stop", 1.0), f"{path}.stop", positive=positive)
-    num = _expect_int(obj.get("num", 2), f"{path}.num", minimum=2)
+def _expect_range(value, path, default, positive=False):
+    """{"start", "stop", "num"} with stop > start and num >= 2; a key left out
+    takes its value from ``default``."""
+    obj = {**default, **_expect_mapping(value, path)}
+    _reject_unknown(obj, default, path)
+    start = _expect_number(obj["start"], f"{path}.start", positive=positive)
+    stop = _expect_number(obj["stop"], f"{path}.stop", positive=positive)
+    num = _expect_int(obj["num"], f"{path}.num", minimum=2)
     if stop <= start:
         raise ScenarioError(f"{path}.stop", "must exceed start")
     if not math.isfinite(stop - start):
@@ -168,319 +160,276 @@ def _expect_orders(value, path):
     return [_expect_int(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(seq)]
 
 
-# ---------------------------------------------------------------------------
-# section validators
-# ---------------------------------------------------------------------------
+def _optional(check):
+    """``check`` for a key that may also be null."""
+    return lambda value, path: None if value is None else check(value, path)
 
 
-def _resolve_channel(raw):
-    raw = _expect_mapping(raw, "channel")
-    _reject_unknown(raw, _CHANNEL_DEFAULTS, "channel")
+def _list_of(check):
+    return lambda value, path: [check(v, f"{path}[{i}]")
+                                for i, v in enumerate(_expect_list(value, path))]
+
+
+# ---------------------------------------------------------------------------
+# field tables: one entry per scenario key, read by the parser and the schema
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # default of a key that must be given
+
+
+class _Field(NamedTuple):
+    """One scenario key.  ``check(value, path)`` validates a given value and
+    returns its canonical form; an absent key takes ``default`` through the
+    same check.  ``type``, ``unit`` and ``doc`` are what the schema shows; the
+    ``type`` of a nested object is its own table's schema."""
+
+    check: Callable
+    default: object
+    type: object
+    unit: Optional[str] = None
+    doc: Optional[str] = None
+
+    def schema(self):
+        shown = (("type", self.type), ("unit", self.unit), ("default", self.default),
+                 ("doc", self.doc))
+        return {name: copy.deepcopy(value) for name, value in shown
+                if value is not _REQUIRED and (value is not None or name == "default")}
+
+
+def _number(default, unit, doc=None):
+    return _Field(partial(_expect_number, positive=True), default, "number > 0", unit, doc)
+
+
+def _count(default, minimum, doc=None):
+    return _Field(partial(_expect_int, minimum=minimum), default, f"int >= {minimum}", doc=doc)
+
+
+def _choice(default, options, doc=None):
+    return _Field(partial(_expect_choice, options=options), default,
+                  f"one of {', '.join(map(repr, options))}", doc=doc)
+
+
+def _sweep(default, unit, doc=None, positive=True):
+    return _Field(partial(_expect_sweep, positive=positive), default,
+                  f"strictly increasing list of numbers{' > 0' if positive else ''}",
+                  unit, doc)
+
+
+def _range(default, unit, doc=None, positive=False):
+    return _Field(partial(_expect_range, default=default, positive=positive), default,
+                  f"range {{start, stop, num}}: {'numbers > 0, ' if positive else ''}"
+                  "stop > start, num >= 2", unit, doc)
+
+
+def _resolve_fields(fields, raw, path):
+    """Validate the object ``raw`` against a field table: unknown keys are
+    rejected and every key of the table is resolved."""
+    raw = _expect_mapping(raw, path)
+    _reject_unknown(raw, fields, path)
     out = {}
-    out["wind_speed"] = _expect_number(
-        raw.get("wind_speed", _CHANNEL_DEFAULTS["wind_speed"]), "channel.wind_speed",
-        positive=True,
-    )
-    out["diffusivity"] = _expect_number(
-        raw.get("diffusivity", _CHANNEL_DEFAULTS["diffusivity"]), "channel.diffusivity",
-        positive=True,
-    )
-    out["source_height"] = _expect_number(
-        raw.get("source_height", _CHANNEL_DEFAULTS["source_height"]),
-        "channel.source_height", positive=True,
-    )
-    out["x_min"] = _expect_number(
-        raw.get("x_min", _CHANNEL_DEFAULTS["x_min"]), "channel.x_min", positive=True
-    )
+    for key, field in fields.items():
+        if field.default is _REQUIRED and key not in raw:
+            raise ScenarioError(f"{path}.{key}", "required field is missing")
+        out[key] = field.check(raw.get(key, field.default), f"{path}.{key}")
     return out
 
 
-def _resolve_user(raw, path, source_height):
-    raw = _expect_mapping(raw, path)
-    _reject_unknown(raw, ("location", "breath_rate", "jets", "entry_time"), path)
-    if "location" in raw and raw["location"] is not None:
-        location = _expect_triple(raw["location"], f"{path}.location")
-        if location[2] <= 0.0:
-            raise ScenarioError(f"{path}.location", "source height must be > 0")
-    else:
-        location = [0.0, 0.0, source_height]
-    entry_time = _expect_number(raw.get("entry_time", 0.0), f"{path}.entry_time")
-    jets = []
-    for i, jet in enumerate(_expect_list(raw.get("jets", []), f"{path}.jets")):
-        jet = _expect_mapping(jet, f"{path}.jets[{i}]")
-        _reject_unknown(jet, ("time", "mass"), f"{path}.jets[{i}]")
-        t = _expect_number(jet.get("time", 0.0), f"{path}.jets[{i}].time")
-        m = _expect_number(jet.get("mass"), f"{path}.jets[{i}].mass", positive=True) \
-            if "mass" in jet else _scenario_missing(f"{path}.jets[{i}].mass")
-        if t < entry_time:
+def _expect_user(raw, path):
+    user = _resolve_fields(_USER_FIELDS, raw, path)
+    if user["location"] is not None and user["location"][2] <= 0.0:
+        raise ScenarioError(f"{path}.location", "source height must be > 0")
+    for i, jet in enumerate(user["jets"]):
+        if jet["time"] < user["entry_time"]:
             raise ScenarioError(f"{path}.jets[{i}].time", "must not precede entry_time")
-        jets.append({"time": t, "mass": m})
-    return {
-        "location": location,
-        "breath_rate": _expect_number(
-            raw.get("breath_rate", 0.0), f"{path}.breath_rate", nonnegative=True
-        ),
-        "jets": jets,
-        "entry_time": entry_time,
-    }
+    return user
 
 
-def _scenario_missing(path):
-    raise ScenarioError(path, "required field is missing")
+def _section(fields):
+    """The schema's view of a field table."""
+    return {key: field.schema() for key, field in fields.items()}
+
+
+_CHANNEL_FIELDS = {
+    "wind_speed": _number(140.0, "cm/s"),
+    "diffusivity": _number(0.242, "cm^2/s"),
+    "source_height": _number(180.0, "cm"),
+    "x_min": _number(1.0, "cm", "smallest downwind distance for closed forms"),
+}
+_JET_FIELDS = {
+    "time": _Field(_expect_number, 0.0, "number >= entry_time", "s"),
+    "mass": _number(_REQUIRED, "units"),
+}
+_USER_FIELDS = {
+    "location": _Field(_optional(_expect_triple), None, "[x, y, z] with z > 0, or null", "cm",
+                       "null places the user at [0, 0, channel.source_height]"),
+    "breath_rate": _Field(partial(_expect_number, nonnegative=True), 0.0, "number >= 0",
+                          "units/s"),
+    "jets": _Field(_list_of(partial(_resolve_fields, _JET_FIELDS)), [],
+                   [_section(_JET_FIELDS)]),
+    "entry_time": _Field(_expect_number, 0.0, "number", "s"),
+}
+_STOCHASTIC_FIELDS = {
+    "interval": _number(_REQUIRED, "s"),
+    "horizon": _number(_REQUIRED, "s"),
+    "probabilities": _Field(
+        _expect_list, _REQUIRED,
+        "ceil(horizon/interval) rows of one [0,1] value per user",
+        doc="row i, entry j: chance that user j releases its jet at i*interval; timeseries "
+            "adds the expected concentration as column 'expected' (the grid is rejected "
+            "for every other kind)"),
+    "jet_masses": _Field(_optional(_list_of(partial(_expect_number, positive=True))), None,
+                         "one number > 0 per user, or null", "units"),
+}
+_SOURCES_FIELDS = {
+    "users": _Field(_list_of(_expect_user), [{"breath_rate": 1.0}], [_section(_USER_FIELDS)],
+                    doc="nonempty; null or absent: one unit breather"),
+    "stochastic": _Field(_optional(partial(_resolve_fields, _STOCHASTIC_FIELDS)), None,
+                         _section(_STOCHASTIC_FIELDS)),
+}
+_RECEIVER_FIELDS = {
+    "center": _Field(_optional(_expect_triple), None, "[x, y, z] or null", "cm",
+                     "mutually exclusive with distance; null places it by distance"),
+    "distance": _number(100.0, "cm", "center becomes [distance, 0, source_height]"),
+    "radius": _number(2.0, "cm"),
+    "sampling_window": _number(3.0, "s"),
+    "sampler_efficiency": _Field(_expect_fraction, 0.85, "fraction in (0, 1]"),
+    "binding_fraction": _Field(_expect_fraction, 0.5, "fraction in (0, 1]"),
+}
+_NOISE_FIELDS = {
+    "variance": _Field(_optional(partial(_expect_number, positive=True)), None,
+                       "number > 0 or null", "(units*s/cm^3 * cm^3 * s)^2",
+                       "mutually exclusive with snr_calibration"),
+    "snr_calibration": _number(1.96e4, None,
+                               "gain*breath_rate/(8*sigma^2); sigma solved from it"),
+}
+_NEAR_DISTANCES = _sweep([50.0 + 50.0 * i for i in range(10)], "cm")
+_WIND_SPEEDS = _sweep([70.0, 140.0, 280.0], "cm/s")
+_ORDERS = _Field(_expect_orders, [32, 16, 32, 4], "[radial, polar, azimuthal, time], ints >= 1")
+_EXPERIMENT_FIELDS = {
+    "field": {
+        "x": _range({"start": 50.0, "stop": 500.0, "num": 10}, "cm", positive=True),
+        "y": _range({"start": -10.0, "stop": 10.0, "num": 21}, "cm"),
+        "z": _range({"start": 170.0, "stop": 190.0, "num": 21}, "cm", "start >= 0 (ground)"),
+    },
+    "timeseries": {
+        "times": _range({"start": 0.0, "stop": 10.0, "num": 201}, "s"),
+        "point": _Field(_optional(_expect_triple), None, "[x, y, z] or null", "cm",
+                        "null: the receiver center"),
+    },
+    "freq": {
+        "omega": _range({"start": 0.0, "stop": 400.0, "num": 81}, "rad/s"),
+        "unwrap": _Field(_expect_bool, False, "bool", doc="phase unwrapped, not in (-pi, pi]"),
+    },
+    "delay": {
+        "distances": _NEAR_DISTANCES,
+        "wind_speeds": _WIND_SPEEDS,
+        "fraction": _Field(partial(_expect_fraction, closed_top=False), 0.01,
+                           "fraction in (0, 1)", doc="target fraction of the steady value"),
+        "rel_tol": _number(1e-6, None, "accepted but unused: the delay is the exact "
+                                       "closed-form inverse"),
+    },
+    "conc_vs_distance": {
+        "distances": _NEAR_DISTANCES,
+        "wind_speeds": _WIND_SPEEDS,
+        "mode": _choice("center", ("center", "collected"),
+                        "'center' (point value) or 'collected' (normalized sphere integral)"),
+        "quadrature_orders": _ORDERS,
+    },
+    "pmd": {
+        "distances": _sweep([2500.0 * (i + 1) for i in range(12)], "cm"),
+        "quadrature_orders": _ORDERS,
+        "empirical_trials": _Field(_expect_trials, 0, "int: 0 or >= 10000",
+                                   doc="0 disables the Monte Carlo columns"),
+        "empirical_count": _count(3, 1, "how many of the largest distances get Monte Carlo"),
+    },
+    "mc_pmd": {
+        "snr_arguments": _sweep([0.5, 1.0, 1.5, 2.0, 2.5], None,
+                                "detection arguments gain*C/(2*sigma)", positive=False),
+        "trials": _count(1_000_000, 10_000),
+    },
+    "validate_oracles": {
+        "steady_resolution": _number(0.2, "cm"),
+        "transient": _Field(_expect_bool, True, "bool"),
+        "trials": _count(200_000, 10_000, "Monte Carlo detection trials"),
+        "mc_samples": _count(200_000, 100_000, "volume-integral samples"),
+    },
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_FIELDS)
+_KIND = _choice("field", EXPERIMENT_KINDS, "selects the key table of that name below")
+_OUTPUT_FIELDS = {"format": _choice("csv", ("csv", "json"))}
+_SEED = _Field(_optional(partial(_expect_int, minimum=0)), None, "int >= 0 or null",
+               doc="fully determines stochastic outputs; null lets the CLI pick one for "
+                   "stochastic runs and records none otherwise")
+
+
+# ---------------------------------------------------------------------------
+# section validators: a table pass, then the rules that span several keys
+# ---------------------------------------------------------------------------
 
 
 def _resolve_sources(raw, source_height):
-    raw = _expect_mapping(raw, "sources")
-    _reject_unknown(raw, ("users", "stochastic"), "sources")
-    users_raw = raw.get("users")
-    if users_raw is None:
-        users = [
-            {
-                "location": [0.0, 0.0, source_height],
-                "breath_rate": 1.0,
-                "jets": [],
-                "entry_time": 0.0,
-            }
-        ]
-    else:
-        users_list = _expect_list(users_raw, "sources.users")
-        if not users_list:
-            raise ScenarioError("sources.users", "need at least one user")
-        users = [
-            _resolve_user(u, f"sources.users[{i}]", source_height)
-            for i, u in enumerate(users_list)
-        ]
-    out = {"users": users, "stochastic": None}
-    sto = raw.get("stochastic")
+    # null users count as absent
+    raw = {key: value for key, value in _expect_mapping(raw, "sources").items()
+           if value is not None or key != "users"}
+    out = _resolve_fields(_SOURCES_FIELDS, raw, "sources")
+    users, sto = out["users"], out["stochastic"]
+    if not users:
+        raise ScenarioError("sources.users", "need at least one user")
+    for user in users:
+        if user["location"] is None:
+            user["location"] = [0.0, 0.0, source_height]
     if sto is not None:
-        sto = _expect_mapping(sto, "sources.stochastic")
-        _reject_unknown(
-            sto, ("interval", "horizon", "probabilities", "jet_masses"), "sources.stochastic"
-        )
-        interval = _expect_number(sto.get("interval"), "sources.stochastic.interval",
-                                  positive=True) if "interval" in sto else \
-            _scenario_missing("sources.stochastic.interval")
-        horizon = _expect_number(sto.get("horizon"), "sources.stochastic.horizon",
-                                 positive=True) if "horizon" in sto else \
-            _scenario_missing("sources.stochastic.horizon")
-        probs_raw = sto.get("probabilities")
-        if probs_raw is None:
-            _scenario_missing("sources.stochastic.probabilities")
-        n_intervals = int(math.ceil(horizon / interval))
-        probs = []
-        rows = _expect_list(probs_raw, "sources.stochastic.probabilities")
-        if len(rows) != n_intervals:
-            raise ScenarioError(
-                "sources.stochastic.probabilities",
-                f"need ceil(horizon/interval) = {n_intervals} rows, got {len(rows)}",
-            )
-        for i, row in enumerate(rows):
-            row = _expect_list(row, f"sources.stochastic.probabilities[{i}]")
-            if len(row) != len(users):
-                raise ScenarioError(
-                    f"sources.stochastic.probabilities[{i}]",
-                    f"need one probability per user ({len(users)})",
-                )
-            probs.append(
-                [
-                    _expect_number(p, f"sources.stochastic.probabilities[{i}][{j}]")
-                    for j, p in enumerate(row)
-                ]
-            )
-            for j, p in enumerate(probs[-1]):
-                if not (0.0 <= p <= 1.0):
-                    raise ScenarioError(
-                        f"sources.stochastic.probabilities[{i}][{j}]", "must lie in [0, 1]"
-                    )
-        masses = sto.get("jet_masses")
-        if masses is not None:
-            masses = [
-                _expect_number(m, f"sources.stochastic.jet_masses[{j}]", positive=True)
-                for j, m in enumerate(_expect_list(masses, "sources.stochastic.jet_masses"))
-            ]
-            if len(masses) != len(users):
-                raise ScenarioError("sources.stochastic.jet_masses", "need one mass per user")
-        out["stochastic"] = {
-            "interval": interval,
-            "horizon": horizon,
-            "probabilities": probs,
-            "jet_masses": masses,
-        }
+        path = "sources.stochastic"
+        n_intervals = int(math.ceil(sto["horizon"] / sto["interval"]))
+        if len(sto["probabilities"]) != n_intervals:
+            raise ScenarioError(f"{path}.probabilities", f"need ceil(horizon/interval) = "
+                                f"{n_intervals} rows, got {len(sto['probabilities'])}")
+        for i, row in enumerate(sto["probabilities"]):
+            if len(_expect_list(row, f"{path}.probabilities[{i}]")) != len(users):
+                raise ScenarioError(f"{path}.probabilities[{i}]",
+                                    f"need one probability per user ({len(users)})")
+        sto["probabilities"] = _list_of(_list_of(_expect_probability))(
+            sto["probabilities"], f"{path}.probabilities")
+        if sto["jet_masses"] is not None and len(sto["jet_masses"]) != len(users):
+            raise ScenarioError(f"{path}.jet_masses", "need one mass per user")
     return out
 
 
 def _resolve_receiver(raw, source_height):
     raw = _expect_mapping(raw, "receiver")
-    allowed = ("center", "distance") + tuple(_RECEIVER_DEFAULTS)
-    _reject_unknown(raw, allowed, "receiver")
-    if raw.get("center") is not None and raw.get("distance") is not None:
-        raise ScenarioError("receiver", "give either center or distance, not both")
-    radius = _expect_number(
-        raw.get("radius", _RECEIVER_DEFAULTS["radius"]), "receiver.radius", positive=True
-    )
     if raw.get("center") is not None:
-        center = _expect_triple(raw["center"], "receiver.center")
-    else:
-        distance = _expect_number(
-            raw.get("distance", _DEFAULT_RECEIVER_DISTANCE), "receiver.distance", positive=True
-        )
-        center = [distance, 0.0, source_height]
-    if center[2] - radius <= 0.0:
+        if raw.get("distance") is not None:
+            raise ScenarioError("receiver", "give either center or distance, not both")
+        raw = {key: value for key, value in raw.items() if key != "distance"}
+    out = _resolve_fields(_RECEIVER_FIELDS, raw, "receiver")
+    distance = out.pop("distance")
+    if out["center"] is None:
+        out["center"] = [distance, 0.0, source_height]
+    if out["center"][2] - out["radius"] <= 0.0:
         raise ScenarioError("receiver", "sphere must lie strictly above the ground")
-    return {
-        "center": center,
-        "radius": radius,
-        "sampling_window": _expect_number(
-            raw.get("sampling_window", _RECEIVER_DEFAULTS["sampling_window"]),
-            "receiver.sampling_window", positive=True,
-        ),
-        "sampler_efficiency": _expect_fraction(
-            raw.get("sampler_efficiency", _RECEIVER_DEFAULTS["sampler_efficiency"]),
-            "receiver.sampler_efficiency",
-        ),
-        "binding_fraction": _expect_fraction(
-            raw.get("binding_fraction", _RECEIVER_DEFAULTS["binding_fraction"]),
-            "receiver.binding_fraction",
-        ),
-    }
+    return out
 
 
 def _resolve_noise(raw):
-    raw = _expect_mapping(raw, "noise")
-    _reject_unknown(raw, ("variance", "snr_calibration"), "noise")
-    variance = raw.get("variance")
-    calibration = raw.get("snr_calibration")
-    if variance is not None and calibration is not None:
+    # null counts as absent for both keys
+    raw = {key: value for key, value in _expect_mapping(raw, "noise").items()
+           if value is not None or key not in _NOISE_FIELDS}
+    if "variance" in raw and "snr_calibration" in raw:
         raise ScenarioError("noise", "give either variance or snr_calibration, not both")
-    if variance is not None:
-        return {"variance": _expect_number(variance, "noise.variance", positive=True),
-                "snr_calibration": None}
-    if calibration is None:
-        calibration = _DEFAULT_SNR_CALIBRATION
-    return {
-        "variance": None,
-        "snr_calibration": _expect_number(
-            calibration, "noise.snr_calibration", positive=True
-        ),
-    }
+    out = _resolve_fields(_NOISE_FIELDS, raw, "noise")
+    if out["variance"] is not None:
+        out["snr_calibration"] = None
+    return out
 
 
 def _resolve_experiment(raw):
     raw = _expect_mapping(raw, "experiment")
-    kind = raw.get("kind", "field")
-    if kind not in EXPERIMENT_KINDS:
-        raise ScenarioError(
-            "experiment.kind", f"unknown kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
-        )
-    out = {"kind": kind}
-    path = "experiment"
-    if kind == "field":
-        _reject_unknown(raw, ("kind", "x", "y", "z"), path)
-        out["x"] = _expect_range(raw.get("x", {"start": 50.0, "stop": 500.0, "num": 10}),
-                                 f"{path}.x", positive=True)
-        out["y"] = _expect_range(raw.get("y", {"start": -10.0, "stop": 10.0, "num": 21}),
-                                 f"{path}.y")
-        out["z"] = _expect_range(raw.get("z", {"start": 170.0, "stop": 190.0, "num": 21}),
-                                 f"{path}.z")
-        if out["z"]["start"] < 0.0:
-            raise ScenarioError(f"{path}.z.start", "must be >= 0 (ground)")
-    elif kind == "timeseries":
-        _reject_unknown(raw, ("kind", "times", "point"), path)
-        out["times"] = _expect_range(
-            raw.get("times", {"start": 0.0, "stop": 10.0, "num": 201}), f"{path}.times"
-        )
-        out["point"] = (
-            _expect_triple(raw["point"], f"{path}.point")
-            if raw.get("point") is not None
-            else None
-        )
-    elif kind == "freq":
-        _reject_unknown(raw, ("kind", "omega", "unwrap"), path)
-        out["omega"] = _expect_range(
-            raw.get("omega", {"start": 0.0, "stop": 400.0, "num": 81}), f"{path}.omega"
-        )
-        out["unwrap"] = _expect_bool(raw.get("unwrap", False), f"{path}.unwrap")
-    elif kind == "delay":
-        _reject_unknown(raw, ("kind", "distances", "wind_speeds", "fraction", "rel_tol"), path)
-        out["distances"] = _expect_sweep(
-            raw.get("distances", _DEFAULT_DISTANCES_NEAR), f"{path}.distances", positive=True
-        )
-        out["wind_speeds"] = _expect_sweep(
-            raw.get("wind_speeds", _DEFAULT_WIND_SPEEDS), f"{path}.wind_speeds", positive=True
-        )
-        out["fraction"] = _expect_fraction(
-            raw.get("fraction", 0.01), f"{path}.fraction", closed_top=False
-        )
-        out["rel_tol"] = _expect_number(
-            raw.get("rel_tol", 1e-6), f"{path}.rel_tol", positive=True
-        )
-    elif kind == "conc_vs_distance":
-        _reject_unknown(
-            raw, ("kind", "distances", "wind_speeds", "mode", "quadrature_orders"), path
-        )
-        out["distances"] = _expect_sweep(
-            raw.get("distances", _DEFAULT_DISTANCES_NEAR), f"{path}.distances", positive=True
-        )
-        out["wind_speeds"] = _expect_sweep(
-            raw.get("wind_speeds", _DEFAULT_WIND_SPEEDS), f"{path}.wind_speeds", positive=True
-        )
-        mode = raw.get("mode", "center")
-        if mode not in ("center", "collected"):
-            raise ScenarioError(f"{path}.mode", "must be 'center' or 'collected'")
-        out["mode"] = mode
-        out["quadrature_orders"] = _expect_orders(
-            raw.get("quadrature_orders", _DEFAULT_ORDERS), f"{path}.quadrature_orders"
-        )
-    elif kind == "pmd":
-        _reject_unknown(
-            raw,
-            ("kind", "distances", "quadrature_orders", "empirical_trials", "empirical_count"),
-            path,
-        )
-        out["distances"] = _expect_sweep(
-            raw.get("distances", _DEFAULT_DISTANCES_FAR), f"{path}.distances", positive=True
-        )
-        out["quadrature_orders"] = _expect_orders(
-            raw.get("quadrature_orders", _DEFAULT_ORDERS), f"{path}.quadrature_orders"
-        )
-        out["empirical_trials"] = _expect_int(
-            raw.get("empirical_trials", 0), f"{path}.empirical_trials", minimum=0
-        )
-        if 0 < out["empirical_trials"] < 10_000:
-            raise ScenarioError(f"{path}.empirical_trials",
-                                "must be 0 (no Monte Carlo) or at least 10000")
-        out["empirical_count"] = _expect_int(
-            raw.get("empirical_count", 3), f"{path}.empirical_count", minimum=1
-        )
-    elif kind == "mc_pmd":
-        _reject_unknown(raw, ("kind", "snr_arguments", "trials"), path)
-        out["snr_arguments"] = _expect_sweep(
-            raw.get("snr_arguments", [0.5, 1.0, 1.5, 2.0, 2.5]), f"{path}.snr_arguments"
-        )
-        out["trials"] = _expect_int(raw.get("trials", 1_000_000), f"{path}.trials",
-                                    minimum=10_000)
-    elif kind == "validate_oracles":
-        _reject_unknown(
-            raw, ("kind", "steady_resolution", "transient", "trials", "mc_samples"), path
-        )
-        out["steady_resolution"] = _expect_number(
-            raw.get("steady_resolution", 0.2), f"{path}.steady_resolution", positive=True
-        )
-        out["transient"] = _expect_bool(raw.get("transient", True), f"{path}.transient")
-        out["trials"] = _expect_int(raw.get("trials", 200_000), f"{path}.trials",
-                                    minimum=10_000)
-        out["mc_samples"] = _expect_int(raw.get("mc_samples", 200_000), f"{path}.mc_samples",
-                                        minimum=100_000)
+    kind = _KIND.check(raw.get("kind", _KIND.default), "experiment.kind")
+    fields = {key: value for key, value in raw.items() if key != "kind"}
+    out = {"kind": kind, **_resolve_fields(_EXPERIMENT_FIELDS[kind], fields, "experiment")}
+    if kind == "field" and out["z"]["start"] < 0.0:
+        raise ScenarioError("experiment.z.start", "must be >= 0 (ground)")
     return out
-
-
-def _resolve_output(raw):
-    raw = _expect_mapping(raw, "output")
-    _reject_unknown(raw, ("format",), "output")
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ScenarioError("output.format", "must be 'csv' or 'json'")
-    return {"format": fmt}
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +543,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         ("channel", "sources", "receiver", "noise", "experiment", "output", "seed"),
         "<scenario>",
     )
-    channel = _resolve_channel(raw.get("channel", {}))
+    channel = _resolve_fields(_CHANNEL_FIELDS, raw.get("channel", {}), "channel")
     height = channel["source_height"]
     resolved = {
         "channel": channel,
@@ -602,9 +551,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         "receiver": _resolve_receiver(raw.get("receiver", {}), height),
         "noise": _resolve_noise(raw.get("noise", {})),
         "experiment": _resolve_experiment(raw.get("experiment", {})),
-        "output": _resolve_output(raw.get("output", {})),
-        "seed": None if raw.get("seed") is None else _expect_int(raw["seed"], "seed",
-                                                                 minimum=0),
+        "output": _resolve_fields(_OUTPUT_FIELDS, raw.get("output", {}), "output"),
+        "seed": _SEED.check(raw.get("seed"), "seed"),
     }
     kind = resolved["experiment"]["kind"]
     if resolved["sources"]["stochastic"] is not None and kind != "timeseries":
@@ -634,93 +582,16 @@ def load_scenario(path) -> ScenarioConfig:
 def scenario_schema() -> dict:
     """Machine-readable description of the scenario file: keys, types, units,
     defaults.  Shipped verbatim as ``docs/scenario-schema.json``."""
-    channel, receiver = _CHANNEL_DEFAULTS, _RECEIVER_DEFAULTS
     return {
-        "format": "JSON object; unknown keys rejected; units fixed to cm and s",
-        "channel": {
-            "wind_speed": {"type": "number > 0", "unit": "cm/s",
-                           "default": channel["wind_speed"]},
-            "diffusivity": {"type": "number > 0", "unit": "cm^2/s",
-                            "default": channel["diffusivity"]},
-            "source_height": {"type": "number > 0", "unit": "cm",
-                              "default": channel["source_height"]},
-            "x_min": {"type": "number > 0", "unit": "cm", "default": channel["x_min"],
-                      "doc": "smallest downwind distance for closed forms"},
-        },
-        "sources": {
-            "users": [
-                {
-                    "location": {"type": "[x, y, z] or null", "unit": "cm",
-                                 "default": "[0, 0, channel.source_height]"},
-                    "breath_rate": {"type": "number >= 0", "unit": "units/s",
-                                    "default": 0.0},
-                    "jets": [{"time": {"type": "number >= entry_time", "unit": "s"},
-                              "mass": {"type": "number > 0", "unit": "units"}}],
-                    "entry_time": {"type": "number", "unit": "s", "default": 0.0},
-                }
-            ],
-            "stochastic": {
-                "interval": {"type": "number > 0", "unit": "s"},
-                "horizon": {"type": "number > 0", "unit": "s"},
-                "probabilities": {"type": "ceil(horizon/interval) rows of one [0,1] "
-                                          "value per user",
-                                  "doc": "row i, entry j: chance that user j releases "
-                                         "its jet at i*interval; timeseries adds the "
-                                         "expected concentration as column 'expected' "
-                                         "(the grid is rejected for every other kind)"},
-                "jet_masses": {"type": "one number > 0 per user, or null", "unit": "units"},
-            },
-        },
-        "receiver": {
-            "center": {"type": "[x, y, z] or null", "unit": "cm",
-                       "doc": "mutually exclusive with distance"},
-            "distance": {"type": "number > 0", "unit": "cm",
-                         "default": _DEFAULT_RECEIVER_DISTANCE,
-                         "doc": "center becomes [distance, 0, source_height]"},
-            "radius": {"type": "number > 0", "unit": "cm", "default": receiver["radius"]},
-            "sampling_window": {"type": "number > 0", "unit": "s",
-                                "default": receiver["sampling_window"]},
-            "sampler_efficiency": {"type": "fraction in (0, 1]",
-                                   "default": receiver["sampler_efficiency"]},
-            "binding_fraction": {"type": "fraction in (0, 1]",
-                                 "default": receiver["binding_fraction"]},
-        },
-        "noise": {
-            "variance": {"type": "number > 0 or null", "unit": "(units*s/cm^3 * cm^3 * s)^2",
-                         "doc": "mutually exclusive with snr_calibration"},
-            "snr_calibration": {"type": "number > 0", "default": _DEFAULT_SNR_CALIBRATION,
-                                "doc": "gain*breath_rate/(8*sigma^2); sigma solved from it"},
-        },
-        "experiment": {
-            "kind": {"type": f"one of {list(EXPERIMENT_KINDS)}", "default": "field"},
-            "field": {"x/y/z": "ranges {start, stop, num}"},
-            "timeseries": {"times": "range {start, stop, num}",
-                           "point": "[x, y, z] or null (receiver center)"},
-            "freq": {"omega": "range {start, stop, num} in rad/s",
-                     "unwrap": "bool, default false"},
-            "delay": {"distances": "strictly increasing list of numbers > 0, cm",
-                      "wind_speeds": "strictly increasing list of numbers > 0, cm/s",
-                      "fraction": "target fraction in (0, 1), default 0.01",
-                      "rel_tol": "number > 0, default 1e-6; accepted but unused: the "
-                                 "delay is the exact closed-form inverse"},
-            "conc_vs_distance": {"distances": "list of numbers > 0, cm",
-                                 "wind_speeds": "list of numbers > 0, cm/s",
-                                 "mode": "'center' (point value) or 'collected' "
-                                         "(normalized sphere integral)",
-                                 "quadrature_orders": "[radial, polar, azimuthal, time]"},
-            "pmd": {"distances": "list of numbers > 0, cm",
-                    "quadrature_orders": "[radial, polar, azimuthal, time]",
-                    "empirical_trials": "int >= 0 (0 disables Monte Carlo columns)",
-                    "empirical_count": "how many of the largest distances get Monte Carlo"},
-            "mc_pmd": {"snr_arguments": "list of detection arguments gain*C/(2*sigma)",
-                       "trials": "int >= 1e4, default 1e6"},
-            "validate_oracles": {"steady_resolution": "cm, default 0.2",
-                                 "transient": "bool, default true",
-                                 "trials": "Monte Carlo detection trials, default 2e5",
-                                 "mc_samples": "volume-integral samples, default 2e5"},
-        },
-        "output": {"format": {"type": "'csv' or 'json'", "default": "csv"}},
-        "seed": {"type": "int >= 0 or null",
-                 "doc": "fully determines stochastic outputs; null lets the CLI pick one "
-                        "for stochastic runs and records none otherwise"},
+        "format": "JSON object; unknown keys rejected; units fixed to cm and s; a range "
+                  "{start, stop, num} that leaves a key out takes it from the field's "
+                  "default",
+        "channel": _section(_CHANNEL_FIELDS),
+        "sources": _section(_SOURCES_FIELDS),
+        "receiver": _section(_RECEIVER_FIELDS),
+        "noise": _section(_NOISE_FIELDS),
+        "experiment": {"kind": _KIND.schema(),
+                       **{kind: _section(fields) for kind, fields in _EXPERIMENT_FIELDS.items()}},
+        "output": _section(_OUTPUT_FIELDS),
+        "seed": _SEED.schema(),
     }

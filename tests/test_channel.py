@@ -497,6 +497,19 @@ class TestSteadyState:
         off = steady_state_concentration(1.0, (x, 1.0, HEIGHT), params, HEIGHT)
         assert off / center == pytest.approx(math.exp(-1.0 / (4.0 * scale)), rel=1e-12)
 
+    def test_far_downwind_limit_without_warnings(self, params):
+        """At x = 1e308 the prefactors overflow to inf; all three closed forms
+        return their exact limit 0, quietly."""
+        point = (1e308, 0.0, HEIGHT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = (
+                steady_state_concentration(1.0, point, params, HEIGHT),
+                breath_response(1.0, 0.0, (*point, 5.0), params, HEIGHT),
+                impulse_response((*point, 5.0), params, HEIGHT),
+            )
+        assert all(np.isfinite(v) and v == 0.0 for v in values)
+
     def test_negative_rate_rejected(self, params):
         with pytest.raises(DomainError):
             steady_state_concentration(-1.0, (100.0, 0.0, HEIGHT), params, HEIGHT)
@@ -548,6 +561,15 @@ class TestFrequencyResponse:
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0], params, HEIGHT)
+
+    # the magnitude is finite at 140 cm/s, but omega x / u overflows
+    @pytest.mark.parametrize("unwrap", [False, True])
+    def test_overflowing_phase_raises_without_warnings(self, params, unwrap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="phase"):
+                frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.7e308], params, HEIGHT,
+                                   unwrap_phase=unwrap)
 
     def test_principal_phase_within_interval(self, params):
         omegas = np.linspace(0.0, 2000.0, 501)

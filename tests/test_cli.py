@@ -442,3 +442,32 @@ def test_slow_wind_freq_named_without_warnings(tmp_path):
     assert result.returncode == cli.EXIT_CONFIG
     assert result.stderr.startswith("configuration error: channel.wind_speed: ")
     assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("command, override", [
+    ("pmd", "experiment.distances=[1e308]"),
+    ("timeseries", "receiver.distance=1e308"),
+])
+def test_far_downwind_receiver_runs_without_warnings(tmp_path, command, override):
+    """Far downwind the closed forms return their limit 0 without numpy
+    overflow warnings."""
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"experiment": {"kind": command}}))
+    result = _fresh_process("from plumesense.cli import main; main()", command,
+                            "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
+                            "--set", override)
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    assert "Warning" not in result.stderr
+
+
+def test_overflowing_phase_named_without_warnings(tmp_path):
+    """omega x / u overflows at 1.7e308 rad/s: the run names experiment.omega
+    and prints no numpy warning."""
+    scenario = tmp_path / "freq.json"
+    scenario.write_text(json.dumps({"experiment": {"kind": "freq"}}))
+    result = _fresh_process("from plumesense.cli import main; main()", "freq",
+                            "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
+                            "--set", "experiment.omega.stop=1.7e308")
+    assert result.returncode == cli.EXIT_CONFIG
+    assert result.stderr.startswith("configuration error: experiment.omega: ")
+    assert "Warning" not in result.stderr
