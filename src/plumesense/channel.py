@@ -175,7 +175,7 @@ class SourceSpec:
         if not (loc[2] > 0.0):
             raise DomainError("source height must be positive")
         object.__setattr__(self, "location", loc)
-        if self.breath_rate < 0.0:
+        if not (self.breath_rate >= 0.0):
             raise DomainError("breath_rate must be nonnegative")
         jets = tuple(
             j if isinstance(j, JetRelease) else JetRelease(float(j[0]), float(j[1]))
@@ -214,6 +214,8 @@ class StochasticGrid:
             raise DomainError("stochastic interval must be positive")
         if not (self.horizon > 0.0):
             raise DomainError("stochastic horizon must be positive")
+        if not math.isfinite(self.horizon / self.interval):
+            raise DomainError("horizon / interval overflows; the release grid has no end")
         rows = tuple(tuple(float(p) for p in row) for row in self.probabilities)
         if len(rows) != self.num_intervals:
             raise DomainError(
@@ -230,7 +232,7 @@ class StochasticGrid:
         object.__setattr__(self, "probabilities", rows)
         if self.jet_masses is not None:
             masses = tuple(float(m) for m in self.jet_masses)
-            if any(m <= 0.0 for m in masses):
+            if not all(m > 0.0 for m in masses):
                 raise DomainError("jet masses must be positive")
             object.__setattr__(self, "jet_masses", masses)
 
@@ -306,26 +308,17 @@ class ComplexResponse:
 # ---------------------------------------------------------------------------
 
 
-def _point4(point):
+def _point(point, n):
+    """The first ``n`` (3 or 4) coordinates of a SpaceTimePoint or of an
+    (x, y, z) triple or (x, y, z, t) quadruple, as float arrays."""
     if isinstance(point, SpaceTimePoint):
         coords = (point.x, point.y, point.z, point.t)
     else:
         coords = tuple(point)
-        if len(coords) != 4:
-            raise DomainError("expected a SpaceTimePoint or an (x, y, z, t) quadruple")
-    return tuple(np.asarray(c, dtype=float) for c in coords)
-
-
-def _point3(point):
-    if isinstance(point, SpaceTimePoint):
-        coords = (point.x, point.y, point.z)
-    else:
-        coords = tuple(point)
-        if len(coords) == 4:
-            coords = coords[:3]
-        if len(coords) != 3:
-            raise DomainError("expected an (x, y, z) triple")
-    return tuple(np.asarray(c, dtype=float) for c in coords)
+        if len(coords) not in (n, 4):
+            raise DomainError("expected an (x, y, z) triple" if n == 3 else
+                              "expected a SpaceTimePoint or an (x, y, z, t) quadruple")
+    return tuple(np.asarray(c, dtype=float) for c in coords[:n])
 
 
 def _broadcast(*arrays):
@@ -529,33 +522,48 @@ def distance_for_scale(scale: float, params: ChannelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _downwind(point, params: ChannelParams, source_height: float, term, after=None):
+    """Shared body of the transient and steady closed forms: ``term(x, t, s)``
+    times the crosswind Gaussian of variance 2s (s = diffusion_scale(x)) with
+    its ground image, at the points with 0 < x < inf and, if given, t > after;
+    exactly 0 elsewhere.  Raises :class:`EvaluationDomainError` at
+    0 < x < x_min, :class:`DomainError` at a NaN coordinate or non-finite time."""
+    x, y, z, t = _point(point, 4)
+    _check_height(source_height)
+    _check_vertical(z)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("time must be finite")
+    if np.isnan(x).any() or np.isnan(y).any() or np.isnan(z).any():
+        raise DomainError("coordinates must not be NaN")
+    if t.ndim:
+        shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
+    else:  # a scalar time, as the steady plume's, is not copied out to every point
+        (shape, (X, Y, Z)), T = _broadcast(x, y, z), t
+    out = np.zeros(X.shape)
+    live = X > 0.0
+    if live.any():
+        _check_downwind_band(X[live], params)
+    live &= X < np.inf
+    if after is not None:
+        live &= T > after
+    if live.any():
+        s = np.asarray(diffusion_scale(X[live], params))
+        # far downwind the prefactors overflow to inf, the response to its limit 0
+        with np.errstate(over="ignore"):
+            out[live] = term(X[live], T[live] if T.ndim else T, s) * _crosswind_factor(
+                Y[live], Z[live], s, source_height)
+    return _as_output(out, shape)
+
+
 def impulse_response(point, params: ChannelParams, source_height: float):
     """Concentration at ``point`` per unit jet mass released at the origin at t = 0.
 
     Points at or upwind of the source (x <= 0) return 0 (no upwind transport);
     0 < x < x_min raises :class:`EvaluationDomainError`.
     """
-    x, y, z, t = _point4(point)
-    _check_height(source_height)
-    _check_vertical(z)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("time must be finite")
-    shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
-    out = np.zeros(X.shape)
-    pos = X > 0.0
-    if pos.any():
-        _check_downwind_band(X[pos], params)
-        s = np.asarray(diffusion_scale(X[pos], params))
-        u = params.wind_speed
-        # far downwind the square and the prefactor overflow to inf, and the
-        # response to its exact limit 0
-        with np.errstate(over="ignore"):
-            out[pos] = (
-                np.exp(-((X[pos] - u * T[pos]) ** 2) / (4.0 * s))
-                / (8.0 * (np.pi * s) ** 1.5)
-                * _crosswind_factor(Y[pos], Z[pos], s, source_height)
-            )
-    return _as_output(out, shape)
+    u = params.wind_speed
+    return _downwind(point, params, source_height, lambda x, t, s: (
+        np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)))
 
 
 def jet_concentration(jet_mass: float, release_time: float, point, params: ChannelParams,
@@ -565,9 +573,9 @@ def jet_concentration(jet_mass: float, release_time: float, point, params: Chann
     Exactly zero before the release (causality), then the shifted impulse
     response scaled by the mass.
     """
-    if jet_mass < 0.0:
+    if not (jet_mass >= 0.0):
         raise DomainError("jet mass must be nonnegative")
-    x, y, z, t = _point4(point)
+    x, y, z, t = _point(point, 4)
     h = np.asarray(impulse_response((x, y, z, t - release_time), params, source_height))
     gated = np.where(t >= release_time, jet_mass * h, 0.0)
     return _as_output(gated, np.broadcast(t, h).shape)
@@ -580,34 +588,19 @@ def breath_response(breath_rate: float, entry_time: float, point, params: Channe
     The step response rises monotonically and converges to the steady plume;
     it is exactly zero until the person enters.
     """
-    if breath_rate < 0.0:
+    if not (breath_rate >= 0.0):
         raise DomainError("breath rate must be nonnegative")
-    x, y, z, t = _point4(point)
-    _check_height(source_height)
-    _check_vertical(z)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("time must be finite")
-    shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
-    out = np.zeros(X.shape)
-    elapsed = T - entry_time
-    pos = X > 0.0
-    if pos.any():
-        _check_downwind_band(X[pos], params)
-    live = pos & (elapsed > 0.0)
-    if live.any():
-        s = np.asarray(diffusion_scale(X[live], params))
-        u = params.wind_speed
+    if not math.isfinite(entry_time):
+        raise DomainError("entry time must be finite")
+    u = params.wind_speed
+
+    def term(x, t, s):
         root = 2.0 * np.sqrt(s)
         # erfc is monotone, but the rounded difference can dip below zero
-        step = np.maximum(erfc((X[live] - u * elapsed[live]) / root) - erfc(X[live] / root), 0.0)
-        with np.errstate(over="ignore"):  # far downwind: rate / inf = 0
-            out[live] = (
-                breath_rate
-                / (8.0 * np.pi * s * u)
-                * step
-                * _crosswind_factor(Y[live], Z[live], s, source_height)
-            )
-    return _as_output(out, shape)
+        step = np.maximum(erfc((x - u * (t - entry_time)) / root) - erfc(x / root), 0.0)
+        return breath_rate / (8.0 * np.pi * s * u) * step
+
+    return _downwind(point, params, source_height, term, after=entry_time)
 
 
 def person_response(source: SourceSpec, point, params: ChannelParams):
@@ -616,7 +609,7 @@ def person_response(source: SourceSpec, point, params: ChannelParams):
     Evaluated in source-centered horizontal coordinates; z stays absolute so
     the shared ground keeps reflecting.
     """
-    x, y, z, t = _point4(point)
+    x, y, z, t = _point(point, 4)
     local = (x - source.x, y - source.y, z, t)
     out = breath_response(source.breath_rate, source.entry_time, local, params, source.height)
     for jet in source.jets:
@@ -625,17 +618,13 @@ def person_response(source: SourceSpec, point, params: ChannelParams):
 
 
 def multi_user_response(scenario: MultiUserScenario, point, params: ChannelParams):
-    """Superposed responses of all users, gated downwind and by entry time."""
-    x, y, z, t = _point4(point)
+    """Superposed responses of all users; each is exactly 0 at or upwind of
+    its user and before its user enters."""
+    x, y, z, t = _point(point, 4)
     shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
     total = np.zeros(X.shape)
     for user in scenario.users:
-        gate = (X >= user.x) & (T >= user.entry_time)
-        if gate.any():
-            contrib = np.broadcast_to(
-                np.asarray(person_response(user, (X, Y, Z, T), params)), X.shape
-            )
-            total += np.where(gate, contrib, 0.0)
+        total += person_response(user, (X, Y, Z, T), params)
     return _as_output(total, shape)
 
 
@@ -643,12 +632,13 @@ def stochastic_expected_response(scenario: MultiUserScenario, point, params: Cha
     """Expected concentration under the probabilistic release grid.
 
     Sums p[i][j] times user j's jet response released at the start of
-    interval i, with the same gating as the deterministic multi-user case.
+    interval i; each is exactly 0 at or upwind of its user and before its
+    release.
     """
     grid = scenario.stochastic
     if grid is None:
         raise ScenarioError("sources.stochastic", "scenario has no stochastic grid")
-    x, y, z, t = _point4(point)
+    x, y, z, t = _point(point, 4)
     shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
     total = np.zeros(X.shape)
     for i, t_release in enumerate(grid.release_times()):
@@ -656,14 +646,10 @@ def stochastic_expected_response(scenario: MultiUserScenario, point, params: Cha
             p = grid.probabilities[i][j]
             if p == 0.0:
                 continue
-            gate = X >= user.x
-            if not gate.any():
-                continue
             local = (X - user.x, Y - user.y, Z, T)
-            contrib = jet_concentration(
+            total += p * jet_concentration(
                 scenario.stochastic_jet_mass(j), t_release, local, params, user.height
             )
-            total += np.where(gate, p * np.asarray(contrib), 0.0)
     return _as_output(total, shape)
 
 
@@ -679,24 +665,10 @@ def steady_state_concentration(rate: float, point, params: ChannelParams,
     Crosswind sections are Gaussian with variance 2*diffusion_scale(x); the
     crosswind-plane integral equals rate/u at every downwind distance.
     """
-    if rate < 0.0:
+    if not (rate >= 0.0):
         raise DomainError("emission rate must be nonnegative")
-    x, y, z = _point3(point)
-    _check_height(source_height)
-    _check_vertical(z)
-    shape, (X, Y, Z) = _broadcast(x, y, z)
-    out = np.zeros(X.shape)
-    pos = X > 0.0
-    if pos.any():
-        _check_downwind_band(X[pos], params)
-        s = np.asarray(diffusion_scale(X[pos], params))
-        with np.errstate(over="ignore"):  # far downwind: rate / inf = 0
-            out[pos] = (
-                rate
-                / (4.0 * params.wind_speed * np.pi * s)
-                * _crosswind_factor(Y[pos], Z[pos], s, source_height)
-            )
-    return _as_output(out, shape)
+    return _downwind((*_point(point, 3), 0.0), params, source_height,
+                     lambda x, t, s: rate / (4.0 * params.wind_speed * np.pi * s))
 
 
 def _principal_phase(raw):
@@ -717,7 +689,7 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     large x K) x K / u overflows.  It raises too where the magnitude is finite
     but omega x / u overflows, so that the phase is not.
     """
-    x, y, z = _point3(point)
+    x, y, z = _point(point, 3)
     _check_height(source_height)
     _check_vertical(z)
     w = np.asarray(omega, dtype=float)

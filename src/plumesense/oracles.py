@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,17 +163,6 @@ class MarchGrid:
             step_scale=self.step_scale / (factor * factor),
         )
 
-    def meta(self) -> dict:
-        return {
-            "scale_start": self.scale_start,
-            "scale_end": self.scale_end,
-            "y_half": self.y_half,
-            "z_max": self.z_max,
-            "step_y": self.step_y,
-            "step_z": self.step_z,
-            "step_scale": self.step_scale,
-        }
-
 
 @dataclass
 class SteadyMarchResult:
@@ -306,7 +295,7 @@ def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
         l2_rel_error=l2_rel,
         budget=budget,
         passed=passed,
-        grid=result.grid.meta(),
+        grid=asdict(result.grid),
         runtime_s=result.runtime_s,
         warnings=result.warnings,
         extras={
@@ -356,18 +345,6 @@ class TransientGrid:
             raise GridError("need 0 < t_start < t_end")
         if self.advection_cells is not None and self.advection_cells < 1:
             raise GridError("advection_cells must be a positive integer")
-
-    def meta(self) -> dict:
-        return {
-            "x_span": self.x_span,
-            "y_half": self.y_half,
-            "z_span": self.z_span,
-            "step_x": self.step_x,
-            "step_y": self.step_y,
-            "step_z": self.step_z,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-        }
 
 
 @dataclass
@@ -567,7 +544,7 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
         l2_rel_error=l2,
         budget=budget,
         passed=passed,
-        grid=result.grid.meta(),
+        grid=asdict(result.grid),
         runtime_s=result.runtime_s,
         warnings=result.warnings,
         extras={

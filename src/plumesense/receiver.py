@@ -189,6 +189,8 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
 
     Units: concentration * cm^3 * s.
     """
+    if not math.isfinite(t_start):
+        raise DomainError("exposure window start t_start must be finite")
     n_r, n_theta, n_phi, n_t = orders
     r, w_r = _gauss_legendre(n_r, 0.0, recv.radius)
     theta, w_theta = _gauss_legendre(n_theta, 0.0, np.pi)

@@ -380,6 +380,9 @@ def _resolve_sources(raw, source_height):
             user["location"] = [0.0, 0.0, source_height]
     if sto is not None:
         path = "sources.stochastic"
+        if not math.isfinite(sto["horizon"] / sto["interval"]):
+            raise ScenarioError(f"{path}.interval", "horizon / interval overflows; "
+                                "the release grid has no end")
         n_intervals = int(math.ceil(sto["horizon"] / sto["interval"]))
         if len(sto["probabilities"]) != n_intervals:
             raise ScenarioError(f"{path}.probabilities", f"need ceil(horizon/interval) = "

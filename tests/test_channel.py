@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from plumesense.channel import (
     _GAUSS_WEIGHTS,
@@ -40,6 +41,9 @@ from conftest import DIFFUSIVITY, HEIGHT, WIND, simpson
 
 VARIABLE_K0 = 0.242
 VARIABLE_LENGTH = 150.0
+LINEAR_K_PARAMS = ChannelParams(
+    WIND, DiffusivityProfile.from_function(
+        lambda x: VARIABLE_K0 * (1.0 + np.asarray(x) / VARIABLE_LENGTH)))
 
 
 def reference_diffusion_scale(x, params):
@@ -420,6 +424,8 @@ class TestStochasticExpectedResponse:
             StochasticGrid(interval=5.0, horizon=12.0, probabilities=((0.5,),))
         with pytest.raises(DomainError):
             StochasticGrid(interval=5.0, horizon=5.0, probabilities=((1.5,),))
+        with pytest.raises(DomainError, match="horizon / interval overflows"):
+            StochasticGrid(interval=1e-308, horizon=1e308, probabilities=())
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +504,18 @@ class TestSteadyState:
         assert off / center == pytest.approx(math.exp(-1.0 / (4.0 * scale)), rel=1e-12)
 
     def test_far_downwind_limit_without_warnings(self, params):
-        """At x = 1e308 the prefactors overflow to inf; all three closed forms
-        return their exact limit 0, quietly."""
-        point = (1e308, 0.0, HEIGHT)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = (
-                steady_state_concentration(1.0, point, params, HEIGHT),
-                breath_response(1.0, 0.0, (*point, 5.0), params, HEIGHT),
-                impulse_response((*point, 5.0), params, HEIGHT),
-            )
-        assert all(np.isfinite(v) and v == 0.0 for v in values)
+        """At x = 1e308 the prefactors overflow to inf, and x = inf is never
+        evaluated; all three closed forms return their exact limit 0, quietly."""
+        for p, x in ((params, 1e308), (params, math.inf), (LINEAR_K_PARAMS, math.inf)):
+            point = (x, 0.0, HEIGHT)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = (
+                    steady_state_concentration(1.0, point, p, HEIGHT),
+                    breath_response(1.0, 0.0, (*point, 5.0), p, HEIGHT),
+                    impulse_response((*point, 5.0), p, HEIGHT),
+                )
+            assert all(np.isfinite(v) and v == 0.0 for v in values)
 
     def test_negative_rate_rejected(self, params):
         with pytest.raises(DomainError):
@@ -620,3 +627,265 @@ class TestLinearTimeInvariant:
             shifted = jet_concentration(2.0, shift, (x, 0.3, HEIGHT, t), params, HEIGHT)
             base = jet_concentration(2.0, 0.0, (x, 0.3, HEIGHT, lag), params, HEIGHT)
             assert shifted == base
+
+
+# ---------------------------------------------------------------------------
+# references: the closed forms as they were before the shared downwind kernel
+# ---------------------------------------------------------------------------
+
+
+def _reference_flat(*coords):
+    arrays = [np.asarray(c, dtype=float) for c in coords]
+    shape = np.broadcast(*arrays).shape
+    return shape, [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
+
+
+def _reference_output(values, shape):
+    out = np.asarray(values).reshape(shape)
+    return float(out) if shape == () else out
+
+
+def _reference_crosswind(y, z, scale, height):
+    return np.exp(-(y * y) / (4.0 * scale)) * (
+        np.exp(-((z - height) ** 2) / (4.0 * scale))
+        + np.exp(-((z + height) ** 2) / (4.0 * scale))
+    )
+
+
+def _reference_band(x_pos, params):
+    if np.any(x_pos < params.x_min):
+        raise EvaluationDomainError("downwind distance below x_min")
+
+
+def reference_impulse_response(point, params, height):
+    """impulse_response with its own upwind mask, band check and crosswind factor."""
+    shape, (X, Y, Z, T) = _reference_flat(*point)
+    out = np.zeros(X.shape)
+    pos = X > 0.0
+    if pos.any():
+        _reference_band(X[pos], params)
+        s = np.asarray(diffusion_scale(X[pos], params))
+        u = params.wind_speed
+        with np.errstate(over="ignore"):
+            out[pos] = (
+                np.exp(-((X[pos] - u * T[pos]) ** 2) / (4.0 * s))
+                / (8.0 * (np.pi * s) ** 1.5)
+                * _reference_crosswind(Y[pos], Z[pos], s, height)
+            )
+    return _reference_output(out, shape)
+
+
+def reference_jet_concentration(mass, release_time, point, params, height):
+    x, y, z, t = (np.asarray(c, dtype=float) for c in point)
+    h = np.asarray(reference_impulse_response((x, y, z, t - release_time), params, height))
+    return _reference_output(np.where(t >= release_time, mass * h, 0.0),
+                             np.broadcast(t, h).shape)
+
+
+def reference_breath_response(rate, entry_time, point, params, height):
+    """breath_response with its own masks: the band on x > 0, the erfc step
+    on x > 0 after entry."""
+    shape, (X, Y, Z, T) = _reference_flat(*point)
+    out = np.zeros(X.shape)
+    elapsed = T - entry_time
+    pos = X > 0.0
+    if pos.any():
+        _reference_band(X[pos], params)
+    live = pos & (elapsed > 0.0)
+    if live.any():
+        s = np.asarray(diffusion_scale(X[live], params))
+        u = params.wind_speed
+        root = 2.0 * np.sqrt(s)
+        step = np.maximum(erfc((X[live] - u * elapsed[live]) / root) - erfc(X[live] / root), 0.0)
+        with np.errstate(over="ignore"):
+            out[live] = (
+                rate / (8.0 * np.pi * s * u) * step
+                * _reference_crosswind(Y[live], Z[live], s, height)
+            )
+    return _reference_output(out, shape)
+
+
+def reference_steady_state_concentration(rate, point, params, height):
+    shape, (X, Y, Z) = _reference_flat(*point[:3])
+    out = np.zeros(X.shape)
+    pos = X > 0.0
+    if pos.any():
+        _reference_band(X[pos], params)
+        s = np.asarray(diffusion_scale(X[pos], params))
+        with np.errstate(over="ignore"):
+            out[pos] = (
+                rate / (4.0 * params.wind_speed * np.pi * s)
+                * _reference_crosswind(Y[pos], Z[pos], s, height)
+            )
+    return _reference_output(out, shape)
+
+
+def _reference_person(user, point, params):
+    x, y, z, t = point
+    local = (x - user.x, y - user.y, z, t)
+    out = reference_breath_response(user.breath_rate, user.entry_time, local, params,
+                                    user.height)
+    for jet in user.jets:
+        out = out + reference_jet_concentration(jet.mass, jet.time, local, params,
+                                                user.height)
+    return out
+
+
+def reference_multi_user_response(scenario, point, params):
+    """multi_user_response with its downwind and entry-time gate."""
+    shape, (X, Y, Z, T) = _reference_flat(*point)
+    total = np.zeros(X.shape)
+    for user in scenario.users:
+        gate = (X >= user.x) & (T >= user.entry_time)
+        if gate.any():
+            contrib = np.broadcast_to(
+                np.asarray(_reference_person(user, (X, Y, Z, T), params)), X.shape)
+            total += np.where(gate, contrib, 0.0)
+    return _reference_output(total, shape)
+
+
+def reference_stochastic_expected_response(scenario, point, params):
+    """stochastic_expected_response with its downwind gate."""
+    grid = scenario.stochastic
+    shape, (X, Y, Z, T) = _reference_flat(*point)
+    total = np.zeros(X.shape)
+    for i, t_release in enumerate(grid.release_times()):
+        for j, user in enumerate(scenario.users):
+            p = grid.probabilities[i][j]
+            if p == 0.0:
+                continue
+            gate = X >= user.x
+            if not gate.any():
+                continue
+            local = (X - user.x, Y - user.y, Z, T)
+            contrib = reference_jet_concentration(scenario.stochastic_jet_mass(j), t_release,
+                                                  local, params, user.height)
+            total += np.where(gate, p * np.asarray(contrib), 0.0)
+    return _reference_output(total, shape)
+
+
+def _bits(f, *args):
+    """(is a float, uint64 view) of f(*args), or the type of the DomainError
+    it raises; numpy warnings raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = f(*args)
+        except DomainError as exc:
+            return type(exc)
+    return isinstance(value, float), np.asarray(value, dtype=float).view(np.uint64)
+
+
+def assert_same_bits(new, old):
+    if isinstance(new, type) or isinstance(old, type):
+        assert new is old
+    else:
+        assert new[0] == old[0] and np.array_equal(new[1], old[1])
+
+
+def _sweep_point(rng, variable):
+    """A batch of points, or one scalar point, over the input classes: upwind,
+    x = +-0.0, downwind, just past x_min, far downwind (1e308 for a constant
+    K), and now and then the near-source band."""
+    n = int(rng.choice([1, 7, 40]))
+    far = 1e5 if variable else 1e308
+    x = np.choose(rng.integers(0, 5, n), [
+        rng.uniform(-400.0, 0.0, n), rng.choice([0.0, -0.0], n), rng.uniform(1.0, 600.0, n),
+        rng.uniform(1.0, 3.0, n), np.full(n, far)])
+    if rng.random() < 0.1:
+        x[rng.integers(n)] = 0.5
+    height = float(rng.choice([HEIGHT, 2.0]))
+    z = np.where(rng.random(n) < 0.1, 0.0, np.abs(height + rng.normal(0.0, 3.0, n)))
+    point = (x, rng.normal(0.0, 3.0, n), z, rng.uniform(-5.0, 20.0, n))
+    if n == 1 and rng.random() < 0.5:
+        point = tuple(float(c[0]) for c in point)
+    return point, height
+
+
+def _aimed(rng, point, x0, t0):
+    """``point`` with half its times moved to within a few pulse widths of
+    the arrival of a jet released at (x0, t0), so that jets are seen."""
+    x, y, z, t = point
+    arrival = (np.asarray(x) - x0) / WIND + t0 + rng.normal(0.0, 0.005, np.shape(x))
+    t = np.where(rng.random(np.shape(x)) < 0.5, arrival, t)
+    return x, y, z, t if np.ndim(x) else float(t)
+
+
+def _sweep_scenario(rng):
+    """One to three users, some downwind of part of the points, entering and
+    releasing jets at random times, with a release grid over them."""
+    users = []
+    for _ in range(int(rng.integers(1, 4))):
+        entry = float(rng.uniform(0.0, 8.0))
+        jets = [(entry + float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.5, 5.0)))
+                for _ in range(int(rng.integers(0, 3)))]
+        users.append(SourceSpec(
+            (float(rng.uniform(-50.0, 300.0)), float(rng.normal(0.0, 2.0)),
+             float(rng.choice([HEIGHT, 2.0]))),
+            breath_rate=float(rng.uniform(0.0, 3.0)), jets=jets, entry_time=entry))
+    interval = float(rng.uniform(0.5, 3.0))
+    rows = int(rng.integers(1, 5))
+    probabilities = np.where(rng.random((rows, len(users))) < 0.3, 0.0,
+                             rng.random((rows, len(users))))
+    grid = StochasticGrid(interval, interval * (rows - 0.5), tuple(map(tuple, probabilities)),
+                          jet_masses=tuple(rng.uniform(0.5, 5.0, len(users))))
+    return MultiUserScenario(users=tuple(users), stochastic=grid)
+
+
+class TestDownwindKernelAgainstReference:
+    @pytest.mark.parametrize("variable", [False, True], ids=["constant_k", "linear_k"])
+    def test_bit_identical_over_input_classes(self, params, variable):
+        """The closed forms behind the shared kernel return the bits of the
+        ones before it, or raise the same error, over 35 random batches each."""
+        p = LINEAR_K_PARAMS if variable else params
+        rng = np.random.default_rng(20261018 + variable)
+        for _ in range(35):
+            point, height = _sweep_point(rng, variable)
+            rate, mass, start = rng.uniform(0.0, 3.0), rng.uniform(0.5, 5.0), rng.uniform(-2, 5)
+            scenario = _sweep_scenario(rng)
+            first = scenario.users[0]
+            seen = _aimed(rng, point, first.x, first.jets[0].time if first.jets else 0.0)
+            released = _aimed(rng, point, first.x,
+                              rng.choice(scenario.stochastic.release_times()))
+            pairs = [
+                (impulse_response, reference_impulse_response,
+                 (_aimed(rng, point, 0.0, 0.0), p, height)),
+                (jet_concentration, reference_jet_concentration,
+                 (mass, start, _aimed(rng, point, 0.0, start), p, height)),
+                (breath_response, reference_breath_response, (rate, start, point, p, height)),
+                (steady_state_concentration, reference_steady_state_concentration,
+                 (rate, point[:3], p, height)),
+                (person_response, _reference_person, (first, seen, p)),
+                (multi_user_response, reference_multi_user_response, (scenario, seen, p)),
+                (stochastic_expected_response, reference_stochastic_expected_response,
+                 (scenario, released, p)),
+            ]
+            for new, old, args in pairs:
+                assert_same_bits(_bits(new, *args), _bits(old, *args))
+
+    def test_near_source_band_raises_before_entry(self, params):
+        """Every user's response is evaluated at every point, so a point in
+        the near-source band raises even before that user enters."""
+        scenario = MultiUserScenario(
+            users=(SourceSpec((0.0, 0.0, HEIGHT), breath_rate=1.0, entry_time=5.0),))
+        with pytest.raises(EvaluationDomainError):
+            multi_user_response(scenario, (0.5, 0.0, HEIGHT, 1.0), params)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("call", [
+        lambda p: steady_state_concentration(math.nan, (100.0, 0.0, HEIGHT), p, HEIGHT),
+        lambda p: breath_response(math.nan, 0.0, (100.0, 0.0, HEIGHT, 1.0), p, HEIGHT),
+        lambda p: jet_concentration(math.nan, 0.0, (100.0, 0.0, HEIGHT, 1.0), p, HEIGHT),
+        lambda p: breath_response(1.0, math.nan, (100.0, 0.0, HEIGHT, 1.0), p, HEIGHT),
+        lambda p: breath_response(1.0, -math.inf, (100.0, 0.0, HEIGHT, 1.0), p, HEIGHT),
+        lambda p: steady_state_concentration(1.0, (math.nan, 0.0, HEIGHT), p, HEIGHT),
+        lambda p: steady_state_concentration(1.0, (100.0, math.nan, HEIGHT), p, HEIGHT),
+        lambda p: steady_state_concentration(1.0, (100.0, 0.0, math.nan), p, HEIGHT),
+        lambda p: impulse_response(([50.0, math.nan], 0.0, HEIGHT, 1.0), p, HEIGHT),
+        lambda p: breath_response(1.0, 0.0, (100.0, [0.0, math.nan], HEIGHT, 1.0), p, HEIGHT),
+    ], ids=["steady_rate", "breath_rate", "jet_mass", "entry_nan", "entry_inf", "steady_x",
+            "steady_y", "steady_z", "impulse_x", "breath_y"])
+    def test_nan_inputs_rejected(self, params, call):
+        with pytest.raises(DomainError):
+            call(params)

@@ -460,6 +460,20 @@ def test_far_downwind_receiver_runs_without_warnings(tmp_path, command, override
     assert "Warning" not in result.stderr
 
 
+def test_overflowing_release_grid_named(tmp_path):
+    """ceil(horizon/interval) is inf: the run names the interval and exits 2
+    without a traceback."""
+    scenario = tmp_path / "series.json"
+    scenario.write_text(json.dumps({"experiment": {"kind": "timeseries"}}))
+    result = _fresh_process("from plumesense.cli import main; main()", "timeseries",
+                            "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
+                            "--set", 'sources.stochastic={"interval": 1e-308, '
+                                     '"horizon": 1e308, "probabilities": []}')
+    assert result.returncode == cli.EXIT_CONFIG
+    assert result.stderr.startswith("configuration error: sources.stochastic.interval: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_overflowing_phase_named_without_warnings(tmp_path):
     """omega x / u overflows at 1.7e308 rad/s: the run names experiment.omega
     and prints no numpy warning."""

@@ -1,6 +1,8 @@
 """Numerical oracles: grid validation, closed-form agreement within budgets,
 determinism, and cross-oracle consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,11 @@ class TestTransientMarch:
         report = transient_oracle_report(transient_result, params, HEIGHT)
         assert report.passed
         assert report.max_rel_error <= BUDGETS["transient_probe"]
+
+    def test_report_grid_lists_every_grid_field(self, params, transient_result):
+        grid = transient_oracle_report(transient_result, params, HEIGHT).grid
+        assert grid["advection_cells"] is None
+        assert grid == dataclasses.asdict(transient_result.grid)
 
     def test_mass_conserved(self, transient_result):
         dev = np.abs(transient_result.mass - transient_result.jet_mass) / transient_result.jet_mass

@@ -150,6 +150,11 @@ class TestReceiverExposure:
         doubled = receiver_exposure(recv, f, orders=(64, 32, 64, 8))
         assert abs(doubled - base) / doubled < 1e-3
 
+    @pytest.mark.parametrize("t_start", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_window_start_rejected(self, recv, params, t_start):
+        with pytest.raises(DomainError, match="t_start"):
+            receiver_exposure(recv, steady_field(1.0, params, HEIGHT), t_start=t_start)
+
     def test_deterministic(self, recv, params):
         f = steady_field(1.0, params, HEIGHT)
         assert receiver_exposure(recv, f) == receiver_exposure(recv, f)

@@ -98,6 +98,9 @@ class TestRejections:
                                                         "probabilities": [[0.5]],
                                                         "jet_masses": [-1.0]}},
               "experiment": {"kind": "timeseries"}}, "sources.stochastic.jet_masses[0]"),
+            ({"sources": {"users": [{}], "stochastic": {"interval": 1e-308, "horizon": 1e308,
+                                                        "probabilities": []}},
+              "experiment": {"kind": "timeseries"}}, "sources.stochastic.interval"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
@@ -374,13 +377,20 @@ def _corruption_sites(raw):
     return sites + [(sources, key) for key in schema["sources"]] + [(raw, "seed")]
 
 
+# where the reference's ceil(horizon/interval) overflows, the parser must name
+# the interval
+_OVERFLOWED = ("rejected", "sources.stochastic.interval")
+
+
 def _outcome(parse, raw):
     try:
         config = parse(copy.deepcopy(raw))
     except ScenarioError as exc:
         return ("rejected", exc.path)
-    except OverflowError as exc:  # both parsers, where ceil(horizon/interval) is inf
-        return ("raised", type(exc).__name__)
+    except OverflowError:
+        if parse is not reference_parse_scenario:
+            raise
+        return _OVERFLOWED
     return ("accepted", config.resolved, config.config_hash)
 
 
@@ -394,7 +404,8 @@ class TestAgainstReference:
         expected = _outcome(reference_parse_scenario, raw)
         got = _outcome(parse_scenario, raw)
         # several wrong keys may be named in another order
-        assert got == expected or got[0] == expected[0] == "rejected"
+        assert got == expected or (got[0] == expected[0] == "rejected"
+                                   and expected != _OVERFLOWED)
         if expected[0] != "accepted":
             return
         rng = random.Random(seed)
@@ -404,6 +415,18 @@ class TestAgainstReference:
             node[key] = bad = rng.choice(_BAD_VALUES)
             assert _outcome(parse_scenario, broken) == _outcome(
                 reference_parse_scenario, broken), (key, bad)
+
+    def test_overflowing_release_grid_named_at_interval(self):
+        """ceil(horizon/interval) is inf: the reference overflows, and the
+        parser names the interval."""
+        raw = {"sources": {"users": [{"jets": [{"time": 0.0, "mass": 1.0}]}],
+                           "stochastic": {"interval": 1e-308, "horizon": 1e308,
+                                          "probabilities": []}},
+               "experiment": {"kind": "timeseries"}}
+        with pytest.raises(OverflowError):
+            reference_parse_scenario(copy.deepcopy(raw))
+        assert _outcome(parse_scenario, raw) == _outcome(reference_parse_scenario, raw) \
+            == _OVERFLOWED
 
 
 # ---------------------------------------------------------------------------
