@@ -17,7 +17,6 @@ from .channel import (  # noqa: F401
     JetRelease,
     MultiUserScenario,
     SourceSpec,
-    SpaceTimePoint,
     StochasticGrid,
     breath_response,
     diffusion_scale,
@@ -40,18 +39,12 @@ from .errors import (  # noqa: F401
     ScenarioError,
 )
 from .receiver import (  # noqa: F401
-    BindingParams,
-    Decision,
-    DetectionResult,
-    NoiseModel,
     ReceiverSpec,
     decide,
-    measure_and_decide,
     ml_threshold,
     pmd_conservative,
     pmd_exact,
     q_function,
     receiver_exposure,
-    sample_received,
 )
 from .scenario import ScenarioConfig, load_scenario, parse_scenario  # noqa: F401

@@ -35,7 +35,6 @@ from .errors import DomainError, EvaluationDomainError, ScenarioError
 __all__ = [
     "DiffusivityProfile",
     "ChannelParams",
-    "SpaceTimePoint",
     "JetRelease",
     "SourceSpec",
     "StochasticGrid",
@@ -127,20 +126,6 @@ class ChannelParams:
     @staticmethod
     def with_constant(wind_speed: float, diffusivity: float, x_min: float = 1.0) -> "ChannelParams":
         return ChannelParams(float(wind_speed), DiffusivityProfile.constant(diffusivity), float(x_min))
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """Observation coordinates in cm and s; the ground is at z = 0."""
-
-    x: float
-    y: float
-    z: float
-    t: float
-
-    def __post_init__(self):
-        if self.z < 0.0:
-            raise DomainError("z must be >= 0 (particles do not penetrate the ground)")
 
 
 @dataclass(frozen=True)
@@ -298,10 +283,6 @@ class ComplexResponse:
         if np.any(np.asarray(self.magnitude) < 0.0):
             raise DomainError("magnitude must be nonnegative")
 
-    @property
-    def value(self):
-        return self.magnitude * np.exp(1j * np.asarray(self.phase))
-
 
 # ---------------------------------------------------------------------------
 # coordinate helpers
@@ -309,15 +290,12 @@ class ComplexResponse:
 
 
 def _point(point, n):
-    """The first ``n`` (3 or 4) coordinates of a SpaceTimePoint or of an
-    (x, y, z) triple or (x, y, z, t) quadruple, as float arrays."""
-    if isinstance(point, SpaceTimePoint):
-        coords = (point.x, point.y, point.z, point.t)
-    else:
-        coords = tuple(point)
-        if len(coords) not in (n, 4):
-            raise DomainError("expected an (x, y, z) triple" if n == 3 else
-                              "expected a SpaceTimePoint or an (x, y, z, t) quadruple")
+    """The first ``n`` (3 or 4) coordinates of an (x, y, z) triple or
+    (x, y, z, t) quadruple, as float arrays."""
+    coords = tuple(point)
+    if len(coords) not in (n, 4):
+        raise DomainError("expected an (x, y, z) triple" if n == 3 else
+                          "expected an (x, y, z, t) quadruple")
     return tuple(np.asarray(c, dtype=float) for c in coords[:n])
 
 
@@ -332,7 +310,9 @@ def _as_output(values, shape):
     return float(out) if shape == () else out
 
 
-def _check_vertical(z):
+def _check_coordinates(x, y, z):
+    if np.isnan(x).any() or np.isnan(y).any() or np.isnan(z).any():
+        raise DomainError("coordinates must not be NaN")
     if np.any(z < 0.0):
         raise DomainError("z must be >= 0 (particles do not penetrate the ground)")
 
@@ -412,7 +392,9 @@ def _kronrod(profile: DiffusivityProfile, lo: np.ndarray, hi: np.ndarray):
     spread = half * (np.abs(deviation, out=deviation) @ _KRONROD_WEIGHTS)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = spread * np.minimum(1.0, (200.0 * distance / spread) ** 1.5)
-    return kronrod, np.where(spread > 0.0, scaled, distance)
+    error = np.where(spread > 0.0, scaled, distance)
+    # an integral past the range of doubles is inf however finely it is cut
+    return kronrod, np.where(kronrod == np.inf, 0.0, error)
 
 
 def _suffix_min(values: np.ndarray) -> np.ndarray:
@@ -480,7 +462,8 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
     the error of every cumulative value bounded to 1e-10 relative.  Monotone
     nondecreasing in x.  A profile that needs more than 200 subintervals per
     point, such as x^-0.9 at the source or one oscillating far faster than
-    the points are spaced, raises :class:`DomainError`.
+    the points are spaced, raises :class:`DomainError`.  A scale past the
+    range of doubles comes back as inf, quietly.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
@@ -494,8 +477,10 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
     scales = np.zeros(points.shape)
     pos = points > 0.0
     if pos.any():
-        gaps = _gap_integrals(params.diffusivity, points[pos])
-        scales[pos] = np.cumsum(gaps) / params.wind_speed
+        # an integral of K past the range of doubles makes the scale inf
+        with np.errstate(over="ignore"):
+            gaps = _gap_integrals(params.diffusivity, points[pos])
+            scales[pos] = np.cumsum(gaps) / params.wind_speed
     return _as_output(scales[inverse], arr.shape)
 
 
@@ -530,11 +515,9 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=No
     0 < x < x_min, :class:`DomainError` at a NaN coordinate or non-finite time."""
     x, y, z, t = _point(point, 4)
     _check_height(source_height)
-    _check_vertical(z)
+    _check_coordinates(x, y, z)
     if not np.all(np.isfinite(t)):
         raise DomainError("time must be finite")
-    if np.isnan(x).any() or np.isnan(y).any() or np.isnan(z).any():
-        raise DomainError("coordinates must not be NaN")
     if t.ndim:
         shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
     else:  # a scalar time, as the steady plume's, is not copied out to every point
@@ -548,6 +531,9 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=No
         live &= T > after
     if live.any():
         s = np.asarray(diffusion_scale(X[live], params))
+        if np.isinf(s).any():  # the response's limit at an infinite scale is 0
+            live[live] = finite = s < np.inf
+            s = s[finite]
         # far downwind the prefactors overflow to inf, the response to its limit 0
         with np.errstate(over="ignore"):
             out[live] = term(X[live], T[live] if T.ndim else T, s) * _crosswind_factor(
@@ -691,8 +677,10 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     """
     x, y, z = _point(point, 3)
     _check_height(source_height)
-    _check_vertical(z)
+    _check_coordinates(x, y, z)
     w = np.asarray(omega, dtype=float)
+    if np.isnan(w).any():
+        raise DomainError("frequency omega must not be NaN")
     shape, (X, Y, Z, W) = _broadcast(x, y, z, w)
     if np.any(X <= 0.0):
         raise EvaluationDomainError("frequency response requires x >= x_min downwind")

@@ -31,7 +31,7 @@ from .channel import (
     steady_state_concentration,
 )
 from .errors import DomainError, GridError, QuadratureError
-from .receiver import ReceiverSpec
+from .receiver import ReceiverSpec, decide, ml_threshold
 
 __all__ = [
     "BUDGETS",
@@ -752,18 +752,19 @@ def _wilson_interval(misses: int, trials: int, z: float):
 def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: float,
                   sigma: float, trials: int, seed,
                   z: float = BUDGETS["pmd_wilson_z"]) -> PmdEstimate:
-    """Simulate the infected hypothesis and count threshold misses.
+    """Simulate the infected hypothesis and count the readings that the
+    receiver's ML rule (:func:`ml_threshold`, :func:`decide`) calls healthy.
 
     Reproducible for a fixed seed; ``trials`` must be at least 10^4 for the
     interval to be meaningful.
     """
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials")
-    if sigma < 0.0:
+    if not (sigma >= 0.0):
         raise DomainError("sigma must be nonnegative")
+    threshold = ml_threshold(exposure, sampler_efficiency, binding_fraction)
     rng = np.random.default_rng(seed)
     mean = sampler_efficiency * binding_fraction * exposure
-    threshold = mean / 2.0
     misses = 0
     remaining = int(trials)
     while remaining > 0:
@@ -773,7 +774,7 @@ def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: 
         received = rng.standard_normal(n)
         received *= sigma
         received += mean
-        misses += int(np.count_nonzero(received < threshold))
+        misses += n - int(np.count_nonzero(decide(received, threshold)))
         remaining -= n
     lower, upper = _wilson_interval(misses, trials, z)
     return PmdEstimate(

@@ -4,7 +4,9 @@ The receiver is a sphere that samples air over a window, captures a fraction
 of the particles (sampler efficiency), binds a fraction of those at the
 sensor surface (binding fraction), and reads out the accumulated value with
 additive Gaussian noise.  The decision rule compares the reading against the
-maximum-likelihood threshold of half the noiseless mean.
+maximum-likelihood threshold of half the noiseless mean; the Monte Carlo
+miss counter (``oracles.empirical_pmd``) applies exactly this rule through
+:func:`ml_threshold` and :func:`decide`.
 
 Two analytic missed-detection probabilities are exposed side by side:
 ``pmd_exact`` follows directly from the threshold under the additive
@@ -15,11 +17,10 @@ predicts a higher miss rate.  Their arguments differ by exactly that factor.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import erfc
@@ -28,18 +29,12 @@ from .errors import DomainError, GeometryError
 
 __all__ = [
     "ReceiverSpec",
-    "BindingParams",
-    "NoiseModel",
-    "Decision",
-    "DetectionResult",
     "receiver_exposure",
-    "sample_received",
     "ml_threshold",
     "decide",
     "q_function",
     "pmd_exact",
     "pmd_conservative",
-    "measure_and_decide",
 ]
 
 DEFAULT_QUADRATURE_ORDERS = (16, 16, 16, 8)
@@ -47,19 +42,13 @@ DEFAULT_QUADRATURE_ORDERS = (16, 16, 16, 8)
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """Spherical sampling receiver: geometry, window and capture fractions.
-
-    ``prior_infected`` extends the decision rule beyond the default
-    equally-likely hypotheses; the analytic missed-detection formulas below
-    assume the default 0.5.
-    """
+    """Spherical sampling receiver: geometry, window and capture fractions."""
 
     center: Tuple[float, float, float]
     radius: float
     sampling_window: float
     sampler_efficiency: float
     binding_fraction: float
-    prior_infected: float = 0.5
 
     def __post_init__(self):
         center = tuple(float(c) for c in self.center)
@@ -74,8 +63,6 @@ class ReceiverSpec:
             raise DomainError("sampler efficiency must lie in (0, 1]")
         if not (0.0 < self.binding_fraction <= 1.0):
             raise DomainError("binding fraction must lie in (0, 1]")
-        if not (0.0 < self.prior_infected < 1.0):
-            raise DomainError("prior_infected must lie in (0, 1)")
         if center[2] - self.radius <= 0.0:
             raise GeometryError("receiver sphere must lie strictly above the ground")
 
@@ -87,74 +74,6 @@ class ReceiverSpec:
     def capture_gain(self) -> float:
         """Combined deterministic gain applied to the accumulated concentration."""
         return self.sampler_efficiency * self.binding_fraction
-
-
-@dataclass(frozen=True)
-class BindingParams:
-    """Steady-state receptor binding: fraction bound is P_a / (P_a + K * P_d).
-
-    The antigen count only scales ``bound_antigens``; the detection chain
-    consumes the fraction alone, so receivers usually take the fraction
-    directly.
-    """
-
-    association_probability: float
-    dissociation_probability: float
-    num_states: int = 1
-    num_antigens: int = 1
-
-    def __post_init__(self):
-        for name in ("association_probability", "dissociation_probability"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1]")
-        if self.num_states < 1 or self.num_antigens < 1:
-            raise DomainError("num_states and num_antigens must be positive integers")
-
-    @property
-    def binding_fraction(self) -> float:
-        denom = self.association_probability + self.num_states * self.dissociation_probability
-        if denom == 0.0:
-            raise DomainError("binding fraction undefined when both probabilities are zero")
-        return self.association_probability / denom
-
-    @property
-    def bound_antigens(self) -> float:
-        """Expected steady-state number of bound antigens."""
-        return self.num_antigens * self.binding_fraction
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive zero-mean Gaussian readout noise with a seedable generator."""
-
-    variance: float
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if not (self.variance > 0.0):
-            raise DomainError("noise variance must be positive")
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.variance)
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-class Decision(enum.Enum):
-    INFECTED = "infected"
-    HEALTHY = "healthy"
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    received: float
-    threshold: float
-    decision: Decision
-    pmd_exact: float
-    pmd_conservative: float
 
 
 # ---------------------------------------------------------------------------
@@ -219,40 +138,27 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# measurement, decision rule, and missed-detection probabilities
+# decision rule and missed-detection probabilities
 # ---------------------------------------------------------------------------
 
 
-def sample_received(exposure: float, recv: ReceiverSpec, noise: NoiseModel,
-                    rng: np.random.Generator) -> float:
-    """One noisy receiver reading: capture_gain * exposure + Gaussian noise."""
-    return recv.capture_gain * exposure + noise.sigma * rng.standard_normal()
-
-
-def ml_threshold(exposure: float, sampler_efficiency: float, binding_fraction: float,
-                 sigma: Optional[float] = None, prior_infected: float = 0.5) -> float:
-    """Maximum-likelihood decision threshold: half the noiseless infected mean.
-
-    With an unequal ``prior_infected`` the rule becomes maximum a posteriori
-    and shifts by sigma^2 * ln((1-p)/p) / mean, which needs the noise level.
-    """
-    if exposure < 0.0 or sampler_efficiency < 0.0 or binding_fraction < 0.0:
+def ml_threshold(exposure: float, sampler_efficiency: float, binding_fraction: float) -> float:
+    """Maximum-likelihood decision threshold for equally likely hypotheses:
+    half the noiseless infected mean, gain * exposure / 2."""
+    if not math.isfinite(exposure):
+        raise DomainError("threshold exposure must be finite")
+    if not (exposure >= 0.0 and sampler_efficiency >= 0.0 and binding_fraction >= 0.0):
         raise DomainError("threshold inputs must be nonnegative")
-    if not (0.0 < prior_infected < 1.0):
-        raise DomainError("prior_infected must lie in (0, 1)")
-    mean = sampler_efficiency * binding_fraction * exposure
-    if prior_infected == 0.5:
-        return mean / 2.0
-    if sigma is None or sigma <= 0.0:
-        raise DomainError("unequal priors need a positive noise sigma")
-    if mean == 0.0:
-        raise DomainError("prior-weighted threshold undefined for zero mean")
-    return mean / 2.0 + sigma * sigma * math.log((1.0 - prior_infected) / prior_infected) / mean
+    return sampler_efficiency * binding_fraction * exposure / 2.0
 
 
-def decide(received: float, threshold: float) -> Decision:
-    """Infected iff the reading reaches the threshold (ties favor detection)."""
-    return Decision.INFECTED if received >= threshold else Decision.HEALTHY
+def decide(received, threshold):
+    """Infected iff the reading reaches the threshold (ties favor detection).
+
+    Broadcasts: a bool for scalar inputs, a boolean array otherwise.
+    """
+    infected = np.greater_equal(received, threshold)
+    return bool(infected) if infected.ndim == 0 else infected
 
 
 def q_function(x):
@@ -281,22 +187,4 @@ def pmd_conservative(exposure: float, sampler_efficiency: float, binding_fractio
         raise DomainError("sigma must be positive")
     return q_function(
         sampler_efficiency * binding_fraction * exposure / math.sqrt(8.0 * sigma * sigma)
-    )
-
-
-def measure_and_decide(exposure: float, recv: ReceiverSpec, noise: NoiseModel,
-                       rng: np.random.Generator) -> DetectionResult:
-    """Full pipeline: sample a reading, threshold it, report both analytic
-    missed-detection probabilities (computed under equal priors)."""
-    received = sample_received(exposure, recv, noise, rng)
-    threshold = ml_threshold(exposure, recv.sampler_efficiency, recv.binding_fraction,
-                             sigma=noise.sigma, prior_infected=recv.prior_infected)
-    return DetectionResult(
-        received=received,
-        threshold=threshold,
-        decision=decide(received, threshold),
-        pmd_exact=pmd_exact(exposure, recv.sampler_efficiency, recv.binding_fraction, noise.sigma),
-        pmd_conservative=pmd_conservative(
-            exposure, recv.sampler_efficiency, recv.binding_fraction, noise.sigma
-        ),
     )

@@ -529,8 +529,14 @@ def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
     sigma = config.noise_sigma(_primary_rate(config))
     trials = exp["trials"]
     arguments = np.asarray(exp["snr_arguments"])
+    with np.errstate(over="ignore"):
+        exposures = 2.0 * sigma * arguments / recv.capture_gain
     empirical = np.empty((arguments.size, 3))
-    for index, exposure in enumerate(2.0 * sigma * arguments / recv.capture_gain):
+    for index, exposure in enumerate(exposures):
+        if not np.isfinite(exposure):
+            raise ScenarioError(f"experiment.snr_arguments[{index}]",
+                                f"the exposure 2 sigma x argument / gain overflows at "
+                                f"sigma = {sigma}")
         est = empirical_pmd(
             exposure, recv.sampler_efficiency, recv.binding_fraction, sigma, trials,
             np.random.SeedSequence(entropy=seed, spawn_key=(index,)),

@@ -128,11 +128,12 @@ def _expect_triple(value, path):
 
 
 def _expect_sweep(value, path, positive=False):
-    """Nonempty, strictly increasing list of numbers."""
+    """Nonempty, strictly increasing list of numbers >= 0 (> 0 if ``positive``)."""
     seq = _expect_list(value, path)
     if not seq:
         raise ScenarioError(path, "sweep must be nonempty")
-    vals = [_expect_number(v, f"{path}[{i}]", positive=positive) for i, v in enumerate(seq)]
+    vals = [_expect_number(v, f"{path}[{i}]", positive=positive, nonnegative=True)
+            for i, v in enumerate(seq)]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ScenarioError(path, "sweep values must be strictly increasing")
     return vals
@@ -211,7 +212,7 @@ def _choice(default, options, doc=None):
 
 def _sweep(default, unit, doc=None, positive=True):
     return _Field(partial(_expect_sweep, positive=positive), default,
-                  f"strictly increasing list of numbers{' > 0' if positive else ''}",
+                  f"strictly increasing list of numbers {'> 0' if positive else '>= 0'}",
                   unit, doc)
 
 

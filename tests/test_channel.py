@@ -17,7 +17,6 @@ from plumesense.channel import (
     DiffusivityProfile,
     MultiUserScenario,
     SourceSpec,
-    SpaceTimePoint,
     StochasticGrid,
     breath_response,
     diffusion_scale,
@@ -242,8 +241,8 @@ class TestImpulseResponse:
             impulse_response((100.0, 0.0, -1.0, 1.0), params, HEIGHT)
         with pytest.raises(DomainError):
             impulse_response((100.0, 0.0, HEIGHT, math.inf), params, HEIGHT)
-        with pytest.raises(DomainError):
-            SpaceTimePoint(100.0, 0.0, -2.0, 1.0)
+        with pytest.raises(DomainError, match="quadruple"):
+            impulse_response((100.0, 0.0, HEIGHT), params, HEIGHT)
 
     def test_nonnegative_and_finite(self, params, rng):
         xs = rng.uniform(1.0, 500.0, 200)
@@ -504,9 +503,11 @@ class TestSteadyState:
         assert off / center == pytest.approx(math.exp(-1.0 / (4.0 * scale)), rel=1e-12)
 
     def test_far_downwind_limit_without_warnings(self, params):
-        """At x = 1e308 the prefactors overflow to inf, and x = inf is never
-        evaluated; all three closed forms return their exact limit 0, quietly."""
-        for p, x in ((params, 1e308), (params, math.inf), (LINEAR_K_PARAMS, math.inf)):
+        """At x = 1e308 the prefactors overflow to inf, or for a linear K the
+        diffusion scale itself does, and x = inf is never evaluated; all three
+        closed forms return their exact limit 0, quietly."""
+        for p, x in ((params, 1e308), (params, math.inf), (LINEAR_K_PARAMS, 1e308),
+                     (LINEAR_K_PARAMS, math.inf)):
             point = (x, 0.0, HEIGHT)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -568,6 +569,18 @@ class TestFrequencyResponse:
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0], params, HEIGHT)
+
+    @pytest.mark.parametrize("point, omega, named", [
+        ((math.nan, 0.0, HEIGHT), 1.0, "coordinates"),
+        ((100.0, math.nan, HEIGHT), 1.0, "coordinates"),
+        ((100.0, 0.0, math.nan), 1.0, "coordinates"),
+        ((100.0, 0.0, HEIGHT), math.nan, "omega"),
+    ])
+    def test_nan_input_named(self, params, point, omega, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"{named} must not be NaN"):
+                frequency_response(point, [0.0, omega], params, HEIGHT)
 
     # the magnitude is finite at 140 cm/s, but omega x / u overflows
     @pytest.mark.parametrize("unwrap", [False, True])

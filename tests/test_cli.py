@@ -5,8 +5,10 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,14 +375,14 @@ class TestSchema:
         assert json.loads(out.read_text()) == scenario_schema()
 
 
-def _fresh_process(code, *args):
+def _fresh_process(code, *args, cwd=None):
     """``code`` run with ``args`` in a fresh interpreter on this checkout,
     within 60 s."""
     src = os.path.dirname(os.path.dirname(plumesense.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=env, timeout=60, cwd=cwd)
 
 
 def _fresh_python(code, *args):
@@ -389,6 +391,19 @@ def _fresh_python(code, *args):
     result = _fresh_process(code, *args)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    """README's python block runs as written, so a name it uses cannot leave
+    the package unnoticed."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    (tmp_path / "scenarios").mkdir()
+    shutil.copy(root / "scenarios" / "field.json", tmp_path / "scenarios")
+    result = _fresh_process(blocks[0], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "field.csv").is_file()
 
 
 def test_import_leaves_solver_modules_unloaded():
@@ -485,3 +500,23 @@ def test_overflowing_phase_named_without_warnings(tmp_path):
     assert result.returncode == cli.EXIT_CONFIG
     assert result.stderr.startswith("configuration error: experiment.omega: ")
     assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("overrides, path", [
+    (("experiment.snr_arguments=[-1.0, 0.5]",), "experiment.snr_arguments[0]"),
+    (("experiment.snr_arguments=[0.5, 1e308]", "noise.variance=1e300"),
+     "experiment.snr_arguments[1]"),
+])
+def test_impossible_detection_arguments_named(tmp_path, overrides, path):
+    """gain x exposure / (2 sigma) is >= 0, and 2 sigma x argument / gain must
+    be finite: mc-pmd names the argument and exits 2, with warnings as errors."""
+    scenario = tmp_path / "mc.json"
+    scenario.write_text(json.dumps({"experiment": {"kind": "mc_pmd", "trials": 10_000}}))
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    result = _fresh_process("import warnings; warnings.simplefilter('error'); "
+                            "from plumesense.cli import main; main()", "mc-pmd",
+                            "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
+                            "--seed", "1", *sets)
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr.startswith(f"configuration error: {path}: ")
+    assert "Traceback" not in result.stderr

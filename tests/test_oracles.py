@@ -2,6 +2,7 @@
 determinism, and cross-oracle consistency."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from plumesense.errors import DomainError, GridError
 from plumesense.oracles import (
     BUDGETS,
     MarchGrid,
+    PmdEstimate,
     TransientGrid,
+    _wilson_interval,
     empirical_pmd,
     march_steady_plume,
     march_transient_jet,
@@ -357,7 +360,66 @@ class TestSampledSpectrum:
                                       sample_interval=5e-4, n_samples=64)
 
 
+def reference_empirical_pmd(exposure, sampler_efficiency, binding_fraction, sigma, trials,
+                            seed, z=BUDGETS["pmd_wilson_z"]):
+    """empirical_pmd with the threshold worked out by hand as mean / 2 and a
+    miss counted as received < threshold."""
+    if trials < 10_000:
+        raise DomainError("need at least 1e4 trials")
+    if sigma < 0.0:
+        raise DomainError("sigma must be nonnegative")
+    rng = np.random.default_rng(seed)
+    mean = sampler_efficiency * binding_fraction * exposure
+    threshold = mean / 2.0
+    misses = 0
+    remaining = int(trials)
+    while remaining > 0:
+        n = min(remaining, 1_000_000)
+        received = rng.standard_normal(n)
+        received *= sigma
+        received += mean
+        misses += int(np.count_nonzero(received < threshold))
+        remaining -= n
+    lower, upper = _wilson_interval(misses, trials, z)
+    return PmdEstimate(
+        estimate=misses / trials, lower=lower, upper=upper, trials=int(trials),
+        misses=misses, z=z,
+    )
+
+
+def _spawned(index):
+    return np.random.SeedSequence(entropy=12345, spawn_key=(index,))
+
+
+# mc-pmd's exposures, 2 sigma argument / gain, are numpy scalars
+_MC_EXPOSURES = 2.0 * 0.3 * np.array([0.0, 0.5, 1.0, 2.5]) / (0.85 * 0.5)
+
+
 class TestEmpiricalPmd:
+    @pytest.mark.parametrize("exposure, sigma, trials, seed", [
+        (2.0, 1.0, 10_000, 42),
+        (_MC_EXPOSURES[1], 0.3, 10_000, _spawned(0)),
+        (_MC_EXPOSURES[2], 0.3, 1_000_001, _spawned(1)),
+        (_MC_EXPOSURES[3], 0.3, 2_500_000, _spawned(2)),
+        (_MC_EXPOSURES[0], 0.3, 1_000_001, _spawned(3)),
+        (_MC_EXPOSURES[2], 0.0, 10_000, _spawned(4)),
+        (0.0, 0.0, 10_000, _spawned(5)),
+        (1.3, 0.7, 2_500_000, _spawned(6)),
+    ])
+    def test_equals_reference(self, exposure, sigma, trials, seed):
+        """Counting misses through ml_threshold and decide changes no draw,
+        chunk or count: the whole estimate is equal, chunk seams included."""
+        args = (exposure, 0.85, 0.5, sigma, trials)
+        assert empirical_pmd(*args, seed) == reference_empirical_pmd(*args, seed)
+
+    @pytest.mark.parametrize("exposure, efficiency, sigma", [
+        (math.nan, 0.85, 1.0), (1.0, 0.85, math.nan), (math.inf, 0.85, 1.0),
+        (1.0, 0.85, -1.0), (1.0, math.nan, 1.0),
+    ])
+    def test_nan_or_negative_inputs_rejected(self, exposure, efficiency, sigma):
+        with pytest.raises(DomainError):
+            empirical_pmd(exposure, efficiency, 0.5, sigma, 10_000, 0)
+
     def test_matches_closed_form_at_unit_argument(self):
         est = empirical_pmd(2.0, 1.0, 1.0, 1.0, trials=10**6, seed=42)
         assert est.contains(q_function(1.0))

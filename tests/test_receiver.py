@@ -1,4 +1,4 @@
-"""Receiver integral, measurement chain, and missed-detection formulas."""
+"""Receiver integral, ML decision rule, and missed-detection formulas."""
 
 import math
 
@@ -10,18 +10,13 @@ from plumesense.channel import ChannelParams, breath_response, jet_concentration
 from plumesense.errors import DomainError, GeometryError
 from plumesense.receiver import (
     _legendre_rule,
-    BindingParams,
-    Decision,
-    NoiseModel,
     ReceiverSpec,
     decide,
-    measure_and_decide,
     ml_threshold,
     pmd_conservative,
     pmd_exact,
     q_function,
     receiver_exposure,
-    sample_received,
 )
 
 from conftest import HEIGHT, RADIUS
@@ -86,24 +81,6 @@ class TestReceiverSpec:
 
     def test_volume(self, recv):
         assert recv.volume == pytest.approx(4.0 / 3.0 * math.pi * 8.0, rel=1e-15)
-
-
-class TestBindingParams:
-    def test_bound_fraction_formula(self):
-        binding = BindingParams(association_probability=0.3,
-                                dissociation_probability=0.1, num_states=4)
-        assert binding.binding_fraction == pytest.approx(0.3 / (0.3 + 0.4), rel=1e-15)
-        assert BindingParams(1.0, 0.0).binding_fraction == 1.0
-
-    def test_bound_antigens(self):
-        binding = BindingParams(0.5, 0.25, num_states=2, num_antigens=1000)
-        assert binding.bound_antigens == pytest.approx(500.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            BindingParams(0.0, 0.0).binding_fraction
-        with pytest.raises(DomainError):
-            BindingParams(1.2, 0.0)
 
 
 class TestReceiverExposure:
@@ -185,31 +162,6 @@ class TestReceiverExposure:
             weights[0] = 0.0
 
 
-class TestMeasurement:
-    def test_vanishing_noise_returns_gain_times_exposure(self, recv):
-        noise = NoiseModel(variance=1e-300, seed=0)
-        received = sample_received(2.0, recv, noise, noise.make_rng())
-        assert received == recv.sampler_efficiency * recv.binding_fraction * 2.0
-
-    def test_fixed_seed_reproducible(self, recv):
-        noise = NoiseModel(variance=0.04, seed=77)
-        a = sample_received(1.0, recv, noise, noise.make_rng())
-        b = sample_received(1.0, recv, noise, noise.make_rng())
-        assert a == b
-
-    def test_law_of_large_numbers(self, recv):
-        noise = NoiseModel(variance=0.25)
-        rng = np.random.default_rng(3)
-        n = 10**6
-        draws = recv.capture_gain * 2.0 + noise.sigma * rng.standard_normal(n)
-        se = noise.sigma / math.sqrt(n)
-        assert abs(draws.mean() - recv.capture_gain * 2.0) <= 5.0 * se
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(DomainError):
-            NoiseModel(variance=0.0)
-
-
 class TestThresholdAndDecision:
     def test_threshold_direct_substitution(self):
         assert ml_threshold(2.0, 1.0, 1.0) == 1.0
@@ -222,9 +174,9 @@ class TestThresholdAndDecision:
         assert got == pytest.approx(0.85 * 0.5 * exposure / 2.0, rel=1e-15)
 
     def test_decision_rule_and_tie_break(self):
-        assert decide(1.0 + 1e-9, 1.0) is Decision.INFECTED
-        assert decide(1.0 - 1e-9, 1.0) is Decision.HEALTHY
-        assert decide(1.0, 1.0) is Decision.INFECTED
+        assert decide(1.0 + 1e-9, 1.0) is True
+        assert decide(1.0 - 1e-9, 1.0) is False
+        assert decide(1.0, 1.0) is True
 
     def test_decision_scale_invariant(self, rng):
         for _ in range(50):
@@ -234,26 +186,21 @@ class TestThresholdAndDecision:
             assert decide(received, threshold) is decide(factor * received,
                                                          factor * threshold)
 
+    def test_decision_broadcasts(self, rng):
+        received = rng.normal(1.0, 1.0, (3, 5))
+        got = decide(received, 1.0)
+        assert got.dtype == bool and got.shape == (3, 5)
+        assert np.array_equal(got, received >= 1.0)
+        assert np.array_equal(decide(0.5, np.array([0.25, 0.5, 0.75])), [True, True, False])
+
     def test_negative_threshold_inputs_rejected(self):
         with pytest.raises(DomainError):
             ml_threshold(-1.0, 0.5, 0.5)
 
-    def test_equal_priors_ignore_sigma(self):
-        assert ml_threshold(2.0, 1.0, 1.0, sigma=0.3, prior_infected=0.5) == 1.0
-
-    def test_unequal_priors_equalize_posteriors(self):
-        # at the threshold the two weighted Gaussian likelihoods must match
-        mean = 0.85 * 0.5 * 2.0
-        sigma = 0.3
-        for prior in (0.2, 0.7):
-            t = ml_threshold(2.0, 0.85, 0.5, sigma=sigma, prior_infected=prior)
-            infected = prior * math.exp(-((t - mean) ** 2) / (2 * sigma**2))
-            healthy = (1.0 - prior) * math.exp(-(t**2) / (2 * sigma**2))
-            assert infected == pytest.approx(healthy, rel=1e-12)
-
-    def test_unequal_priors_need_sigma(self):
-        with pytest.raises(DomainError):
-            ml_threshold(2.0, 0.85, 0.5, prior_infected=0.3)
+    @pytest.mark.parametrize("exposure", [math.nan, math.inf])
+    def test_nonfinite_exposure_rejected(self, exposure):
+        with pytest.raises(DomainError, match="finite"):
+            ml_threshold(exposure, 0.85, 0.5)
 
 
 class TestQFunction:
@@ -334,22 +281,3 @@ class TestMissedDetection:
             pmd_exact(1.0, 0.85, 0.5, 0.0)
         with pytest.raises(DomainError):
             pmd_conservative(1.0, 0.85, 0.5, -1.0)
-
-
-class TestPipeline:
-    def test_bit_reproducible(self, recv):
-        noise = NoiseModel(variance=0.01, seed=5)
-        first = measure_and_decide(1.0, recv, noise, noise.make_rng())
-        second = measure_and_decide(1.0, recv, noise, noise.make_rng())
-        assert first == second
-
-    def test_result_invariants(self, recv, rng):
-        noise = NoiseModel(variance=0.01)
-        for seed in range(20):
-            result = measure_and_decide(0.5, recv, noise, np.random.default_rng(seed))
-            assert (result.decision is Decision.INFECTED) == (
-                result.received >= result.threshold
-            )
-            assert 0.0 <= result.pmd_exact <= 0.5
-            assert 0.0 <= result.pmd_conservative <= 0.5
-            assert result.pmd_conservative >= result.pmd_exact

@@ -295,7 +295,7 @@ _EXPERIMENTS = {
     "pmd": {"distances": _sweeps(1.0, 5e4), "quadrature_orders": _ORDERS,
             "empirical_trials": st.sampled_from([0, 10_000, 20_000]),
             "empirical_count": st.integers(1, 5)},
-    "mc_pmd": {"snr_arguments": _sweeps(-2.0, 3.0), "trials": st.integers(10_000, 10**6)},
+    "mc_pmd": {"snr_arguments": _sweeps(0.0, 3.0), "trials": st.integers(10_000, 10**6)},
     "validate_oracles": {"steady_resolution": st.floats(0.05, 1.0),
                          "transient": st.booleans(), "trials": st.integers(10_000, 10**6),
                          "mc_samples": st.integers(100_000, 10**6)},
@@ -526,12 +526,13 @@ def _expect_triple(value, path):
     return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(seq)]
 
 
-def _expect_sweep(value, path, positive=False):
+def _expect_sweep(value, path, positive=False, nonnegative=False):
     """Nonempty, strictly increasing list of numbers."""
     seq = _expect_list(value, path)
     if not seq:
         raise ScenarioError(path, "sweep must be nonempty")
-    vals = [_expect_number(v, f"{path}[{i}]", positive=positive) for i, v in enumerate(seq)]
+    vals = [_expect_number(v, f"{path}[{i}]", positive=positive, nonnegative=nonnegative)
+            for i, v in enumerate(seq)]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ScenarioError(path, "sweep values must be strictly increasing")
     return vals
@@ -840,7 +841,8 @@ def _resolve_experiment(raw):
     elif kind == "mc_pmd":
         _reject_unknown(raw, ("kind", "snr_arguments", "trials"), path)
         out["snr_arguments"] = _expect_sweep(
-            raw.get("snr_arguments", [0.5, 1.0, 1.5, 2.0, 2.5]), f"{path}.snr_arguments"
+            raw.get("snr_arguments", [0.5, 1.0, 1.5, 2.0, 2.5]), f"{path}.snr_arguments",
+            nonnegative=True,
         )
         out["trials"] = _expect_int(raw.get("trials", 1_000_000), f"{path}.trials",
                                     minimum=10_000)
