@@ -669,11 +669,11 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
 
     Magnitude decays as a Gaussian in omega from H(0) = integral of h dt,
     the steady plume per unit rate; the phase is the pure transport delay
-    -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.  Raises
-    :class:`DomainError` where the magnitude is not finite: below about
-    1.6e-162 cm/s u * u underflows to 0, and for a slower wind still (or a
-    large x K) x K / u overflows.  It raises too where the magnitude is finite
-    but omega x / u overflows, so that the phase is not.
+    -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.  Where the
+    diffusion scale overflows to inf, far downwind, the magnitude is its
+    limit 0.  Raises :class:`DomainError` below about 1.6e-162 cm/s, where
+    u * u underflows to 0, and where omega x / u overflows, so that the phase
+    is not finite.
     """
     x, y, z = _point(point, 3)
     _check_height(source_height)
@@ -688,12 +688,10 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     u = params.wind_speed
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.asarray(diffusion_scale(X, params))
-        magnitude = (
-            _crosswind_factor(Y, Z, s, source_height)
-            / (4.0 * np.pi * u * s)
-            * np.exp(-(W * W) * s / (u * u))
-        )
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(magnitude))):
+        # exactly 1 at omega = 0, where an infinite s would make it exp(NaN)
+        decay = np.exp(-(W * W) * s / (u * u), out=np.ones(X.shape), where=W != 0.0)
+        magnitude = _crosswind_factor(Y, Z, s, source_height) / (4.0 * np.pi * u * s) * decay
+    if u * u == 0.0 or not np.all(np.isfinite(magnitude)):
         raise DomainError(f"the transfer function is not finite at wind speed {u} cm/s; "
                           "x K / u or u * u leaves the range of doubles")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvaluationDomainError, PlumesenseError, QuadratureError, ScenarioError
-from .runners import ORACLE_CHECKS, RUNNERS, needs_seed, write_results
+from .oracles import ORACLE_CHECKS
+from .runners import RUNNERS, needs_seed, write_results
 from .scenario import parse_scenario, scenario_schema
 
 logger = logging.getLogger("plumesense")
@@ -221,7 +222,7 @@ def _run_experiment(args) -> int:
     if kind == "validate_oracles":
         failed = [row for row in table.rows if row[3] == 0.0]
         for check, value, budget, _ in failed:
-            print(f"oracle budget exceeded: {ORACLE_CHECKS[int(check)]} value={value:.4g} "
+            print(f"oracle budget exceeded: {list(ORACLE_CHECKS)[int(check)]} value={value:.4g} "
                   f"budget={budget:.4g}", file=sys.stderr)
         if failed:
             return EXIT_NUMERIC

@@ -32,7 +32,7 @@ from .channel import (
 )
 from .errors import DomainError, EvaluationDomainError, ScenarioError
 from .oracles import (
-    BUDGETS,
+    ORACLE_CHECKS,
     MarchGrid,
     TransientGrid,
     empirical_pmd,
@@ -60,7 +60,6 @@ __all__ = [
     "run_frequency_sweep",
     "run_mc_pmd",
     "run_validate_oracles",
-    "ORACLE_CHECKS",
     "RUNNERS",
 ]
 
@@ -556,35 +555,17 @@ def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
 # oracle validation runner
 # ---------------------------------------------------------------------------
 
-# the check names; a validate-oracles row's check column is an index here
-ORACLE_CHECKS = (
-    "steady_l2",
-    "steady_crosswind",
-    "steady_refinement_factor",
-    "transient_probe",
-    "transient_mass",
-    "convolution",
-    "spectrum_magnitude",
-    "spectrum_phase_slope",
-    "spectrum_constant_variation",
-    "pmd_within_ci",
-    "mc_exposure_sigmas",
-)
-
 
 def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     """Run the full oracle suite at desk scale and report value-vs-budget per
-    check.  Rows: (check id, value, budget, passed); the id indexes
-    ``ORACLE_CHECKS``.  A failed row means an oracle disagreed beyond budget."""
+    check.  Rows: (check id, value, budget, passed), the id and passed taken
+    from :data:`~plumesense.oracles.ORACLE_CHECKS`.  A failed row means an
+    oracle disagreed beyond budget."""
     params = config.channel_params()
     height = config.source_height
     exp = config.experiment
     seed = _require_seed(config)
-    rows = []
-
-    def add(check, value, budget, ok):
-        rows.append((float(ORACLE_CHECKS.index(check)), float(value), float(budget),
-                     1.0 if ok else 0.0))
+    values = {}
 
     # steady-plume march against the closed form, plus refinement gain
     scale_lo = diffusion_scale(50.0, params)
@@ -594,13 +575,11 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     fine = steady_oracle_report(
         march_steady_plume(params, height, grid.refined()), params, height
     )
-    factor = (coarse.l2_rel_error / fine.l2_rel_error) if fine.l2_rel_error else math.inf
-    add("steady_l2", fine.l2_rel_error, BUDGETS["steady_l2"], fine.passed)
-    add("steady_crosswind", fine.extras["crosswind_max_rel_dev"],
-        BUDGETS["steady_crosswind"],
-        fine.extras["crosswind_max_rel_dev"] < BUDGETS["steady_crosswind"])
-    add("steady_refinement_factor", factor, BUDGETS["steady_refinement_factor"],
-        factor >= BUDGETS["steady_refinement_factor"])
+    values["steady_l2"] = fine.l2_rel_error
+    values["steady_crosswind"] = fine.extras["crosswind_max_rel_dev"]
+    values["steady_refinement_factor"] = (
+        (coarse.l2_rel_error / fine.l2_rel_error) if fine.l2_rel_error else math.inf
+    )
 
     # transient jet march at a mid-field probe
     if exp["transient"]:
@@ -610,10 +589,8 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
         )
         tres = march_transient_jet(params, height, tgrid, probes=[(30.0, 0.0, height)])
         trep = transient_oracle_report(tres, params, height)
-        add("transient_probe", trep.max_rel_error, BUDGETS["transient_probe"],
-            trep.max_rel_error <= BUDGETS["transient_probe"])
-        add("transient_mass", trep.extras["mass_max_rel_dev"], BUDGETS["transient_mass"],
-            trep.extras["mass_max_rel_dev"] <= BUDGETS["transient_mass"])
+        values["transient_probe"] = trep.max_rel_error
+        values["transient_mass"] = trep.extras["mass_max_rel_dev"]
 
     # breath response against the numeric step convolution
     rng = np.random.default_rng(seed)
@@ -628,49 +605,41 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
             continue
         worst = max(worst, abs(step_convolution((x, y, z, t), params, height) - reference)
                     / reference)
-    add("convolution", worst, BUDGETS["convolution"], worst <= BUDGETS["convolution"])
+    values["convolution"] = worst
 
     # frequency-domain shape against the DFT of the sampled pulse
     spectrum = sampled_transfer_function(
         (100.0, 0.0, height), params, height, sample_interval=5e-4, n_samples=4096
     )
     srep = spectrum_oracle_report(spectrum, params, height)
-    add("spectrum_magnitude", srep.max_rel_error, BUDGETS["spectrum_magnitude"],
-        srep.max_rel_error <= BUDGETS["spectrum_magnitude"])
-    add("spectrum_phase_slope", srep.extras["phase_slope_rel_err"],
-        BUDGETS["spectrum_phase_slope"],
-        srep.extras["phase_slope_rel_err"] <= BUDGETS["spectrum_phase_slope"])
-    add("spectrum_constant_variation", srep.extras["constant_ratio_variation"],
-        BUDGETS["spectrum_constant_variation"],
-        srep.extras["constant_ratio_variation"] <= BUDGETS["spectrum_constant_variation"])
+    values["spectrum_magnitude"] = srep.max_rel_error
+    values["spectrum_phase_slope"] = srep.extras["phase_slope_rel_err"]
+    values["spectrum_constant_variation"] = srep.extras["constant_ratio_variation"]
 
     # detection statistics against the closed form
     recv = config.receiver_spec()
     sigma = config.noise_sigma(_primary_rate(config))
     hits = 0
-    checks = 0
     for i, argument in enumerate((0.5, 1.0, 2.0)):
         exposure = 2.0 * sigma * argument / recv.capture_gain
         est = empirical_pmd(
             exposure, recv.sampler_efficiency, recv.binding_fraction, sigma,
             exp["trials"], np.random.SeedSequence(entropy=seed, spawn_key=(100 + i,)),
         )
-        checks += 1
         hits += est.contains(q_function(argument))
-    add("pmd_within_ci", hits, checks, hits == checks)
+    values["pmd_within_ci"] = hits
 
     # receiver integral: Monte Carlo against Gauss-Legendre
     fld = steady_field(_primary_rate(config), params, height)
     mc = mc_receiver_exposure(recv, fld, exp["mc_samples"], seed + 1)
-    gl = receiver_exposure(recv, fld, orders=(32, 32, 32, 4))
-    sigmas = abs(mc.value - gl) / mc.standard_error if mc.standard_error else 0.0
-    add("mc_exposure_sigmas", sigmas, BUDGETS["mc_exposure_sigmas"],
-        sigmas <= BUDGETS["mc_exposure_sigmas"])
+    values["mc_exposure_sigmas"] = mc.distance_sigmas(
+        receiver_exposure(recv, fld, orders=(32, 32, 32, 4)))
 
     return ResultTable(
         columns=("check", "value", "budget", "passed"),
         units=("id", "1", "1", "bool"),
-        rows=rows,
+        rows=[(float(i), float(values[name]), check.budget, float(check.passes(values[name])))
+              for i, (name, check) in enumerate(ORACLE_CHECKS.items()) if name in values],
         metadata=_metadata(config),
     )
 

@@ -570,6 +570,18 @@ class TestFrequencyResponse:
             with pytest.raises(DomainError):
                 frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0], params, HEIGHT)
 
+    def test_infinite_scale_limit_without_warnings(self, params):
+        """With K = 0.242 (1 + x/150) the diffusion scale is inf at x = 1e308:
+        the magnitude is its limit 0 and the phase is the transport delay,
+        which does not depend on K."""
+        point, omega = (1e308, 0.0, HEIGHT), [0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            response = frequency_response(point, omega, LINEAR_K_PARAMS, HEIGHT)
+            constant_k = frequency_response(point, omega, params, HEIGHT)
+        assert np.array_equal(response.magnitude, [0.0, 0.0])
+        assert np.array_equal(response.phase, constant_k.phase)
+
     @pytest.mark.parametrize("point, omega, named", [
         ((math.nan, 0.0, HEIGHT), 1.0, "coordinates"),
         ((100.0, math.nan, HEIGHT), 1.0, "coordinates"),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import plumesense
 from plumesense import cli
+from plumesense.oracles import ORACLE_CHECKS, OracleCheck
 from plumesense.runners import ResultTable, read_results
 from plumesense.scenario import scenario_schema
 
@@ -355,6 +356,24 @@ class TestValidateOraclesExit:
                              "--set", "experiment={\"kind\": \"validate_oracles\"}"])
         assert code == cli.EXIT_NUMERIC
         assert "steady_l2" in capsys.readouterr().err
+
+    def test_crosswind_breach_fails_only_its_own_row(self, scenario_file, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setitem(ORACLE_CHECKS, "steady_crosswind", OracleCheck(0.0, "lt"))
+        out = tmp_path / "validate.csv"
+        code = cli.dispatch([
+            "validate-oracles", "--scenario", str(scenario_file), "--out", str(out),
+            "--set", "experiment={\"kind\": \"validate_oracles\", \"steady_resolution\": 0.5, "
+                     "\"transient\": false, \"trials\": 10000, \"mc_samples\": 100000}"])
+        assert code == cli.EXIT_NUMERIC
+        names = list(ORACLE_CHECKS)
+        rows = read_results(out).rows
+        assert [names[int(row[0])] for row in rows if row[3] == 0.0] == ["steady_crosswind"]
+        l2 = rows[rows[:, 0] == names.index("steady_l2")][0]
+        assert l2[1] < l2[2]
+        named = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("oracle budget exceeded")]
+        assert len(named) == 1 and "exceeded: steady_crosswind " in named[0]
 
 
 class TestSchema:

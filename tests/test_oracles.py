@@ -15,8 +15,10 @@ from plumesense.channel import (
 )
 from plumesense.errors import DomainError, GridError
 from plumesense.oracles import (
-    BUDGETS,
+    ORACLE_CHECKS,
+    WILSON_Z,
     MarchGrid,
+    McExposureEstimate,
     PmdEstimate,
     TransientGrid,
     _wilson_interval,
@@ -85,12 +87,12 @@ class TestSteadyMarch:
     def test_matches_closed_form_within_budget(self, params, coarse_steady):
         report = steady_oracle_report(coarse_steady, params, HEIGHT)
         assert report.passed
-        assert report.l2_rel_error < BUDGETS["steady_l2"]
+        assert ORACLE_CHECKS["steady_l2"].passes(report.l2_rel_error)
 
     def test_crosswind_integrals_conserved(self, params, coarse_steady):
         flux = coarse_steady.rate / WIND
         dev = np.abs(coarse_steady.crosswind_integrals - flux) / flux
-        assert dev.max() < BUDGETS["steady_crosswind"]
+        assert ORACLE_CHECKS["steady_crosswind"].passes(dev.max())
 
     def test_field_even_in_y(self, coarse_steady):
         field = coarse_steady.field
@@ -106,7 +108,7 @@ class TestSteadyMarch:
         coarse_report = steady_oracle_report(coarse_steady, params, HEIGHT)
         fine_report = steady_oracle_report(fine, params, HEIGHT)
         factor = coarse_report.l2_rel_error / fine_report.l2_rel_error
-        assert factor >= BUDGETS["steady_refinement_factor"]
+        assert ORACLE_CHECKS["steady_refinement_factor"].passes(factor)
 
     def test_receiver_point_value_against_march(self, params):
         # the closed-form value at the standard receiver point, pinned by
@@ -123,7 +125,7 @@ class TestSteadyMarch:
         marched = result.field[iz, iy]
         closed = steady_state_concentration(1.0, (100.0, 0.0, HEIGHT), params, HEIGHT)
         assert closed == pytest.approx(0.0032883252704937055, rel=1e-12)
-        assert marched == pytest.approx(closed, rel=BUDGETS["steady_l2"])
+        assert marched == pytest.approx(closed, rel=ORACLE_CHECKS["steady_l2"].budget)
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +186,7 @@ class TestTransientMarch:
     def test_probes_match_closed_form_within_budget(self, params, transient_result):
         report = transient_oracle_report(transient_result, params, HEIGHT)
         assert report.passed
-        assert report.max_rel_error <= BUDGETS["transient_probe"]
+        assert ORACLE_CHECKS["transient_probe"].passes(report.max_rel_error)
 
     def test_report_grid_lists_every_grid_field(self, params, transient_result):
         grid = transient_oracle_report(transient_result, params, HEIGHT).grid
@@ -193,7 +195,7 @@ class TestTransientMarch:
 
     def test_mass_conserved(self, transient_result):
         dev = np.abs(transient_result.mass - transient_result.jet_mass) / transient_result.jet_mass
-        assert dev.max() <= BUDGETS["transient_mass"]
+        assert ORACLE_CHECKS["transient_mass"].passes(dev.max())
 
     def test_peak_arrives_at_advection_time(self, transient_result):
         series = transient_result.probe_values[0]
@@ -300,7 +302,7 @@ class TestStepConvolution:
                 continue
             numeric = step_convolution((x, y, z, t), params, HEIGHT)
             worst = max(worst, abs(numeric - reference) / reference)
-        assert worst <= BUDGETS["convolution"]
+        assert ORACLE_CHECKS["convolution"].passes(worst)
 
     def test_zero_before_entry(self, params):
         assert step_convolution((100.0, 0.0, HEIGHT, 4.0), params, HEIGHT,
@@ -311,6 +313,15 @@ class TestStepConvolution:
         single = step_convolution(point, params, HEIGHT, rate=1.0)
         double = step_convolution(point, params, HEIGHT, rate=2.0)
         assert double == pytest.approx(2.0 * single, rel=1e-12)
+
+    def test_point_is_any_length_4_sequence(self, params):
+        point = (100.0, 0.0, HEIGHT, 2.0)
+        value = step_convolution(point, params, HEIGHT)
+        assert step_convolution(list(point), params, HEIGHT) == value
+        assert step_convolution(np.array(point), params, HEIGHT) == value
+        for bad in (point[:3], (*point, 1.0), np.array(point[:3])):
+            with pytest.raises(DomainError):
+                step_convolution(bad, params, HEIGHT)
 
 
 @pytest.fixture(scope="module")
@@ -323,12 +334,10 @@ class TestSampledSpectrum:
     def test_matches_closed_form_shape(self, params, spectrum):
         report = spectrum_oracle_report(spectrum, params, HEIGHT)
         assert report.passed
-        assert report.max_rel_error <= BUDGETS["spectrum_magnitude"]
-        assert report.extras["phase_slope_rel_err"] <= BUDGETS["spectrum_phase_slope"]
-        assert (
-            report.extras["constant_ratio_variation"]
-            <= BUDGETS["spectrum_constant_variation"]
-        )
+        assert ORACLE_CHECKS["spectrum_magnitude"].passes(report.max_rel_error)
+        assert ORACLE_CHECKS["spectrum_phase_slope"].passes(report.extras["phase_slope_rel_err"])
+        assert ORACLE_CHECKS["spectrum_constant_variation"].passes(
+            report.extras["constant_ratio_variation"])
 
     def test_closed_form_constant_matches_dft(self, params, spectrum):
         report = spectrum_oracle_report(spectrum, params, HEIGHT)
@@ -361,7 +370,7 @@ class TestSampledSpectrum:
 
 
 def reference_empirical_pmd(exposure, sampler_efficiency, binding_fraction, sigma, trials,
-                            seed, z=BUDGETS["pmd_wilson_z"]):
+                            seed, z=WILSON_Z):
     """empirical_pmd with the threshold worked out by hand as mean / 2 and a
     miss counted as received < threshold."""
     if trials < 10_000:
@@ -460,6 +469,12 @@ class TestMcReceiverExposure:
                                           rel=1e-12)
         assert est.standard_error == 0.0
 
+    def test_distance_in_standard_errors(self):
+        assert McExposureEstimate(2.0, 0.5, 10**5).distance_sigmas(0.5) == 3.0
+        exact = McExposureEstimate(2.0, 0.0, 10**5)
+        assert exact.distance_sigmas(2.0) == 0.0
+        assert exact.distance_sigmas(math.nextafter(2.0, 3.0)) == math.inf
+
     def test_zero_field_is_exactly_zero(self, recv):
         zero = lambda x, y, z, t: np.zeros(np.shape(x))
         est = mc_receiver_exposure(recv, zero, samples=10**5, seed=1)
@@ -470,7 +485,7 @@ class TestMcReceiverExposure:
         field = steady_field(1.0, params, HEIGHT)
         est = mc_receiver_exposure(recv, field, samples=10**7, seed=123)
         quadrature = receiver_exposure(recv, field, orders=(48, 48, 48, 4))
-        assert est.agrees_with(quadrature, sigmas=BUDGETS["mc_exposure_sigmas"])
+        assert ORACLE_CHECKS["mc_exposure_sigmas"].passes(est.distance_sigmas(quadrature))
 
     def test_seed_determinism(self, params, recv):
         field = steady_field(1.0, params, HEIGHT)

@@ -20,7 +20,8 @@ from plumesense.channel import (
     stochastic_expected_response,
 )
 from plumesense.errors import DomainError, EvaluationDomainError, ScenarioError
-from plumesense.oracles import empirical_pmd
+from plumesense import runners
+from plumesense.oracles import ORACLE_CHECKS, McExposureEstimate, empirical_pmd
 from plumesense.receiver import pmd_conservative, pmd_exact, receiver_exposure
 from plumesense.runners import (
     _FILE_METADATA_KEYS,
@@ -695,6 +696,16 @@ class TestSmallRunners:
         assert np.all((analytic >= lo) & (analytic <= hi))
 
 
+def tiny_validate_config(seed, resolution=0.5):
+    """validate-oracles without the transient march, at the minimum trials
+    and samples."""
+    return parse_scenario(
+        {"experiment": {"kind": "validate_oracles", "steady_resolution": resolution,
+                        "transient": False, "trials": 10_000, "mc_samples": 100_000},
+         "seed": seed}
+    )
+
+
 class TestValidateOracles:
     def test_full_suite_passes(self):
         config = parse_scenario(
@@ -703,3 +714,25 @@ class TestValidateOracles:
         )
         table = run_validate_oracles(config)
         assert np.all(table.column("passed") == 1.0)
+
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**63), resolution=st.floats(0.3, 0.5))
+    def test_rows_follow_the_check_table(self, seed, resolution):
+        table = run_validate_oracles(tiny_validate_config(seed, resolution))
+        names = list(ORACLE_CHECKS)
+        assert table.column("check").tolist() == [
+            float(i) for i, name in enumerate(names) if not name.startswith("transient_")]
+        for check, value, budget, passed in table.rows.tolist():
+            entry = ORACLE_CHECKS[names[int(check)]]
+            assert budget == entry.budget
+            assert passed == float(entry.passes(value))
+
+    def test_mc_row_fails_at_zero_standard_error_with_unequal_values(self, monkeypatch):
+        monkeypatch.setattr(runners, "mc_receiver_exposure",
+                            lambda recv, field, samples, seed: McExposureEstimate(
+                                value=1.0, standard_error=0.0, samples=samples))
+        table = run_validate_oracles(tiny_validate_config(5))
+        mc_id = list(ORACLE_CHECKS).index("mc_exposure_sigmas")
+        failed = table.rows[table.column("passed") == 0.0]
+        assert failed[:, 0].tolist() == [mc_id]
+        assert failed[0, 1] == math.inf
