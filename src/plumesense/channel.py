@@ -299,12 +299,6 @@ def _point(point, n):
     return tuple(np.asarray(c, dtype=float) for c in coords[:n])
 
 
-def _broadcast(*arrays):
-    shape = np.broadcast(*arrays).shape
-    flat = [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
-    return shape, flat
-
-
 def _as_output(values, shape):
     out = np.asarray(values).reshape(shape)
     return float(out) if shape == () else out
@@ -518,25 +512,26 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=No
     _check_coordinates(x, y, z)
     if not np.all(np.isfinite(t)):
         raise DomainError("time must be finite")
-    if t.ndim:
-        shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
-    else:  # a scalar time, as the steady plume's, is not copied out to every point
-        (shape, (X, Y, Z)), T = _broadcast(x, y, z), t
-    out = np.zeros(X.shape)
-    live = X > 0.0
+    # read-only views of the broadcast grid: only the live points are copied
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
+    X, Y, Z = (np.broadcast_to(c, shape) for c in (x, y, z))
+    out = np.zeros(shape)
+    live = np.asarray(X > 0.0)  # an array even when 0-d, so that live[live] works
     if live.any():
         _check_downwind_band(X[live], params)
     live &= X < np.inf
     if after is not None:
-        live &= T > after
+        live &= t > after
     if live.any():
         s = np.asarray(diffusion_scale(X[live], params))
         if np.isinf(s).any():  # the response's limit at an infinite scale is 0
             live[live] = finite = s < np.inf
             s = s[finite]
+        # a scalar time, as the steady plume's, is not copied out to every point
+        T = np.broadcast_to(t, shape)[live] if t.ndim else t
         # far downwind the prefactors overflow to inf, the response to its limit 0
         with np.errstate(over="ignore"):
-            out[live] = term(X[live], T[live] if T.ndim else T, s) * _crosswind_factor(
+            out[live] = term(X[live], T, s) * _crosswind_factor(
                 Y[live], Z[live], s, source_height)
     return _as_output(out, shape)
 
@@ -607,10 +602,10 @@ def multi_user_response(scenario: MultiUserScenario, point, params: ChannelParam
     """Superposed responses of all users; each is exactly 0 at or upwind of
     its user and before its user enters."""
     x, y, z, t = _point(point, 4)
-    shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
-    total = np.zeros(X.shape)
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
+    total = np.zeros(shape)
     for user in scenario.users:
-        total += person_response(user, (X, Y, Z, T), params)
+        total += person_response(user, (x, y, z, t), params)
     return _as_output(total, shape)
 
 
@@ -625,14 +620,14 @@ def stochastic_expected_response(scenario: MultiUserScenario, point, params: Cha
     if grid is None:
         raise ScenarioError("sources.stochastic", "scenario has no stochastic grid")
     x, y, z, t = _point(point, 4)
-    shape, (X, Y, Z, T) = _broadcast(x, y, z, t)
-    total = np.zeros(X.shape)
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
+    total = np.zeros(shape)
     for i, t_release in enumerate(grid.release_times()):
         for j, user in enumerate(scenario.users):
             p = grid.probabilities[i][j]
             if p == 0.0:
                 continue
-            local = (X - user.x, Y - user.y, Z, T)
+            local = (x - user.x, y - user.y, z, t)
             total += p * jet_concentration(
                 scenario.stochastic_jet_mass(j), t_release, local, params, user.height
             )
@@ -681,7 +676,8 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     w = np.asarray(omega, dtype=float)
     if np.isnan(w).any():
         raise DomainError("frequency omega must not be NaN")
-    shape, (X, Y, Z, W) = _broadcast(x, y, z, w)
+    X, Y, Z, W = np.broadcast_arrays(x, y, z, w)
+    shape = X.shape
     if np.any(X <= 0.0):
         raise EvaluationDomainError("frequency response requires x >= x_min downwind")
     _check_downwind_band(X, params)

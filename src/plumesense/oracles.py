@@ -159,10 +159,11 @@ class MarchGrid:
 
     @staticmethod
     def for_plume(source_height: float, scale_start: float, scale_end: float,
-                  resolution: float, margin: float = _CONTAINMENT_MARGIN) -> "MarchGrid":
-        """Grid sized to contain the plume: margin * sqrt(scale_end) beyond the
-        center (y = 0, z = source height), explicit-stable scale step."""
-        reach = margin * math.sqrt(scale_end)
+                  resolution: float) -> "MarchGrid":
+        """Grid sized to contain the plume: the containment margin times
+        sqrt(scale_end) beyond the center (y = 0, z = source height),
+        explicit-stable scale step."""
+        reach = _CONTAINMENT_MARGIN * math.sqrt(scale_end)
         return MarchGrid(
             scale_start=scale_start,
             scale_end=scale_end,
@@ -173,17 +174,17 @@ class MarchGrid:
             step_scale=0.25 * resolution * resolution,
         )
 
-    def refined(self, factor: int = 2) -> "MarchGrid":
-        """Halve the space steps (default) and shrink the scale step by the
-        square, preserving explicit stability."""
+    def refined(self) -> "MarchGrid":
+        """Halve the space steps and quarter the scale step, preserving
+        explicit stability."""
         return MarchGrid(
             scale_start=self.scale_start,
             scale_end=self.scale_end,
             y_half=self.y_half,
             z_max=self.z_max,
-            step_y=self.step_y / factor,
-            step_z=self.step_z / factor,
-            step_scale=self.step_scale / (factor * factor),
+            step_y=self.step_y / 2,
+            step_z=self.step_z / 2,
+            step_scale=self.step_scale / 4,
         )
 
 
@@ -419,6 +420,13 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     cells per step; diffusion is centered and explicit, with the time step
     validated against the 3D stability bound.
 
+    The initial condition is the closed form at t_start, evaluated only on
+    the x-planes between the first and last nonzero value on the source line
+    (x, 0, source_height); every other plane is exactly 0.0.  That is exact:
+    each value is the along-wind term at x times the crosswind factor, and on
+    the source line that factor is at least 1, so at unit mass the line value
+    is 0 only where the along-wind term is, and then so is the whole plane.
+
     Each step touches only the x-planes of the exact nonzero support.  The
     stencil maps an all-zero neighbourhood to exactly 0.0, so the support
     moves by ``cells`` planes and widens by one plane per side per step; the
@@ -455,15 +463,21 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     if np.any(z < 0.0):
         raise GridError("z grid reaches below the ground")
 
-    C = np.asarray(
-        jet_concentration(
+    # the closed form at t_start, evaluated only on the planes where the
+    # source line is nonzero: see the docstring for why that is exact
+    line = np.asarray(jet_concentration(1.0, 0.0, (x, 0.0, source_height, grid.t_start),
+                                        params, source_height))
+    nonzero = np.flatnonzero(line)
+    C = np.zeros((x.size, y.size, z.size))
+    if nonzero.size:
+        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+        C[lo:hi] = jet_concentration(
             jet_mass,
             0.0,
-            (x[:, None, None], y[None, :, None], z[None, None, :], grid.t_start),
+            (x[lo:hi, None, None], y[None, :, None], z[None, None, :], grid.t_start),
             params,
             source_height,
         )
-    )
     cell_volume = dx * dy * dz
 
     n_steps = int(math.ceil((grid.t_end - grid.t_start) / dt))
@@ -547,6 +561,9 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
                 result.jet_mass, 0.0, (px, py, pz, result.times), params, source_height
             )
         )
+        if not closed.any():
+            raise GridError(f"the pulse never reaches probe {(px, py, pz)} between "
+                            f"t = {result.times[0]:g} and {result.times[-1]:g} s")
         series = result.probe_values[p]
         mask = closed >= _PROBE_SIGNIFICANCE * closed.max()
         rel = np.abs(series[mask] - closed[mask]) / closed[mask]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,15 @@ def simpson(f, a, b, n):
     ys = np.array([f(x) for x in xs])
     h = (b - a) / n
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
+
+
+def traced_peak(call):
+    """The call's result and the most memory it held at once under
+    tracemalloc, beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

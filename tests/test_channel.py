@@ -31,7 +31,7 @@ from plumesense.channel import (
 )
 from plumesense.errors import DomainError, EvaluationDomainError, ScenarioError
 
-from conftest import DIFFUSIVITY, HEIGHT, WIND, simpson
+from conftest import DIFFUSIVITY, HEIGHT, WIND, simpson, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,17 @@ class TestJetConcentration:
     def test_negative_mass_rejected(self, params):
         with pytest.raises(DomainError):
             jet_concentration(-1.0, 0.0, (100.0, 0.0, HEIGHT, 1.0), params, HEIGHT)
+
+    def test_peak_memory_on_broadcast_grid_within_ten_outputs(self, params):
+        # an (n,1,1)·(1,m,1)·(1,1,k) grid, every point live: the coordinates
+        # are gathered from broadcast views, not copied out to the grid first
+        x = np.linspace(10.0, 20.0, 120)[:, None, None]
+        y = np.linspace(-2.4, 2.4, 61)[None, :, None]
+        z = np.linspace(HEIGHT - 2.4, HEIGHT + 2.4, 62)[None, None, :]
+        out, peak = traced_peak(lambda: jet_concentration(2.0, 0.0, (x, y, z, 0.1), params,
+                                                          HEIGHT))
+        assert out.shape == (120, 61, 62) and out.all()
+        assert peak <= 10 * out.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +898,42 @@ class TestDownwindKernelAgainstReference:
             ]
             for new, old, args in pairs:
                 assert_same_bits(_bits(new, *args), _bits(old, *args))
+
+    @pytest.mark.parametrize("variable", [False, True], ids=["constant_k", "linear_k"])
+    def test_bit_identical_on_broadcast_grids(self, params, variable):
+        """Coordinates of shapes (n,1,1), (1,m,1), (1,1,k) and a time of any
+        of those shapes or a scalar give the bits of the flattened
+        reference, and the frequency response those of its flattened grid."""
+        p = LINEAR_K_PARAMS if variable else params
+        x = np.array([-3.0, 0.0, 1.5, 40.0, 210.0])[:, None, None]
+        y = np.array([-1.0, 0.0, 0.7])[None, :, None]
+        z = np.array([0.0, HEIGHT - 0.5, HEIGHT])[None, None, :]
+        users = (SourceSpec((0.0, 0.0, HEIGHT), breath_rate=1.0, jets=((0.1, 2.0),)),
+                 SourceSpec((20.0, 0.5, HEIGHT), breath_rate=0.5, entry_time=0.2))
+        scenario = MultiUserScenario(users=users, stochastic=StochasticGrid(
+            0.25, 0.5, ((0.5, 0.0), (0.25, 1.0)), jet_masses=(1.0, 3.0)))
+        for t in (0.3, np.array([0.05, 0.3, 1.6])[None, None, :],
+                  np.linspace(0.0, 1.6, 45).reshape(5, 3, 3)):
+            point = (x, y, z, t)
+            pairs = [
+                (impulse_response, reference_impulse_response, (point, p, HEIGHT)),
+                (jet_concentration, reference_jet_concentration, (2.0, 0.1, point, p, HEIGHT)),
+                (breath_response, reference_breath_response, (1.5, 0.1, point, p, HEIGHT)),
+                (steady_state_concentration, reference_steady_state_concentration,
+                 (1.5, point[:3], p, HEIGHT)),
+                (multi_user_response, reference_multi_user_response, (scenario, point, p)),
+                (stochastic_expected_response, reference_stochastic_expected_response,
+                 (scenario, point, p)),
+            ]
+            for new, old, args in pairs:
+                assert_same_bits(_bits(new, *args), _bits(old, *args))
+        omega = np.array([0.0, 3.0, 40.0, 7.5])[:, None, None, None]
+        point = (x[2:], y, z[:, :, 1:])
+        grid = frequency_response(point, omega, p, HEIGHT)
+        X, Y, Z, W = (c.ravel() for c in np.broadcast_arrays(*point, omega))
+        flat = frequency_response((X, Y, Z), W, p, HEIGHT)
+        assert np.array_equal(grid.magnitude.ravel(), flat.magnitude)
+        assert np.array_equal(grid.phase.ravel(), flat.phase)
 
     def test_near_source_band_raises_before_entry(self, params):
         """Every user's response is evaluated at every point, so a point in

@@ -34,7 +34,7 @@ from plumesense.oracles import (
 )
 from plumesense.receiver import ReceiverSpec, q_function, receiver_exposure
 
-from conftest import HEIGHT, RADIUS, WIND
+from conftest import HEIGHT, RADIUS, WIND, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,15 @@ def x_support(field):
     return np.flatnonzero(field.any(axis=(1, 2)))
 
 
+def assert_starts_from_closed_form(result, params):
+    # the march evaluates the closed form only on the source line's nonzero
+    # planes; over the whole box it must give the same field bit for bit
+    t_start, field = result.snapshots[0]
+    assert t_start == result.grid.t_start
+    box = (result.x[:, None, None], result.y[None, :, None], result.z[None, None, :], t_start)
+    assert np.array_equal(field, jet_concentration(result.jet_mass, 0.0, box, params, HEIGHT))
+
+
 class TestTransientMarch:
     def test_probes_match_closed_form_within_budget(self, params, transient_result):
         report = transient_oracle_report(transient_result, params, HEIGHT)
@@ -217,6 +226,7 @@ class TestTransientMarch:
         # the support starts inside the box and is clipped at its far end
         assert x_support(transient_result.snapshots[0][1]).size < transient_result.x.size
         assert x_support(transient_result.snapshots[-1][1])[-1] == transient_result.x.size - 1
+        assert_starts_from_closed_form(transient_result, params)
         assert_matches_full_box(transient_result, params)
 
     def test_bit_identical_when_pulse_leaves_box(self, params):
@@ -230,6 +240,7 @@ class TestTransientMarch:
                                      snapshot_times=(0.04, 0.06, 0.12))
         assert result.mass[-1] == 0.0
         assert x_support(result.snapshots[-1][1]).size == 0
+        assert_starts_from_closed_form(result, params)
         assert_matches_full_box(result, params)
 
     def test_bit_identical_when_support_outgrows_shift(self, params):
@@ -244,7 +255,45 @@ class TestTransientMarch:
         first, last = x_support(result.snapshots[0][1]), x_support(result.snapshots[-1][1])
         assert 0 < first[0] and last[-1] < result.x.size - 1
         assert last.size > first.size
+        assert_starts_from_closed_form(result, params)
         assert_matches_full_box(result, params)
+
+    def test_bit_identical_from_all_zero_initial_condition(self, params):
+        # by t_start the pulse has passed the box's far end (x = 12 cm) by
+        # 9 cm, so every plane underflows to 0.0 and no step has work to do
+        grid = TransientGrid(
+            x_span=(4.0, 12.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.15, t_end=0.2,
+        )
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(8.0, 0.0, HEIGHT)],
+                                     snapshot_times=(0.15,))
+        assert not result.snapshots[0][1].any()
+        assert not result.mass.any()
+        assert_starts_from_closed_form(result, params)
+        assert_matches_full_box(result, params)
+
+    def test_march_peak_memory_within_six_boxes(self, params):
+        # validate-oracles' grid and probe, without snapshots: the box, the
+        # two diffusion work buffers and small change
+        grid = TransientGrid(
+            x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
+            step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
+        )
+        result, peak = traced_peak(lambda: march_transient_jet(
+            params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)]))
+        box_bytes = 8 * result.x.size * result.y.size * result.z.size
+        assert peak <= 6 * box_bytes
+
+    @pytest.mark.filterwarnings("error")
+    def test_probe_the_pulse_never_reaches_raises(self, params):
+        # the pulse passes x = 29 only after t = 0.2 s; the window ends at 0.08 s
+        grid = TransientGrid(
+            x_span=(4.0, 30.0), y_half=1.0, z_span=(HEIGHT - 1.0, HEIGHT + 1.0),
+            step_x=0.1, step_y=0.1, step_z=0.1, t_start=0.05, t_end=0.08,
+        )
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(29.0, 0.0, HEIGHT)])
+        with pytest.raises(GridError, match=r"probe \(29\.0, 0\.0, 180\.0\)"):
+            transient_oracle_report(result, params, HEIGHT)
 
     @pytest.mark.parametrize("cells", [1, 4])
     def test_bit_identical_from_sharp_edged_field(self, params, monkeypatch, cells):
