@@ -222,18 +222,32 @@ def _initial_slice(rate, wind_speed, scale, y, z, source_height):
     return pref * cz[:, None] * cy[None, :]
 
 
-def _laplacian_2d(C, dy, dz, out):
-    """Crosswind Laplacian with no-flux ground (z index 0) and Dirichlet elsewhere."""
+def _laplacian_2d(C, lo, hi, dy, dz, out):
+    """Crosswind Laplacian of rows [lo, hi) of C into ``out[:hi - lo]``, with
+    no-flux ground (z index 0) and Dirichlet elsewhere.  Row ``hi`` must
+    exist, and so must row ``lo - 1`` unless ``lo`` is the ground row.  The
+    y-edge columns of ``out`` are not written: they must hold 0.0."""
     inv_dy2 = 1.0 / (dy * dy)
     inv_dz2 = 1.0 / (dz * dz)
-    out[...] = 0.0
-    out[1:-1, 1:-1] = (C[2:, 1:-1] - 2.0 * C[1:-1, 1:-1] + C[:-2, 1:-1]) * inv_dz2 + (
-        C[1:-1, 2:] - 2.0 * C[1:-1, 1:-1] + C[1:-1, :-2]
-    ) * inv_dy2
-    out[0, 1:-1] = (2.0 * C[1, 1:-1] - 2.0 * C[0, 1:-1]) * inv_dz2 + (
-        C[0, 2:] - 2.0 * C[0, 1:-1] + C[0, :-2]
-    ) * inv_dy2
+    out = out[:hi - lo]
+    first = max(lo, 1)
+    out[first - lo:, 1:-1] = (
+        C[first + 1:hi + 1, 1:-1] - 2.0 * C[first:hi, 1:-1] + C[first - 1:hi - 1, 1:-1]
+    ) * inv_dz2 + (C[first:hi, 2:] - 2.0 * C[first:hi, 1:-1] + C[first:hi, :-2]) * inv_dy2
+    if lo == 0:
+        out[0, 1:-1] = (2.0 * C[1, 1:-1] - 2.0 * C[0, 1:-1]) * inv_dz2 + (
+            C[0, 2:] - 2.0 * C[0, 1:-1] + C[0, :-2]
+        ) * inv_dy2
     return out
+
+
+def _crosswind_integral(C, lo, hi, dy, dz, inner):
+    """Trapezoid over y, then z, of C, which is 0.0 outside rows [lo, hi).
+    Each row's y integral depends on that row alone, and the z integral runs
+    over the full ``inner`` (0.0 outside the rows), so this is bit-identical
+    to integrating the whole slice."""
+    inner[lo:hi] = np.trapezoid(C[lo:hi], dx=dy, axis=1)
+    return np.trapezoid(inner, dx=dz)
 
 
 def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchGrid,
@@ -245,6 +259,14 @@ def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchG
     to the closed form at scale_end.  The ground row is no-flux; the outer
     boundaries hold zero.  The march is explicit, so the scale step must meet
     the stability bound.
+
+    Each step updates only the rows of the exact nonzero support.  The
+    stencil maps an all-zero neighbourhood to exactly 0.0, so the support
+    widens by one row per side per step; it never takes in the top
+    (Dirichlet) row, and it takes in the no-flux ground row only once it
+    reaches the row above.  Every other row stays 0.0 and integrates to 0.0,
+    so the field and the crosswind integrals are bit-identical to updating
+    and integrating the whole slice.
     """
     _check_containment(grid, source_height)
     start = time.perf_counter()
@@ -278,14 +300,20 @@ def march_steady_plume(params: ChannelParams, source_height: float, grid: MarchG
     C[:, -1] = 0.0
     C[-1, :] = 0.0
 
+    # [lo, hi): the rows that may hold a nonzero value; all others are 0.0
+    support = np.flatnonzero(C.any(axis=1))
+    lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
+    top = z.size - 1
+    inner = np.zeros(z.size)
     integrals = np.empty(n_steps + 1)
-    integrals[0] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
+    integrals[0] = _crosswind_integral(C, lo, hi, dy, dz, inner)
 
-    lap = np.empty_like(C)
+    lap = np.zeros_like(C)
     for k in range(n_steps):
-        _laplacian_2d(C, dy, dz, lap)
-        C += d * lap
-        integrals[k + 1] = np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)
+        if lo < hi:
+            lo, hi = max(lo - 1, 0), min(hi + 1, top)
+            C[lo:hi] += d * _laplacian_2d(C, lo, hi, dy, dz, lap)
+        integrals[k + 1] = _crosswind_integral(C, lo, hi, dy, dz, inner)
 
     scales = grid.scale_start + d * np.arange(n_steps + 1)
     return SteadyMarchResult(
@@ -386,27 +414,45 @@ class TransientMarchResult:
     warnings: Tuple[str, ...] = ()
 
 
+# x-planes per block of the jet's diffusion step: a few planes of work
+# buffers stay in cache where slab-sized ones would not
+_DIFFUSION_BLOCK = 4
+
+
 def _diffuse_inplace(C, coef_x, coef_y, coef_z, acc, tmp):
     """Add one explicit diffusion increment to the interior of C.
 
-    ``coef_*`` is K*dt/step^2 per axis.  ``acc`` and ``tmp`` are contiguous
-    work buffers at least as long as C's interior along x; only their leading
-    planes are used.  The boundary shells of C never move (Dirichlet).
+    ``coef_*`` is K*dt/step^2 per axis.  The interior runs through in blocks
+    of ``_DIFFUSION_BLOCK`` x-planes: ``acc`` holds two blocks (ping and
+    pong) and ``tmp`` one, each over C's interior crosswind shape.  A block's
+    increment is added only after the next block has read the old values of
+    its last plane, and each element sees the same operations in the same
+    order as a whole-slab update, so the result is bit-identical to it.  The
+    boundary shells of C never move (Dirichlet).
     """
     core = slice(1, -1)
-    m = C.shape[0] - 2
-    acc, tmp = acc[:m], tmp[:m]
-    np.multiply(C[core, core, core], -2.0 * (coef_x + coef_y + coef_z), out=acc)
-    np.add(C[2:, core, core], C[:-2, core, core], out=tmp)
-    tmp *= coef_x
-    acc += tmp
-    np.add(C[core, 2:, core], C[core, :-2, core], out=tmp)
-    tmp *= coef_y
-    acc += tmp
-    np.add(C[core, core, 2:], C[core, core, :-2], out=tmp)
-    tmp *= coef_z
-    acc += tmp
-    C[core, core, core] += acc
+    centre = -2.0 * (coef_x + coef_y + coef_z)
+    end = C.shape[0] - 1
+    pending = None
+    for block, s in enumerate(range(1, end, _DIFFUSION_BLOCK)):
+        e = min(s + _DIFFUSION_BLOCK, end)
+        a, t = acc[block % 2, :e - s], tmp[:e - s]
+        np.multiply(C[s:e, core, core], centre, out=a)
+        np.add(C[s + 1:e + 1, core, core], C[s - 1:e - 1, core, core], out=t)
+        t *= coef_x
+        a += t
+        np.add(C[s:e, 2:, core], C[s:e, :-2, core], out=t)
+        t *= coef_y
+        a += t
+        np.add(C[s:e, core, 2:], C[s:e, core, :-2], out=t)
+        t *= coef_z
+        a += t
+        # the block before may move now: this one has read its last plane
+        if pending is not None:
+            C[pending[0], core, core] += pending[1]
+        pending = (slice(s, e), a)
+    if pending is not None:
+        C[pending[0], core, core] += pending[1]
 
 
 def march_transient_jet(params: ChannelParams, source_height: float, grid: TransientGrid,
@@ -429,8 +475,10 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
 
     Each step touches only the x-planes of the exact nonzero support.  The
     stencil maps an all-zero neighbourhood to exactly 0.0, so the support
-    moves by ``cells`` planes and widens by one plane per side per step; the
-    result is bit-identical to updating the whole box.
+    moves by ``cells`` planes and widens by one plane per side per step.  The
+    diffusion step runs over the support a few planes at a time, in the same
+    operation order (see ``_diffuse_inplace``), so the result is
+    bit-identical to updating the whole box.
     """
     if not params.diffusivity.is_constant:
         raise DomainError("transient oracle is scoped to constant diffusivity profiles")
@@ -506,9 +554,9 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
         snapshots.append((float(times[0]), C.copy()))
 
     n = x.size
-    interior = (n - 2, y.size - 2, z.size - 2)
-    acc = np.empty(interior)
-    tmp = np.empty(interior)
+    block = (_DIFFUSION_BLOCK, y.size - 2, z.size - 2)
+    acc = np.empty((2, *block))
+    tmp = np.empty(block)
     coef = (K * dt / dx**2, K * dt / dy**2, K * dt / dz**2)
     # [lo, hi): the x-planes that may hold a nonzero value; all others are 0.0
     support = np.flatnonzero(C.any(axis=(1, 2)))

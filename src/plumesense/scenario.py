@@ -58,7 +58,7 @@ def _expect_list(value, path):
     return value
 
 
-def _expect_number(value, path, positive=False, nonnegative=False):
+def _expect_number(value, path, positive=False, nonnegative=False, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, f"expected a number, got {value!r}")
     value = float(value)
@@ -68,6 +68,8 @@ def _expect_number(value, path, positive=False, nonnegative=False):
         raise ScenarioError(path, f"must be > 0, got {value}")
     if nonnegative and value < 0.0:
         raise ScenarioError(path, f"must be >= 0, got {value}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(path, f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -349,7 +351,10 @@ _EXPERIMENT_FIELDS = {
         "trials": _count(1_000_000, 10_000),
     },
     "validate_oracles": {
-        "steady_resolution": _number(0.2, "cm"),
+        "steady_resolution": _Field(
+            partial(_expect_number, minimum=0.1), 0.2, "number >= 0.1", "cm",
+            "steady march grid step; the refined march halves it, and the work grows "
+            "as its inverse fourth power"),
         "transient": _Field(_expect_bool, True, "bool"),
         "trials": _count(200_000, 10_000, "Monte Carlo detection trials"),
         "mc_samples": _count(200_000, 100_000, "volume-integral samples"),

@@ -13,14 +13,17 @@ from plumesense.channel import (
     jet_concentration,
     steady_field,
 )
+from plumesense import oracles
 from plumesense.errors import DomainError, GridError
 from plumesense.oracles import (
+    _DIFFUSION_BLOCK,
     ORACLE_CHECKS,
     WILSON_Z,
     MarchGrid,
     McExposureEstimate,
     PmdEstimate,
     TransientGrid,
+    _diffuse_inplace,
     _wilson_interval,
     empirical_pmd,
     march_steady_plume,
@@ -83,6 +86,94 @@ class TestMarchGrid:
         assert fine.step_scale <= 0.25 * fine.step_y**2 * (1 + 1e-12)
 
 
+def full_grid_march(result, params, source_height):
+    """Reference: the steady march with every step updating and integrating
+    the whole slice.  Returns the final field and the crosswind integrals."""
+    g = result.grid
+    dy, dz = g.step_y, g.step_z
+    inv_dy2, inv_dz2 = 1.0 / (dy * dy), 1.0 / (dz * dz)
+    n_steps = result.scales.size - 1
+    d = (g.scale_end - g.scale_start) / n_steps
+    C = oracles._initial_slice(result.rate, params.wind_speed, g.scale_start, result.y,
+                               result.z, source_height)
+    C[:, 0] = 0.0
+    C[:, -1] = 0.0
+    C[-1, :] = 0.0
+    integrals = [np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)]
+    lap = np.zeros_like(C)
+    for _ in range(n_steps):
+        lap[1:-1, 1:-1] = (C[2:, 1:-1] - 2.0 * C[1:-1, 1:-1] + C[:-2, 1:-1]) * inv_dz2 + (
+            C[1:-1, 2:] - 2.0 * C[1:-1, 1:-1] + C[1:-1, :-2]
+        ) * inv_dy2
+        lap[0, 1:-1] = (2.0 * C[1, 1:-1] - 2.0 * C[0, 1:-1]) * inv_dz2 + (
+            C[0, 2:] - 2.0 * C[0, 1:-1] + C[0, :-2]
+        ) * inv_dy2
+        C += d * lap
+        integrals.append(np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz))
+    return C, np.array(integrals)
+
+
+def assert_matches_full_grid(result, params, source_height):
+    field, integrals = full_grid_march(result, params, source_height)
+    assert np.array_equal(result.field, field)
+    assert np.array_equal(result.crosswind_integrals, integrals)
+
+
+def z_support(field):
+    return np.flatnonzero(field.any(axis=1))
+
+
+class TestSteadyMarchSupport:
+    """The march updates only the rows of its nonzero support; the field and
+    crosswind integrals must equal the whole-grid march bit for bit."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_bit_identical_on_validation_grid(self, params, refine):
+        # validate-oracles' grids: the support is under a fifth of the rows,
+        # far from the ground and clipped below the top row
+        grid = MarchGrid.for_plume(HEIGHT, diffusion_scale(50.0, params),
+                                   diffusion_scale(250.0, params), resolution=0.2)
+        result = march_steady_plume(params, HEIGHT, grid.refined() if refine else grid)
+        rows = z_support(result.field)
+        assert rows.size < result.z.size / 5 and rows[0] > 0
+        assert rows[-1] == result.z.size - 2
+        assert_matches_full_grid(result, params, HEIGHT)
+
+    def test_bit_identical_with_ground_row(self, params):
+        # a source 1 cm up: the support holds the no-flux ground row throughout
+        grid = MarchGrid.for_plume(1.0, diffusion_scale(50.0, params),
+                                   diffusion_scale(250.0, params), resolution=0.2)
+        result = march_steady_plume(params, 1.0, grid)
+        assert z_support(result.field)[0] == 0
+        assert_matches_full_grid(result, params, 1.0)
+
+    def test_bit_identical_with_support_at_the_edges(self, params):
+        # a wide start: the slice is nonzero next to the y edges and the top row
+        grid = MarchGrid.for_plume(HEIGHT, 0.3, 0.4, resolution=0.2)
+        result = march_steady_plume(params, HEIGHT, grid)
+        assert result.field[:, 1].any() and result.field[:, -2].any()
+        assert z_support(result.field)[-1] == result.z.size - 2
+        assert_matches_full_grid(result, params, HEIGHT)
+
+    def test_bit_identical_from_all_zero_slice(self, params):
+        grid = MarchGrid.for_plume(HEIGHT, 0.05, 0.4, resolution=0.2)
+        result = march_steady_plume(params, HEIGHT, grid, rate=0.0)
+        assert not result.field.any() and not result.crosswind_integrals.any()
+        assert_matches_full_grid(result, params, HEIGHT)
+
+    def test_bit_identical_from_sharp_edged_slice(self, params, monkeypatch):
+        # a closed-form slice fades into underflowed zeros; one cut off at full
+        # strength, from the ground up, also checks the support's edge rows
+        def band(rate, wind_speed, scale, y, z, source_height):
+            rows = (z < 1.5)[:, None] | (np.abs(z - 3.0) < 0.3)[:, None]
+            return np.where(rows, rate + np.cos(7.0 * z[:, None] + 3.0 * y[None, :]), 0.0)
+
+        monkeypatch.setattr("plumesense.oracles._initial_slice", band)
+        grid = MarchGrid.for_plume(1.0, 0.05, 0.1, resolution=0.2)
+        result = march_steady_plume(params, 1.0, grid)
+        assert_matches_full_grid(result, params, 1.0)
+
+
 class TestSteadyMarch:
     def test_matches_closed_form_within_budget(self, params, coarse_steady):
         report = steady_oracle_report(coarse_steady, params, HEIGHT)
@@ -138,6 +229,18 @@ def transient_result(params):
                                probes=[(30.0, 0.0, HEIGHT)], snapshot_times=(0.10, 0.35))
 
 
+def whole_slab_diffusion(C, cx, cy, cz):
+    """Reference: one explicit diffusion increment over the whole interior
+    of C at once."""
+    core = slice(1, -1)
+    acc = np.empty_like(C[core, core, core])
+    np.multiply(C[core, core, core], -2.0 * (cx + cy + cz), out=acc)
+    acc += (C[2:, core, core] + C[:-2, core, core]) * cx
+    acc += (C[core, 2:, core] + C[core, :-2, core]) * cy
+    acc += (C[core, core, 2:] + C[core, core, :-2]) * cz
+    C[core, core, core] += acc
+
+
 def full_box_march(result, params):
     """Reference: the march from the t_start snapshot with every step
     advecting and diffusing the whole box.  Returns probes, mass, snapshots."""
@@ -150,18 +253,11 @@ def full_box_march(result, params):
     idx = [tuple(int(np.argmin(np.abs(axis - c))) for axis, c in
                  zip((result.x, result.y, result.z), point)) for point in result.probe_points]
     probes, mass, snaps = [], [], []
-    scratch = np.zeros_like(C)
-    core = slice(1, -1)
     for step, t in enumerate(result.times):
         if step:
             C[cells:] = C[:-cells]
             C[:cells] = 0.0
-            acc = scratch[core, core, core]
-            np.multiply(C[core, core, core], -2.0 * (cx + cy + cz), out=acc)
-            acc += (C[2:, core, core] + C[:-2, core, core]) * cx
-            acc += (C[core, 2:, core] + C[core, :-2, core]) * cy
-            acc += (C[core, core, 2:] + C[core, core, :-2]) * cz
-            C += scratch
+            whole_slab_diffusion(C, cx, cy, cz)
         probes.append([C[i] for i in idx])
         mass.append(C.sum() * (g.step_x * g.step_y * g.step_z))
         if float(t) in snap_times:
@@ -189,6 +285,26 @@ def assert_starts_from_closed_form(result, params):
     assert t_start == result.grid.t_start
     box = (result.x[:, None, None], result.y[None, :, None], result.z[None, None, :], t_start)
     assert np.array_equal(field, jet_concentration(result.jet_mass, 0.0, box, params, HEIGHT))
+
+
+class TestBlockedDiffusion:
+    @pytest.mark.parametrize("planes", [1, _DIFFUSION_BLOCK - 1, _DIFFUSION_BLOCK,
+                                        _DIFFUSION_BLOCK + 1, 2 * _DIFFUSION_BLOCK + 1])
+    def test_bit_identical_to_whole_slab(self, rng, planes):
+        # random values with exact zeros and subnormals, and stencil weights
+        # at the stability bound
+        C = rng.standard_normal((planes + 2, 7, 6))
+        C[rng.random(C.shape) < 0.2] = 0.0
+        tiny = rng.random(C.shape) < 0.2
+        C[tiny] = 5e-324 * rng.integers(1, 2**20, size=tiny.sum()) * rng.choice([-1, 1], tiny.sum())
+        assert (C == 0.0).any() and (np.abs(C[C != 0.0]) < np.finfo(float).tiny).any()
+        coef = (0.1, 0.15, 0.25)
+        expected = C.copy()
+        whole_slab_diffusion(expected, *coef)
+        acc = np.empty((2, _DIFFUSION_BLOCK, 5, 4))
+        tmp = np.empty((_DIFFUSION_BLOCK, 5, 4))
+        _diffuse_inplace(C, *coef, acc, tmp)
+        assert np.array_equal(C, expected)
 
 
 class TestTransientMarch:

@@ -90,6 +90,8 @@ class TestRejections:
              "experiment.distances[0]"),
             ({"experiment": {"kind": "pmd", "empirical_trials": 9999}},
              "experiment.empirical_trials"),
+            ({"experiment": {"kind": "validate_oracles", "steady_resolution": 0.0999}},
+             "experiment.steady_resolution"),
             ({"experiment": {"kind": "field", "z": {"start": -1.0, "stop": 1.0, "num": 3}}},
              "experiment.z.start"),
             ({"sources": {"users": [{"location": [0.0, 0.0, 0.0]}]}},
@@ -296,7 +298,7 @@ _EXPERIMENTS = {
             "empirical_trials": st.sampled_from([0, 10_000, 20_000]),
             "empirical_count": st.integers(1, 5)},
     "mc_pmd": {"snr_arguments": _sweeps(0.0, 3.0), "trials": st.integers(10_000, 10**6)},
-    "validate_oracles": {"steady_resolution": st.floats(0.05, 1.0),
+    "validate_oracles": {"steady_resolution": st.floats(0.1, 1.0),
                          "transient": st.booleans(), "trials": st.integers(10_000, 10**6),
                          "mc_samples": st.integers(100_000, 10**6)},
 }
@@ -853,6 +855,8 @@ def _resolve_experiment(raw):
         out["steady_resolution"] = _expect_number(
             raw.get("steady_resolution", 0.2), f"{path}.steady_resolution", positive=True
         )
+        if out["steady_resolution"] < 0.1:
+            raise ScenarioError(f"{path}.steady_resolution", "must be >= 0.1")
         out["transient"] = _expect_bool(raw.get("transient", True), f"{path}.transient")
         out["trials"] = _expect_int(raw.get("trials", 200_000), f"{path}.trials",
                                     minimum=10_000)
