@@ -296,7 +296,7 @@ class TestBlockedDiffusion:
         C = rng.standard_normal((planes + 2, 7, 6))
         C[rng.random(C.shape) < 0.2] = 0.0
         tiny = rng.random(C.shape) < 0.2
-        C[tiny] = 5e-324 * rng.integers(1, 2**20, size=tiny.sum()) * rng.choice([-1, 1], tiny.sum())
+        C[tiny] = 5e-324 * rng.integers(-2**20, 2**20, size=tiny.sum())
         assert (C == 0.0).any() and (np.abs(C[C != 0.0]) < np.finfo(float).tiny).any()
         coef = (0.1, 0.15, 0.25)
         expected = C.copy()

@@ -90,8 +90,6 @@ class TestRejections:
              "experiment.distances[0]"),
             ({"experiment": {"kind": "pmd", "empirical_trials": 9999}},
              "experiment.empirical_trials"),
-            ({"experiment": {"kind": "validate_oracles", "steady_resolution": 0.0999}},
-             "experiment.steady_resolution"),
             ({"experiment": {"kind": "field", "z": {"start": -1.0, "stop": 1.0, "num": 3}}},
              "experiment.z.start"),
             ({"sources": {"users": [{"location": [0.0, 0.0, 0.0]}]}},
@@ -103,6 +101,8 @@ class TestRejections:
             ({"sources": {"users": [{}], "stochastic": {"interval": 1e-308, "horizon": 1e308,
                                                         "probabilities": []}},
               "experiment": {"kind": "timeseries"}}, "sources.stochastic.interval"),
+            ({"experiment": {"kind": "validate_oracles", "steady_resolution": 0.0999}},
+             "experiment.steady_resolution"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
