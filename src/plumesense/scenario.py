@@ -353,7 +353,7 @@ _EXPERIMENT_FIELDS = {
     "validate_oracles": {
         "steady_resolution": _Field(
             partial(_expect_number, minimum=0.1), 0.2, "number >= 0.1", "cm",
-            "steady march grid step; the refined march halves it, and the work grows "
+            "steady march grid step; a second march runs at half of it, and the work grows "
             "as its inverse fourth power"),
         "transient": _Field(_expect_bool, True, "bool"),
         "trials": _count(200_000, 10_000, "Monte Carlo detection trials"),

@@ -27,7 +27,6 @@ from plumesense.channel import (
     steady_state_concentration,
 )
 from plumesense.oracles import (
-    MarchGrid,
     empirical_pmd,
     march_steady_plume,
     sampled_transfer_function,
@@ -53,13 +52,10 @@ def test_criterion_1_steady_plume_oracle_equivalence(params):
     """March of the transformed heat equation vs the closed form: L2 < 2%,
     refinement gain >= 3x, under 60 s."""
     start = time.perf_counter()
-    grid = MarchGrid.for_plume(
-        HEIGHT, diffusion_scale(50.0, params), diffusion_scale(250.0, params),
-        resolution=0.1,
-    )
-    coarse = steady_oracle_report(march_steady_plume(params, HEIGHT, grid),
+    scales = (diffusion_scale(50.0, params), diffusion_scale(250.0, params))
+    coarse = steady_oracle_report(march_steady_plume(params, HEIGHT, *scales, 0.1),
                                   params, HEIGHT)
-    fine = steady_oracle_report(march_steady_plume(params, HEIGHT, grid.refined()),
+    fine = steady_oracle_report(march_steady_plume(params, HEIGHT, *scales, 0.05),
                                 params, HEIGHT)
     elapsed = time.perf_counter() - start
     assert coarse.l2_rel_error < 0.02

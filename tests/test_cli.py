@@ -543,14 +543,18 @@ def test_impossible_detection_arguments_named(tmp_path, overrides, path):
 
 def test_tiny_steady_resolution_named(tmp_path):
     """At 1e-9 cm the steady march would allocate tens of GiB: validate-oracles
-    names the resolution and exits 2 before any march runs."""
+    names the resolution and exits 2 before any march runs.  At 1e308 cm the
+    closed form is 0 on every grid point, which must not read as a perfect
+    match: it names the resolution too, with no numpy warning."""
     scenario = tmp_path / "validate.json"
     scenario.write_text(json.dumps({"experiment": {"kind": "validate_oracles"}}))
-    result = _fresh_process("from plumesense.cli import main; main()", "validate-oracles",
-                            "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
-                            "--seed", "1", "--set",
-                            'experiment={"kind":"validate_oracles","steady_resolution":1e-9}')
-    assert result.returncode == cli.EXIT_CONFIG, result.stderr
-    assert result.stderr.startswith("configuration error: experiment.steady_resolution: ")
-    assert "Traceback" not in result.stderr
-    assert not (tmp_path / "out.csv").exists()
+    for resolution in ("1e-9", "1e308"):
+        result = _fresh_process("from plumesense.cli import main; main()", "validate-oracles",
+                                "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
+                                "--seed", "1", "--set",
+                                'experiment={"kind":"validate_oracles","transient":false,'
+                                f'"steady_resolution":{resolution}}}')
+        assert result.returncode == cli.EXIT_CONFIG, result.stderr
+        assert result.stderr.startswith("configuration error: experiment.steady_resolution: ")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out.csv").exists()

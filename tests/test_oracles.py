@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plumesense.channel import (
+    ChannelParams,
     breath_response,
     diffusion_scale,
     jet_concentration,
@@ -19,7 +20,6 @@ from plumesense.oracles import (
     _DIFFUSION_BLOCK,
     ORACLE_CHECKS,
     WILSON_Z,
-    MarchGrid,
     McExposureEstimate,
     PmdEstimate,
     TransientGrid,
@@ -37,64 +37,59 @@ from plumesense.oracles import (
 )
 from plumesense.receiver import ReceiverSpec, q_function, receiver_exposure
 
-from conftest import HEIGHT, RADIUS, WIND, traced_peak
+from conftest import DIFFUSIVITY, HEIGHT, RADIUS, WIND, traced_peak
+
+
+def validation_scales(params):
+    # 50..250 cm mapped into the transformed coordinate
+    return diffusion_scale(50.0, params), diffusion_scale(250.0, params)
 
 
 @pytest.fixture(scope="module")
 def coarse_steady(params):
-    # 50..250 cm mapped into the transformed coordinate
-    grid = MarchGrid.for_plume(
-        HEIGHT, diffusion_scale(50.0, params), diffusion_scale(250.0, params),
-        resolution=0.15,
-    )
-    return march_steady_plume(params, HEIGHT, grid)
+    return march_steady_plume(params, HEIGHT, *validation_scales(params), resolution=0.15)
 
 
 class TestMarchGrid:
-    def test_invalid_ranges_rejected(self):
-        with pytest.raises(GridError):
-            MarchGrid(0.0, 1.0, 5.0, 100.0, 0.1, 0.1, 0.001)
-        with pytest.raises(GridError):
-            MarchGrid(1.0, 0.5, 5.0, 100.0, 0.1, 0.1, 0.001)
-        with pytest.raises(GridError):
-            MarchGrid(0.1, 1.0, -5.0, 100.0, 0.1, 0.1, 0.001)
+    """The steady march's grid, derived from its resolution."""
 
-    def test_explicit_stability_enforced(self, params):
-        grid = MarchGrid(
-            scale_start=0.05, scale_end=0.4, y_half=4.0, z_max=HEIGHT + 4.0,
-            step_y=0.1, step_z=0.1, step_scale=0.01,  # > 0.25 * 0.01
-        )
-        with pytest.raises(GridError):
-            march_steady_plume(params, HEIGHT, grid)
+    def test_invalid_ranges_rejected(self, params):
+        for scale_start, scale_end, resolution in [
+            (0.0, 1.0, 0.1), (-0.1, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.5, 0.1),
+            (0.1, 1.0, 0.0), (0.1, 1.0, -0.2), (0.1, 1.0, math.nan),
+        ]:
+            with pytest.raises(GridError):
+                march_steady_plume(params, HEIGHT, scale_start, scale_end, resolution)
 
-    def test_containment_enforced(self, params):
-        grid = MarchGrid(
-            scale_start=0.05, scale_end=0.4, y_half=1.0, z_max=HEIGHT + 4.0,
-            step_y=0.1, step_z=0.1, step_scale=0.002,
-        )
-        with pytest.raises(GridError):
-            march_steady_plume(params, HEIGHT, grid)
-        tall = MarchGrid.for_plume(HEIGHT, 0.05, 0.4, resolution=0.1)
-        with pytest.raises(GridError):
-            march_steady_plume(params, 2.0 * HEIGHT + 10.0, tall)
+    def test_grid_follows_the_resolution(self, params):
+        # steps of the resolution out to the containment margin around the
+        # centre, and scale steps within the explicit stability bound
+        result = march_steady_plume(params, HEIGHT, 0.05, 0.4, resolution=0.2)
+        reach = oracles._CONTAINMENT_MARGIN * math.sqrt(0.4)
+        assert np.allclose(np.diff(result.y), 0.2) and np.allclose(np.diff(result.z), 0.2)
+        assert result.y[-1] >= reach and result.z[-1] >= HEIGHT + reach
+        assert result.z[0] == 0.0 and result.y[0] == -result.y[-1]
+        assert np.diff(result.scales).max() <= 0.25 * 0.2**2 * (1 + 1e-12)
+        assert result.scales[-1] == pytest.approx(0.4, rel=1e-12)
 
-    def test_refined_preserves_stability_rule(self):
-        grid = MarchGrid.for_plume(HEIGHT, 0.05, 0.4, resolution=0.2)
-        fine = grid.refined()
-        assert fine.step_y == grid.step_y / 2
-        assert fine.step_scale == grid.step_scale / 4
-        assert fine.step_scale <= 0.25 * fine.step_y**2 * (1 + 1e-12)
+    @pytest.mark.filterwarnings("error")
+    def test_grid_too_coarse_for_the_plume_raises(self, params):
+        # at 1e308 cm the closed form is 0 on every grid point: no error
+        # figure can be taken, and the squares beyond the doubles stay quiet
+        result = march_steady_plume(params, HEIGHT, *validation_scales(params), 1e308)
+        assert not result.field.any()
+        with pytest.raises(GridError, match="every grid point"):
+            steady_oracle_report(result, params, HEIGHT)
 
 
 def full_grid_march(result, params, source_height):
     """Reference: the steady march with every step updating and integrating
     the whole slice.  Returns the final field and the crosswind integrals."""
-    g = result.grid
-    dy, dz = g.step_y, g.step_z
+    dy = dz = result.resolution
     inv_dy2, inv_dz2 = 1.0 / (dy * dy), 1.0 / (dz * dz)
     n_steps = result.scales.size - 1
-    d = (g.scale_end - g.scale_start) / n_steps
-    C = oracles._initial_slice(result.rate, params.wind_speed, g.scale_start, result.y,
+    d = (result.scale_end - result.scale_start) / n_steps
+    C = oracles._initial_slice(result.rate, params.wind_speed, result.scale_start, result.y,
                                result.z, source_height)
     C[:, 0] = 0.0
     C[:, -1] = 0.0
@@ -131,9 +126,8 @@ class TestSteadyMarchSupport:
     def test_bit_identical_on_validation_grid(self, params, refine):
         # validate-oracles' grids: the support is under a fifth of the rows,
         # far from the ground and clipped below the top row
-        grid = MarchGrid.for_plume(HEIGHT, diffusion_scale(50.0, params),
-                                   diffusion_scale(250.0, params), resolution=0.2)
-        result = march_steady_plume(params, HEIGHT, grid.refined() if refine else grid)
+        result = march_steady_plume(params, HEIGHT, *validation_scales(params),
+                                    0.1 if refine else 0.2)
         rows = z_support(result.field)
         assert rows.size < result.z.size / 5 and rows[0] > 0
         assert rows[-1] == result.z.size - 2
@@ -141,23 +135,19 @@ class TestSteadyMarchSupport:
 
     def test_bit_identical_with_ground_row(self, params):
         # a source 1 cm up: the support holds the no-flux ground row throughout
-        grid = MarchGrid.for_plume(1.0, diffusion_scale(50.0, params),
-                                   diffusion_scale(250.0, params), resolution=0.2)
-        result = march_steady_plume(params, 1.0, grid)
+        result = march_steady_plume(params, 1.0, *validation_scales(params), resolution=0.2)
         assert z_support(result.field)[0] == 0
         assert_matches_full_grid(result, params, 1.0)
 
     def test_bit_identical_with_support_at_the_edges(self, params):
         # a wide start: the slice is nonzero next to the y edges and the top row
-        grid = MarchGrid.for_plume(HEIGHT, 0.3, 0.4, resolution=0.2)
-        result = march_steady_plume(params, HEIGHT, grid)
+        result = march_steady_plume(params, HEIGHT, 0.3, 0.4, resolution=0.2)
         assert result.field[:, 1].any() and result.field[:, -2].any()
         assert z_support(result.field)[-1] == result.z.size - 2
         assert_matches_full_grid(result, params, HEIGHT)
 
     def test_bit_identical_from_all_zero_slice(self, params):
-        grid = MarchGrid.for_plume(HEIGHT, 0.05, 0.4, resolution=0.2)
-        result = march_steady_plume(params, HEIGHT, grid, rate=0.0)
+        result = march_steady_plume(params, HEIGHT, 0.05, 0.4, resolution=0.2, rate=0.0)
         assert not result.field.any() and not result.crosswind_integrals.any()
         assert_matches_full_grid(result, params, HEIGHT)
 
@@ -169,8 +159,7 @@ class TestSteadyMarchSupport:
             return np.where(rows, rate + np.cos(7.0 * z[:, None] + 3.0 * y[None, :]), 0.0)
 
         monkeypatch.setattr("plumesense.oracles._initial_slice", band)
-        grid = MarchGrid.for_plume(1.0, 0.05, 0.1, resolution=0.2)
-        result = march_steady_plume(params, 1.0, grid)
+        result = march_steady_plume(params, 1.0, 0.05, 0.1, resolution=0.2)
         assert_matches_full_grid(result, params, 1.0)
 
 
@@ -179,6 +168,12 @@ class TestSteadyMarch:
         report = steady_oracle_report(coarse_steady, params, HEIGHT)
         assert report.passed
         assert ORACLE_CHECKS["steady_l2"].passes(report.l2_rel_error)
+
+    def test_passed_follows_the_checks(self, params, coarse_steady):
+        report = steady_oracle_report(coarse_steady, params, HEIGHT)
+        assert set(report.checks) == {"steady_l2", "steady_crosswind"} and report.passed
+        report.checks["steady_crosswind"] = ORACLE_CHECKS["steady_crosswind"].budget
+        assert not report.passed
 
     def test_crosswind_integrals_conserved(self, params, coarse_steady):
         flux = coarse_steady.rate / WIND
@@ -190,27 +185,27 @@ class TestSteadyMarch:
         assert np.allclose(field, field[:, ::-1], rtol=1e-12, atol=1e-300)
 
     def test_under_resolved_start_warns(self, params):
-        grid = MarchGrid.for_plume(HEIGHT, 0.005, 0.4, resolution=0.2)
-        result = march_steady_plume(params, HEIGHT, grid)
+        result = march_steady_plume(params, HEIGHT, 0.005, 0.4, resolution=0.2)
         assert any("under 3 grid steps" in w for w in result.warnings)
 
     def test_refinement_reduces_error(self, params, coarse_steady):
-        fine = march_steady_plume(params, HEIGHT, coarse_steady.grid.refined())
+        fine = march_steady_plume(params, HEIGHT, *validation_scales(params),
+                                  coarse_steady.resolution / 2)
         coarse_report = steady_oracle_report(coarse_steady, params, HEIGHT)
-        fine_report = steady_oracle_report(fine, params, HEIGHT)
+        fine_report = steady_oracle_report(fine, params, HEIGHT, coarse=coarse_steady)
         factor = coarse_report.l2_rel_error / fine_report.l2_rel_error
+        assert fine_report.checks["steady_refinement_factor"] == factor
+        assert "steady_refinement_factor" not in coarse_report.checks
         assert ORACLE_CHECKS["steady_refinement_factor"].passes(factor)
+        assert fine_report.passed
 
     def test_receiver_point_value_against_march(self, params):
         # the closed-form value at the standard receiver point, pinned by
         # marching the plume to exactly that downwind distance
         from plumesense.channel import steady_state_concentration
 
-        grid = MarchGrid.for_plume(
-            HEIGHT, diffusion_scale(50.0, params), diffusion_scale(100.0, params),
-            resolution=0.1,
-        )
-        result = march_steady_plume(params, HEIGHT, grid)
+        result = march_steady_plume(params, HEIGHT, diffusion_scale(50.0, params),
+                                    diffusion_scale(100.0, params), resolution=0.1)
         iy = int(np.argmin(np.abs(result.y)))
         iz = int(np.argmin(np.abs(result.z - HEIGHT)))
         marched = result.field[iz, iy]
@@ -315,7 +310,6 @@ class TestTransientMarch:
 
     def test_report_grid_lists_every_grid_field(self, params, transient_result):
         grid = transient_oracle_report(transient_result, params, HEIGHT).grid
-        assert grid["advection_cells"] is None
         assert grid == dataclasses.asdict(transient_result.grid)
 
     def test_mass_conserved(self, transient_result):
@@ -359,20 +353,22 @@ class TestTransientMarch:
         assert_starts_from_closed_form(result, params)
         assert_matches_full_box(result, params)
 
-    def test_bit_identical_when_support_outgrows_shift(self, params):
-        # one cell per step: the support widens by two planes and moves by one
+    def test_bit_identical_when_support_outgrows_shift(self):
+        # at 15 cm/s the 0.12 cm steps give one cell per step: the support
+        # widens by two planes and moves by one
+        slow = ChannelParams.with_constant(15.0, DIFFUSIVITY)
         grid = TransientGrid(
-            x_span=(4.0, 36.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.1, t_end=0.11,
-            advection_cells=1,
+            x_span=(4.0, 104.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=2.0, t_end=2.01,
         )
-        result = march_transient_jet(params, HEIGHT, grid, probes=[(14.0, 0.0, HEIGHT)],
-                                     snapshot_times=(0.1, 0.11))
+        result = march_transient_jet(slow, HEIGHT, grid, probes=[(50.0, 0.0, HEIGHT)],
+                                     snapshot_times=(2.0, 2.01))
+        assert result.dt == grid.step_x / 15.0
         first, last = x_support(result.snapshots[0][1]), x_support(result.snapshots[-1][1])
         assert 0 < first[0] and last[-1] < result.x.size - 1
         assert last.size > first.size
-        assert_starts_from_closed_form(result, params)
-        assert_matches_full_box(result, params)
+        assert_starts_from_closed_form(result, slow)
+        assert_matches_full_box(result, slow)
 
     def test_bit_identical_from_all_zero_initial_condition(self, params):
         # by t_start the pulse has passed the box's far end (x = 12 cm) by
@@ -411,8 +407,8 @@ class TestTransientMarch:
         with pytest.raises(GridError, match=r"probe \(29\.0, 0\.0, 180\.0\)"):
             transient_oracle_report(result, params, HEIGHT)
 
-    @pytest.mark.parametrize("cells", [1, 4])
-    def test_bit_identical_from_sharp_edged_field(self, params, monkeypatch, cells):
+    @pytest.mark.parametrize("wind, cells", [(15.0, 1), (50.0, 4)], ids=["1", "4"])
+    def test_bit_identical_from_sharp_edged_field(self, monkeypatch, wind, cells):
         # a closed-form pulse fades into underflowed zeros at the support's
         # edges; a field cut off at full strength also checks the edge planes
         def slab_field(jet_mass, release_time, point, params, source_height):
@@ -421,27 +417,32 @@ class TestTransientMarch:
             return np.where(band, 1.0 + np.cos(7.0 * x + 3.0 * y + z), 0.0)
 
         monkeypatch.setattr("plumesense.oracles.jet_concentration", slab_field)
+        # the wind sets the cells per step at these 0.12 cm steps
+        params = ChannelParams.with_constant(wind, DIFFUSIVITY)
         grid = TransientGrid(
             x_span=(4.0, 16.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
             step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.05, t_end=0.09,
-            advection_cells=cells,
         )
-        dt = cells * grid.step_x / WIND
+        dt = cells * grid.step_x / wind
         times = grid.t_start + dt * np.arange(int(np.ceil(0.04 / dt)) + 1)
         result = march_transient_jet(params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)],
                                      snapshot_times=times)
+        assert result.dt == dt
         assert len(result.snapshots) == result.times.size
         assert_matches_full_box(result, params)
 
-    def test_configuration_errors(self, params):
+    def test_no_stable_integer_cfl_step_raises(self, params):
+        # crosswind steps of 0.01 cm cap the stable time step below the
+        # 3.6 ms one 0.5 cm cell takes at 140 cm/s
         grid = TransientGrid(
-            x_span=(4.0, 30.0), y_half=2.0, z_span=(HEIGHT - 2.0, HEIGHT + 2.0),
-            step_x=0.1, step_y=0.1, step_z=0.1, t_start=0.05, t_end=0.2,
-            advection_cells=10**6,  # violates the diffusion stability bound
+            x_span=(4.0, 30.0), y_half=0.1, z_span=(HEIGHT - 0.1, HEIGHT + 0.1),
+            step_x=0.5, step_y=0.01, step_z=0.01, t_start=0.05, t_end=0.2,
         )
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="no stable integer-CFL step exists"):
             march_transient_jet(params, HEIGHT, grid)
-        from plumesense.channel import ChannelParams, DiffusivityProfile
+
+    def test_configuration_errors(self, params):
+        from plumesense.channel import DiffusivityProfile
 
         varying = ChannelParams(WIND, DiffusivityProfile.from_function(lambda x: 0.2))
         ok = TransientGrid(
@@ -498,11 +499,10 @@ def spectrum(params):
 class TestSampledSpectrum:
     def test_matches_closed_form_shape(self, params, spectrum):
         report = spectrum_oracle_report(spectrum, params, HEIGHT)
+        assert set(report.checks) == {
+            "spectrum_magnitude", "spectrum_phase_slope", "spectrum_constant_variation"}
+        assert report.checks["spectrum_magnitude"] == report.max_rel_error
         assert report.passed
-        assert ORACLE_CHECKS["spectrum_magnitude"].passes(report.max_rel_error)
-        assert ORACLE_CHECKS["spectrum_phase_slope"].passes(report.extras["phase_slope_rel_err"])
-        assert ORACLE_CHECKS["spectrum_constant_variation"].passes(
-            report.extras["constant_ratio_variation"])
 
     def test_closed_form_constant_matches_dft(self, params, spectrum):
         report = spectrum_oracle_report(spectrum, params, HEIGHT)

@@ -718,10 +718,31 @@ class TestValidateOracles:
     @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**63), resolution=st.floats(0.3, 0.5))
     def test_rows_follow_the_check_table(self, seed, resolution):
-        table = run_validate_oracles(tiny_validate_config(seed, resolution))
+        # each report names its checks' values; the rows carry them unchanged
+        reports = []
+
+        def recording(report):
+            def record(*args, **kwargs):
+                reports.append(report(*args, **kwargs))
+                return reports[-1]
+            return record
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("steady_oracle_report", "spectrum_oracle_report"):
+                mp.setattr(runners, name, recording(getattr(runners, name)))
+            table = run_validate_oracles(tiny_validate_config(seed, resolution))
         names = list(ORACLE_CHECKS)
         assert table.column("check").tolist() == [
             float(i) for i, name in enumerate(names) if not name.startswith("transient_")]
+        rows = {names[int(row[0])]: row for row in table.rows.tolist()}
+        for report in reports:
+            assert report.passed == all(ORACLE_CHECKS[name].passes(value)
+                                        for name, value in report.checks.items())
+            for name, value in report.checks.items():
+                assert rows[name][1] == value
+        assert {name for report in reports for name in report.checks} == {
+            "steady_l2", "steady_crosswind", "steady_refinement_factor",
+            "spectrum_magnitude", "spectrum_phase_slope", "spectrum_constant_variation"}
         for check, value, budget, passed in table.rows.tolist():
             entry = ORACLE_CHECKS[names[int(check)]]
             assert budget == entry.budget
