@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError, EvaluationDomainError, ScenarioError
 
@@ -573,6 +572,8 @@ def breath_response(breath_rate: float, entry_time: float, point, params: Channe
         raise DomainError("breath rate must be nonnegative")
     if not math.isfinite(entry_time):
         raise DomainError("entry time must be finite")
+    from scipy.special import erfc
+
     u = params.wind_speed
 
     def term(x, t, s):

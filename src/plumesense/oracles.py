@@ -550,6 +550,9 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
     """Compare probe time series against the closed form where the pulse is
     significant (``_PROBE_SIGNIFICANCE`` of the per-probe peak or more) and the
     marched mass, under the ``transient_probe`` and ``transient_mass`` checks."""
+    if not result.probe_points:
+        raise GridError("the transient oracle has nothing to compare: the march's probe "
+                        "list is empty")
     worst = 0.0
     peak_offsets = {}
     sq_num = 0.0
@@ -571,11 +574,10 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
         sq_ref += float(np.sum(closed[mask] ** 2))
         t_peak_num = result.times[int(np.argmax(series))]
         peak_offsets[f"probe_{p}_peak_offset_s"] = float(t_peak_num - px / params.wind_speed)
-    l2 = math.sqrt(sq_num / sq_ref) if sq_ref > 0 else 0.0
     return OracleReport(
         name="transient_jet_march",
         max_rel_error=worst,
-        l2_rel_error=l2,
+        l2_rel_error=math.sqrt(sq_num / sq_ref),
         checks={
             "transient_probe": worst,
             "transient_mass": float(

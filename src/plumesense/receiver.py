@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError, GeometryError
 
@@ -101,8 +100,10 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
                       orders=DEFAULT_QUADRATURE_ORDERS) -> float:
     """Space-time integral of the field over the receiver sphere and window.
 
-    Tensor Gauss-Legendre quadrature in spherical coordinates with
-    (radial, polar, azimuthal, time) orders; deterministic for fixed orders.
+    Tensor Gauss-Legendre quadrature about the wind axis (x) with (axial,
+    radial, azimuthal, time) orders: x across the sphere, then a polar rule
+    on each (y, z) disc of radius sqrt(a^2 - xi^2), where a plume narrow
+    across the wind is smooth in rho; deterministic for fixed orders.
     ``field(x, y, z, t)`` must broadcast over numpy arrays.  Dividing by
     ``recv.volume * recv.sampling_window`` gives the mean concentration.
 
@@ -110,31 +111,31 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
     """
     if not math.isfinite(t_start):
         raise DomainError("exposure window start t_start must be finite")
-    n_r, n_theta, n_phi, n_t = orders
-    r, w_r = _gauss_legendre(n_r, 0.0, recv.radius)
-    theta, w_theta = _gauss_legendre(n_theta, 0.0, np.pi)
-    phi, w_phi = _gauss_legendre(n_phi, 0.0, 2.0 * np.pi)
+    n_x, n_rho, n_psi, n_t = orders
+    xi, w_x = _gauss_legendre(n_x, -recv.radius, recv.radius)
+    unit, w_unit = _gauss_legendre(n_rho, 0.0, 1.0)
+    psi, w_psi = _gauss_legendre(n_psi, 0.0, 2.0 * np.pi)
     t, w_t = _gauss_legendre(n_t, t_start, t_start + recv.sampling_window)
 
-    R = r[:, None, None, None]
-    TH = theta[None, :, None, None]
-    PH = phi[None, None, :, None]
-    TT = np.broadcast_to(t[None, None, None, :], (n_r, n_theta, n_phi, n_t))
+    rho_max = np.sqrt(recv.radius * recv.radius - xi * xi)[:, None, None, None]
+    RHO = rho_max * unit[None, :, None, None]
+    PSI = psi[None, None, :, None]
+    TT = np.broadcast_to(t[None, None, None, :], (n_x, n_rho, n_psi, n_t))
 
     cx, cy, cz = recv.center
-    X = cx + R * np.sin(TH) * np.cos(PH)
-    Y = cy + R * np.sin(TH) * np.sin(PH)
-    Z = cz + R * np.cos(TH)
+    X = cx + xi[:, None, None, None]
+    Y = cy + RHO * np.cos(PSI)
+    Z = cz + RHO * np.sin(PSI)
 
     values = np.asarray(field(X, Y, Z, TT), dtype=float)
-    jacobian = (R * R) * np.sin(TH)
+    # rho d(rho) with rho = rho_max * unit is rho_max^2 * unit d(unit)
     weight = (
-        w_r[:, None, None, None]
-        * w_theta[None, :, None, None]
-        * w_phi[None, None, :, None]
+        (w_x[:, None, None, None] * rho_max * rho_max)
+        * (unit * w_unit)[None, :, None, None]
+        * w_psi[None, None, :, None]
         * w_t[None, None, None, :]
     )
-    return float(np.sum(values * jacobian * weight))
+    return float(np.sum(values * weight))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,8 @@ def decide(received, threshold):
 
 def q_function(x):
     """Upper tail of the standard normal, Q(x) = erfc(x / sqrt(2)) / 2."""
+    from scipy.special import erfc
+
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("q_function requires finite input")

@@ -31,7 +31,7 @@ from .channel import (
     StochasticGrid,
 )
 from .errors import DomainError, ScenarioError
-from .receiver import ReceiverSpec
+from .receiver import DEFAULT_QUADRATURE_ORDERS, ReceiverSpec
 
 __all__ = [
     "ScenarioConfig",
@@ -159,7 +159,7 @@ def _expect_range(value, path, default, positive=False):
 def _expect_orders(value, path):
     seq = _expect_list(value, path)
     if len(seq) != 4:
-        raise ScenarioError(path, "quadrature orders are [radial, polar, azimuthal, time]")
+        raise ScenarioError(path, "quadrature orders are [axial, radial, azimuthal, time]")
     return [_expect_int(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(seq)]
 
 
@@ -307,7 +307,8 @@ _NOISE_FIELDS = {
 }
 _NEAR_DISTANCES = _sweep([50.0 + 50.0 * i for i in range(10)], "cm")
 _WIND_SPEEDS = _sweep([70.0, 140.0, 280.0], "cm/s")
-_ORDERS = _Field(_expect_orders, [32, 16, 32, 4], "[radial, polar, azimuthal, time], ints >= 1")
+_ORDERS = _Field(_expect_orders, list(DEFAULT_QUADRATURE_ORDERS),
+                 "[axial, radial, azimuthal, time], ints >= 1")
 _EXPERIMENT_FIELDS = {
     "field": {
         "x": _range({"start": 50.0, "stop": 500.0, "num": 10}, "cm", positive=True),

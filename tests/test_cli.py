@@ -425,11 +425,22 @@ def test_readme_library_sketch_runs(tmp_path):
     assert (tmp_path / "field.csv").is_file()
 
 
-def test_import_leaves_solver_modules_unloaded():
-    """Closed-form subcommands do not pay for the oracles' scipy solvers."""
+def test_import_leaves_solver_modules_unloaded(tmp_path):
+    """Closed-form subcommands do not pay for the oracles' scipy solvers, nor
+    for scipy.special, which only the breath response, Q and delay read."""
     code = ("import sys, plumesense.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg', 'scipy.special') "
+            "if m in sys.modules))")
     assert _fresh_python(code) == "[]"
+    run = ("import sys\nfrom plumesense.cli import main\ntry:\n    main()\n"
+           "finally:\n    print('scipy.special' in sys.modules)\n")
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    for command, scenario in (("field", "field.json"), ("freq", "freq.json"),
+                              ("conc-vs-dist", "concentration.json")):
+        out = tmp_path / f"{command}.csv"
+        assert _fresh_python(run, command, "--scenario", str(scenarios / scenario),
+                             "--out", str(out)) == "False", command
+        assert out.is_file(), command
 
 
 def test_variable_diffusivity_exposure_leaves_quadrature_unloaded():

@@ -407,6 +407,16 @@ class TestTransientMarch:
         with pytest.raises(GridError, match=r"probe \(29\.0, 0\.0, 180\.0\)"):
             transient_oracle_report(result, params, HEIGHT)
 
+    def test_empty_probe_list_raises(self, params):
+        # with nothing compared, a 0.0 error would read as a perfect match
+        grid = TransientGrid(
+            x_span=(4.0, 12.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.04, t_end=0.06,
+        )
+        result = march_transient_jet(params, HEIGHT, grid, probes=())
+        with pytest.raises(GridError, match="probe list is empty"):
+            transient_oracle_report(result, params, HEIGHT)
+
     @pytest.mark.parametrize("wind, cells", [(15.0, 1), (50.0, 4)], ids=["1", "4"])
     def test_bit_identical_from_sharp_edged_field(self, monkeypatch, wind, cells):
         # a closed-form pulse fades into underflowed zeros at the support's

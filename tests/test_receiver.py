@@ -22,18 +22,45 @@ from plumesense.receiver import (
 from conftest import HEIGHT, RADIUS
 
 
+def fresh_gauss_legendre(n, lo, hi):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)
+    return lo + half * (nodes + 1.0), half * weights
+
+
 def reference_exposure(recv, field, t_start, orders):
     """receiver_exposure with Gauss-Legendre nodes computed afresh on every call."""
-    def gauss_legendre(n, lo, hi):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        half = 0.5 * (hi - lo)
-        return lo + half * (nodes + 1.0), half * weights
+    n_x, n_rho, n_psi, n_t = orders
+    xi, w_x = fresh_gauss_legendre(n_x, -recv.radius, recv.radius)
+    unit, w_unit = fresh_gauss_legendre(n_rho, 0.0, 1.0)
+    psi, w_psi = fresh_gauss_legendre(n_psi, 0.0, 2.0 * np.pi)
+    t, w_t = fresh_gauss_legendre(n_t, t_start, t_start + recv.sampling_window)
+    rho_max = np.sqrt(recv.radius * recv.radius - xi * xi)[:, None, None, None]
+    RHO = rho_max * unit[None, :, None, None]
+    PSI = psi[None, None, :, None]
+    TT = np.broadcast_to(t[None, None, None, :], (n_x, n_rho, n_psi, n_t))
+    cx, cy, cz = recv.center
+    X = cx + xi[:, None, None, None]
+    Y = cy + RHO * np.cos(PSI)
+    Z = cz + RHO * np.sin(PSI)
+    values = np.asarray(field(X, Y, Z, TT), dtype=float)
+    weight = (
+        (w_x[:, None, None, None] * rho_max * rho_max)
+        * (unit * w_unit)[None, :, None, None]
+        * w_psi[None, None, :, None]
+        * w_t[None, None, None, :]
+    )
+    return float(np.sum(values * weight))
 
+
+def spherical_exposure(recv, field, t_start, orders):
+    """The same integral in spherical coordinates about z, with (radial,
+    polar, azimuthal, time) orders: an independent route through other nodes."""
     n_r, n_theta, n_phi, n_t = orders
-    r, w_r = gauss_legendre(n_r, 0.0, recv.radius)
-    theta, w_theta = gauss_legendre(n_theta, 0.0, np.pi)
-    phi, w_phi = gauss_legendre(n_phi, 0.0, 2.0 * np.pi)
-    t, w_t = gauss_legendre(n_t, t_start, t_start + recv.sampling_window)
+    r, w_r = fresh_gauss_legendre(n_r, 0.0, recv.radius)
+    theta, w_theta = fresh_gauss_legendre(n_theta, 0.0, np.pi)
+    phi, w_phi = fresh_gauss_legendre(n_phi, 0.0, 2.0 * np.pi)
+    t, w_t = fresh_gauss_legendre(n_t, t_start, t_start + recv.sampling_window)
     R = r[:, None, None, None]
     TH = theta[None, :, None, None]
     PH = phi[None, None, :, None]
@@ -51,6 +78,31 @@ def reference_exposure(recv, field, t_start, orders):
         * w_t[None, None, None, :]
     )
     return float(np.sum(values * jacobian * weight))
+
+
+def chord_capture_exposure(recv, wind):
+    """Steady unit-rate plume's exposure by an independent reduction: the
+    crosswind integral of the plume is rate/u at every x, so the sphere
+    integral is the chord integral of the captured fraction
+    1 - exp(-(a^2 - dx^2) / (4*scale(x))), with scale = K x / u."""
+    radius = recv.radius
+
+    def captured(dx):
+        scale = 0.242 * (recv.center[0] + dx) / wind
+        return -math.expm1(-(radius**2 - dx**2) / (4.0 * scale)) / wind
+
+    chord, _ = quad(captured, -radius, radius, epsabs=1e-14, epsrel=1e-12)
+    return chord * recv.sampling_window
+
+
+def slow_air_fields(params):
+    # in slow air the jet's pulse passes the sphere mid-window and spans
+    # several time nodes; at 140 cm/s it falls between them
+    slow = ChannelParams.with_constant(8.0, params.diffusivity.k0)
+    return {
+        "breath": lambda x, y, z, t: breath_response(1.0, 0.0, (x, y, z, t), params, HEIGHT),
+        "jet": lambda x, y, z, t: jet_concentration(1.0, -11.0, (x, y, z, t), slow, HEIGHT),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -104,22 +156,34 @@ class TestReceiverExposure:
         assert c == pytest.approx(2.0 * a + 3.0 * b, rel=1e-12)
 
     def test_steady_plume_value_against_chord_capture(self, recv, params):
-        # independent reduction: the crosswind integral of the plume is
-        # rate/u at every x, so the sphere integral is the chord integral of
-        # the captured fraction 1 - exp(-(r^2 - dx^2) / (4*scale(x)))
-        def captured(dx):
-            x = recv.center[0] + dx
-            scale = 0.242 * x / 140.0
-            return (1.0 - math.exp(-(RADIUS**2 - dx**2) / (4.0 * scale))) / 140.0
-
-        chord, _ = quad(captured, -RADIUS, RADIUS, epsabs=1e-14, epsrel=1e-12)
-        expected = chord * recv.sampling_window
+        expected = chord_capture_exposure(recv, 140.0)
         got = receiver_exposure(recv, steady_field(1.0, params, HEIGHT),
                                 orders=(48, 48, 48, 4))
         assert got == pytest.approx(expected, rel=1e-9)
-        # spec-default orders resolve the narrow plume to a few parts in 1e3
+        # the default orders resolve the narrow plume to a few parts in 1e12 here
         coarse = receiver_exposure(recv, steady_field(1.0, params, HEIGHT))
-        assert coarse == pytest.approx(expected, rel=5e-3)
+        assert coarse == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize("wind", [70.0, 140.0, 280.0])
+    def test_default_orders_meet_chord_capture_over_the_paper_range(self, wind):
+        # the narrowest plume is the fastest wind at the nearest distance:
+        # 280 cm/s at 50 cm, where the default orders measure +5.3e-6
+        params = ChannelParams.with_constant(wind, 0.242)
+        field = steady_field(1.0, params, HEIGHT)
+        for distance in (50.0, 100.0, 250.0, 500.0, 2500.0, 30000.0):
+            recv = ReceiverSpec((distance, 0.0, HEIGHT), RADIUS, 3.0, 0.85, 0.5)
+            assert receiver_exposure(recv, field) == pytest.approx(
+                chord_capture_exposure(recv, wind), rel=1e-5), distance
+
+    @pytest.mark.parametrize("name", ["breath", "jet"])
+    def test_transient_fields_match_the_spherical_rule(self, recv, params, name):
+        # both rules converge to a few parts in 1e15 at these orders (measured
+        # 4.1e-15 for the breath and 3.6e-15 for the slow-air jet)
+        field = slow_air_fields(params)[name]
+        expected = spherical_exposure(recv, field, 0.0, (64, 48, 64, 4))
+        assert expected > 0.0
+        assert receiver_exposure(recv, field, 0.0, (32, 32, 32, 4)) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_order_doubling_is_stable(self, recv, params):
         f = steady_field(1.0, params, HEIGHT)
@@ -138,14 +202,7 @@ class TestReceiverExposure:
 
     @pytest.mark.parametrize("orders", [(32, 16, 32, 4), (16, 16, 16, 8)])
     def test_cached_nodes_match_fresh_nodes(self, recv, params, orders):
-        # in slow air the jet's pulse passes the sphere mid-window and spans
-        # several time nodes; at 140 cm/s it falls between them
-        slow = ChannelParams.with_constant(8.0, params.diffusivity.k0)
-        fields = {
-            "steady": steady_field(1.0, params, HEIGHT),
-            "breath": lambda x, y, z, t: breath_response(1.0, 0.0, (x, y, z, t), params, HEIGHT),
-            "jet": lambda x, y, z, t: jet_concentration(1.0, -11.0, (x, y, z, t), slow, HEIGHT),
-        }
+        fields = {"steady": steady_field(1.0, params, HEIGHT), **slow_air_fields(params)}
         for name, field in fields.items():
             expected = reference_exposure(recv, field, 0.0, orders)
             assert expected > 0.0, name

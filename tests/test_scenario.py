@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plumesense.errors import DomainError, ScenarioError
+from plumesense.receiver import DEFAULT_QUADRATURE_ORDERS
 from plumesense.scenario import (
     EXPERIMENT_KINDS,
     ScenarioConfig,
@@ -239,6 +240,12 @@ class TestSchema:
         assert parse_scenario({"experiment": {"kind": kind}, "sources": {
             "users": schema["sources"]["users"]["default"]}}).resolved == resolved
 
+    @pytest.mark.parametrize("kind", ["conc_vs_distance", "pmd"])
+    def test_quadrature_orders_default_is_the_receivers(self, kind):
+        entry = scenario_schema()["experiment"][kind]["quadrature_orders"]
+        assert entry["default"] == list(DEFAULT_QUADRATURE_ORDERS)
+        assert entry["type"].startswith("[axial, radial, azimuthal, time]")
+
     def test_schema_covers_top_level_keys(self):
         schema = scenario_schema()
         for key in ("channel", "sources", "receiver", "noise", "experiment",
@@ -454,7 +461,7 @@ _DEFAULT_SNR_CALIBRATION = 1.96e4
 _DEFAULT_DISTANCES_NEAR = [50.0 + 50.0 * i for i in range(10)]  # 50..500 cm
 _DEFAULT_DISTANCES_FAR = [2500.0 * (i + 1) for i in range(12)]  # 2.5 km of cm.. 30 m
 _DEFAULT_WIND_SPEEDS = [70.0, 140.0, 280.0]
-_DEFAULT_ORDERS = [32, 16, 32, 4]
+_DEFAULT_ORDERS = [16, 16, 16, 8]
 
 EXPERIMENT_KINDS = (
     "field",
@@ -557,7 +564,7 @@ def _expect_range(value, path, positive=False):
 def _expect_orders(value, path):
     seq = _expect_list(value, path)
     if len(seq) != 4:
-        raise ScenarioError(path, "quadrature orders are [radial, polar, azimuthal, time]")
+        raise ScenarioError(path, "quadrature orders are [axial, radial, azimuthal, time]")
     return [_expect_int(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(seq)]
 
 
