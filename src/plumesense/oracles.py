@@ -28,6 +28,7 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
+    _kronrod,
     _point,
     diffusion_scale,
     distance_for_scale,
@@ -594,18 +595,28 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
 # ---------------------------------------------------------------------------
 
 
+_CONVOLUTION_ROUNDS = 10
+
+
 def step_convolution(point, params: ChannelParams, source_height: float,
                      entry_time: float = 0.0, rate: float = 1.0,
                      rel_tol: float = 1e-8) -> float:
     """Adaptive quadrature of the impulse response against a unit step of
     ``rate`` starting at ``entry_time``: the independent route to the breath
-    response.  Fails loudly if the quadrature cannot certify the tolerance."""
+    response.
+
+    The elapsed time is cut at the pulse, at -8, -2, 0, 2 and 8 widths
+    2 sqrt(s)/u about x/u, and integrated by the 7/15-point Gauss-Kronrod
+    rule.  Each round bisects, with one impulse-response call for all of
+    them, the subintervals whose error estimate exceeds their share of a
+    quarter of the budget, by width and per subinterval, until the summed
+    estimate is within ``rel_tol`` of the integral.  Raises
+    :class:`QuadratureError` if it is not after 10 rounds.
+    """
     px, py, pz, t = (float(c) for c in _point(point, 4))
     elapsed = t - entry_time
     if elapsed <= 0.0:
         return 0.0
-
-    from scipy.integrate import quad
 
     def integrand(s):
         return impulse_response((px, py, pz, s), params, source_height)
@@ -613,18 +624,30 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     u = params.wind_speed
     width = 2.0 * math.sqrt(diffusion_scale(px, params)) / u
     center = px / u
-    # hint the quadrature at the narrow pulse so adaptive refinement finds it
-    candidates = (center + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
-    points = [s for s in candidates if 0.0 < s < elapsed]
-    value, abserr = quad(
-        integrand, 0.0, elapsed, points=points or None,
-        epsabs=1e-30, epsrel=rel_tol, limit=250,
+    cuts = [s for s in (center + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
+            if 0.0 < s < elapsed]
+    ends = np.array([0.0, *cuts, elapsed])
+    lo, hi = ends[:-1], ends[1:]
+    kronrod, error = _kronrod(integrand, lo, hi)
+    for _ in range(_CONVOLUTION_ROUNDS):
+        value = float(kronrod.sum())
+        budget = rel_tol * abs(value)
+        if error.sum() <= budget:
+            return rate * value
+        split = error > 0.25 * budget * ((hi - lo) / elapsed + 1.0 / lo.size)
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_kronrod, new_error = _kronrod(integrand, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        kronrod = np.concatenate((kronrod[keep], new_kronrod))
+        error = np.concatenate((error[keep], new_error))
+    raise QuadratureError(
+        f"step convolution did not converge in {_CONVOLUTION_ROUNDS} rounds: "
+        f"value={kronrod.sum():.6g}, error estimate={error.sum():.3g}"
     )
-    if abserr > max(10.0 * rel_tol * abs(value), 1e-25):
-        raise QuadratureError(
-            f"step convolution did not converge: value={value:.6g}, abserr={abserr:.3g}"
-        )
-    return rate * value
 
 
 # ---------------------------------------------------------------------------

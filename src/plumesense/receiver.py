@@ -24,6 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .channel import _erfc
 from .errors import DomainError, GeometryError
 
 __all__ = [
@@ -164,12 +165,10 @@ def decide(received, threshold):
 
 def q_function(x):
     """Upper tail of the standard normal, Q(x) = erfc(x / sqrt(2)) / 2."""
-    from scipy.special import erfc
-
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("q_function requires finite input")
-    out = 0.5 * erfc(arr / math.sqrt(2.0))
+    out = 0.5 * _erfc(arr / math.sqrt(2.0))
     return float(out) if arr.ndim == 0 else out
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    _erfc,
+    _erfcinv,
     breath_response,
     diffusion_scale,
     frequency_response,
@@ -343,11 +345,11 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
 
     On the axis the breath response over the steady plume is the erfc front
     (erfc((d - u t)/r) - erfc(d/r))/2 with r = 2 sqrt(diffusion_scale(d)), so
-    the delay is its exact inverse t = (d - r erfcinv(2f + erfc(d/r)))/u.
-    ``experiment.rel_tol`` is accepted but not used.
+    the delay is its exact inverse t = (d - r erfcinv(2f + erfc(d/r)))/u,
+    with the package's own erfc (fdlibm's rule) and erfcinv (AS 241 for the
+    normal quantile, erfcinv(y) = -ndtri(y/2)/sqrt(2)) in
+    :mod:`plumesense.channel`.  ``experiment.rel_tol`` is accepted but not used.
     """
-    from scipy.special import erfc, erfcinv
-
     exp = config.experiment
     fraction = exp["fraction"]
     distances = np.asarray(exp["distances"])
@@ -360,7 +362,7 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
     blocks = []
     for u in exp["wind_speeds"]:
         root = 2.0 * np.sqrt(diffusion_scale(distances, config.channel_params(wind_speed=u)))
-        front = 2.0 * fraction + erfc(distances / root)
+        front = 2.0 * fraction + _erfc(distances / root)
         # erfc stays below 2, so the rise never reaches the target there
         unreached = front >= 2.0
         if unreached.any():
@@ -370,7 +372,7 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
                 f"{fraction} of its steady value",
             )
         with np.errstate(over="ignore"):
-            delay = (distances - root * erfcinv(front)) / u
+            delay = (distances - root * _erfcinv(front)) / u
         if not np.all(np.isfinite(delay)):
             raise ScenarioError("experiment.wind_speeds",
                                 f"the delay at {u} cm/s overflows; the wind is too slow")

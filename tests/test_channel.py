@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc
 
 from plumesense.channel import (
     _GAUSS_WEIGHTS,
+    _erfc,
+    _erfcinv,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
     ChannelParams,
@@ -322,14 +323,72 @@ class TestBreathResponse:
             breath_response(-1.0, 0.0, (100.0, 0.0, HEIGHT, 1.0), params, HEIGHT)
 
     def test_erfc_route_against_quadrature(self):
-        # the step response leans on erfc; cross-check the special function
+        # the step response leans on the package's erfc; cross-check it
         # against its defining integral 2/sqrt(pi) * int_x^inf exp(-t^2) dt
-        from scipy.special import erfc as erfc_impl
-
         for x in (-2.0, -0.3, 0.0, 0.5, 1.0, 2.5, 4.0):
             tail, _ = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t),
                            x, np.inf, epsabs=1e-14)
-            assert float(erfc_impl(x)) == pytest.approx(tail, abs=1e-12)
+            assert float(_erfc(x)) == pytest.approx(tail, abs=1e-12)
+
+
+class TestSpecialFunctions:
+    """The package's erfc against libm's (math.erfc, the same fdlibm rule)
+    and its inverse against scipy and CPython's AS 241."""
+
+    def test_erfc_within_4_ulp_of_libm(self):
+        x = np.concatenate((np.linspace(-6.0, 27.3, 400_001),
+                            np.random.default_rng(5).uniform(-6.0, 27.3, 100_000)))
+        ours = _erfc(x)
+        libm = np.array([math.erfc(v) for v in x])
+        normal = libm >= np.finfo(float).tiny
+        ulps = np.abs(ours[normal] - libm[normal]) / np.spacing(libm[normal])
+        assert ulps.max() <= 4.0
+
+    def test_erfc_subnormal_band(self):
+        # libm does not flush erfc to 0 from x = 26.55 to 27.2: nor does this rule
+        x = np.linspace(26.55, 27.3, 20_001)
+        libm = np.array([math.erfc(v) for v in x])
+        assert np.all(libm < np.finfo(float).tiny) and np.count_nonzero(libm) > 15_000
+        assert np.max(np.abs(_erfc(x) - libm)) <= 4 * 5e-324
+
+    def test_erfc_tails_and_non_finite(self):
+        x = np.array([-np.inf, -1e300, -6.0, 28.0, 1e300, np.inf, 0.0, -0.0, np.nan])
+        out = _erfc(x)
+        assert out[:8].tolist() == [2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+        # comparisons with NaN are all false; it must not fall to a limit
+        assert np.isnan(out[8])
+        assert np.isnan(_erfc(np.nan))
+
+    def test_erfc_keeps_shape(self):
+        x = np.linspace(-7.0, 30.0, 12).reshape(3, 4)
+        assert _erfc(x).shape == (3, 4)
+        assert _erfc(0.5).shape == ()
+        assert float(_erfc(0.5)) == math.erfc(0.5)
+
+    def test_erfcinv_against_scipy(self):
+        from scipy.special import erfcinv
+
+        y = np.concatenate((np.logspace(-300.0, 0.0, 5_001), np.linspace(0.0, 2.0, 5_001),
+                            2.0 - np.logspace(-15.6, -1.0, 501)))
+        np.testing.assert_allclose(_erfcinv(y), erfcinv(y), rtol=4e-15, atol=1e-16)
+        edges = _erfcinv(np.array([0.0, 2.0, 1.0, -0.1, 2.1, np.nan]))
+        assert edges[:3].tolist() == [np.inf, -np.inf, 0.0]
+        assert np.isnan(edges[3:]).all()
+
+    def test_erfcinv_is_cpythons_as241(self):
+        # the same AS 241 coefficients and operations, so the same bits
+        import statistics
+
+        p = np.concatenate((np.logspace(-300.0, -0.4, 2_001), np.linspace(0.0, 1.0, 2_001)[1:-1]))
+        normal = statistics.NormalDist()
+        expected = [-normal.inv_cdf(v) / math.sqrt(2.0) for v in p]
+        assert _erfcinv(2.0 * p).tolist() == expected
+
+    def test_erfc_erfcinv_round_trip(self):
+        y = np.concatenate((np.logspace(-300.0, math.log10(2.0), 20_001)[:-1],
+                            [np.nextafter(2.0, 0.0)]))
+        # erfc(x) moves by 2x relative per unit x, so x's rounding grows by 2x^2
+        assert np.max(np.abs(_erfc(_erfcinv(y)) - y) / y) <= 2e-12
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +791,8 @@ def reference_breath_response(rate, entry_time, point, params, height):
         s = np.asarray(diffusion_scale(X[live], params))
         u = params.wind_speed
         root = 2.0 * np.sqrt(s)
-        step = np.maximum(erfc((X[live] - u * elapsed[live]) / root) - erfc(X[live] / root), 0.0)
+        step = np.maximum(_erfc((X[live] - u * elapsed[live]) / root)
+                          - _erfc(X[live] / root), 0.0)
         with np.errstate(over="ignore"):
             out[live] = (
                 rate / (8.0 * np.pi * s * u) * step

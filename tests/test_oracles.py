@@ -11,11 +11,12 @@ from plumesense.channel import (
     ChannelParams,
     breath_response,
     diffusion_scale,
+    impulse_response,
     jet_concentration,
     steady_field,
 )
 from plumesense import oracles
-from plumesense.errors import DomainError, GridError
+from plumesense.errors import DomainError, GridError, QuadratureError
 from plumesense.oracles import (
     _DIFFUSION_BLOCK,
     ORACLE_CHECKS,
@@ -498,6 +499,52 @@ class TestStepConvolution:
         for bad in (point[:3], (*point, 1.0), np.array(point[:3])):
             with pytest.raises(DomainError):
                 step_convolution(bad, params, HEIGHT)
+
+    def test_matches_quadpack(self, params):
+        """The Gauss-Kronrod rule agrees with QUADPACK's qags, given the same
+        cuts at the pulse, at 200 points from validate-oracles' range."""
+        from scipy.integrate import quad
+
+        def impulse(x, y, z, t):
+            s = DIFFUSIVITY * x / WIND
+            crosswind = math.exp(-y * y / (4.0 * s)) * (
+                math.exp(-(z - HEIGHT) ** 2 / (4.0 * s)) + math.exp(-(z + HEIGHT) ** 2 / (4.0 * s)))
+            return (math.exp(-(x - WIND * t) ** 2 / (4.0 * s)) / (8.0 * (math.pi * s) ** 1.5)
+                    * crosswind)
+
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(200):
+            x = rng.uniform(20.0, 300.0)
+            y = rng.uniform(-1.5, 1.5)
+            z = HEIGHT + rng.uniform(-1.5, 1.5)
+            t = x / WIND * rng.uniform(0.9, 3.0) + rng.uniform(0.0, 5.0)
+            width = 2.0 * math.sqrt(DIFFUSIVITY * x / WIND) / WIND
+            cuts = [s for s in (x / WIND + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
+                    if 0.0 < s < t]
+            reference, _ = quad(lambda s: impulse(x, y, z, s), 0.0, t, points=cuts,
+                                epsabs=0.0, epsrel=1e-13, limit=250)
+            worst = max(worst, abs(step_convolution((x, y, z, t), params, HEIGHT) - reference)
+                        / reference)
+        assert worst <= 1e-12
+
+    def test_one_impulse_call_per_round(self, params, monkeypatch):
+        calls = []
+
+        def impulse(point, *args):
+            calls.append(np.shape(point[3]))
+            return impulse_response(point, *args)
+
+        monkeypatch.setattr(oracles, "impulse_response", impulse)
+        step_convolution((100.0, 0.0, HEIGHT, 2.0), params, HEIGHT)
+        # the first round integrates all six pieces between the cuts at once
+        assert calls[0] == (6, 15)
+        assert 1 < len(calls) <= oracles._CONVOLUTION_ROUNDS
+
+    def test_unreachable_tolerance_raises(self, params):
+        # below the rounding of the sum, no number of bisections can certify it
+        with pytest.raises(QuadratureError, match="did not converge in 10 rounds"):
+            step_convolution((100.0, 0.0, HEIGHT, 2.0), params, HEIGHT, rel_tol=1e-300)
 
 
 @pytest.fixture(scope="module")

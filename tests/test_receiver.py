@@ -273,6 +273,15 @@ class TestQFunction:
                        1.0, np.inf, epsabs=1e-14)
         assert q_function(1.0) == pytest.approx(tail, abs=1e-12)
 
+    def test_against_mpmath(self):
+        from mpmath import erfc, mp, mpf, sqrt
+
+        for x in (-3.0, -1.0, 0.0, 0.5, 1.0, 1.96, 3.0, 5.0, 10.0):
+            with mp.workdps(40):
+                exact = erfc(mpf(x) / sqrt(2)) / 2
+                # the rounding of x / sqrt(2) moves Q by about x^2 relative ulps
+                assert float(abs(q_function(x) - exact) / exact) <= 4e-16 * (1.0 + x * x)
+
     def test_array_input(self):
         out = q_function(np.array([0.0, 1.0]))
         assert out.shape == (2,)

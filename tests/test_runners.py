@@ -675,7 +675,13 @@ class TestSmallRunners:
         # config_hash of the schema without receiver.prior_infected; a
         # scenario without a stochastic grid keeps its two columns and its bytes
         table = run_timeseries(load_scenario(SCENARIOS / "timeseries.json"))
-        digest = hashlib.sha256(table.to_csv_text().encode()).hexdigest()
+        text = table.to_csv_text()
+        # the one row that moved with the package's erfc: libm's rule keeps
+        # erfc's subnormal tail past x = 26.55, which scipy's flushed to 0
+        moved = "\n5.55000000e-01,1.53071171e-317\n"
+        assert text.count(moved) == 1
+        before = text.replace(moved, "\n5.55000000e-01,0.00000000e+00\n")
+        digest = hashlib.sha256(before.encode()).hexdigest()
         assert digest == "de7c25c5864b89f238e8b25b4cbca363fd9a6e728c5ebd6f171983dd0d98d7aa"
 
     def test_frequency_sweep_shape(self):
