@@ -20,7 +20,6 @@ from .channel import (  # noqa: F401
     StochasticGrid,
     breath_response,
     diffusion_scale,
-    distance_for_scale,
     frequency_response,
     impulse_response,
     jet_concentration,

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationDomainError, ScenarioError
+from .errors import DomainError, EvaluationDomainError, QuadratureError, ScenarioError
 
 __all__ = [
     "DiffusivityProfile",
@@ -40,7 +40,6 @@ __all__ = [
     "MultiUserScenario",
     "ComplexResponse",
     "diffusion_scale",
-    "distance_for_scale",
     "impulse_response",
     "jet_concentration",
     "breath_response",
@@ -538,51 +537,55 @@ def _suffix_min(values: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(values[::-1])[::-1]
 
 
-def _gap_integrals(profile: DiffusivityProfile, ends: np.ndarray) -> np.ndarray:
-    """Integrals of ``profile`` over [0, ends[0]], [ends[0], ends[1]], ... for
-    strictly increasing positive ``ends``.
+def _gap_integrals(func: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                   hi: np.ndarray, owner: np.ndarray, ends: np.ndarray,
+                   rel_tol: float) -> np.ndarray:
+    """Integrals of ``func`` over the gaps [0, ends[0]], [ends[0], ends[1]],
+    ... for strictly increasing positive ``ends``, by adaptive 7/15-point
+    Gauss-Kronrod quadrature from the subintervals [lo, hi] that tile them,
+    the gap of each in ``owner`` (nondecreasing).
 
     The integral S_j over [0, ends[j]] is the sum of the Kronrod estimates of
     the subintervals up to ends[j], and its error bound the sum of their error
-    estimates.  The pass ends once every bound is within ``_SCALE_RTOL * S_j``.
-    Until then each round bisects, with one profile call for all of them, the
+    estimates.  The pass ends once every bound is within ``rel_tol * S_j``.
+    Until then each round bisects, with one ``func`` call for all of them, the
     subintervals whose error exceeds their share of half that budget, so that
     rounding cannot keep a converged pass open.  A share is the mean of two
     allotments, each of which sums to at most S_j over [0, ends[j]] for every
     j: by width, width * min S_j / ends[j], and per subinterval,
     min S_j / (subintervals up to ends[j]), both minima over j at or past the
-    subinterval's gap.  The width allotment keeps a smooth K cheap; the
-    per-subinterval one lets the subinterval at the source converge where K
-    behaves like x^p there, for every p > 0 and for integrable singularities
-    such as 1/sqrt(x).
+    subinterval's gap.  The width allotment keeps a smooth integrand cheap;
+    the per-subinterval one lets the subinterval at 0 converge where the
+    integrand behaves like x^p there, for every p > 0 and for integrable
+    singularities such as 1/sqrt(x).  Raises :class:`QuadratureError` when a
+    gap needs more than ``_MAX_SUBINTERVALS_PER_GAP`` subintervals or no
+    subinterval is left to split.
     """
     n = ends.size
-    lo = np.concatenate(([0.0], ends[:-1]))
-    hi = ends
-    owner = np.arange(n)
-    kronrod, error = _kronrod(profile, lo, hi)
+    kronrod, error = _kronrod(func, lo, hi)
     while True:
         gaps = np.bincount(owner, weights=kronrod, minlength=n)
         cumulative = np.cumsum(gaps)
         bound = np.cumsum(np.bincount(owner, weights=error, minlength=n))
-        if np.all(bound <= _SCALE_RTOL * cumulative):
+        if np.all(bound <= rel_tol * cumulative):
             return gaps
         count = np.bincount(owner, minlength=n)
         per_width = _suffix_min(cumulative / ends)
         per_leaf = _suffix_min(cumulative / np.cumsum(count))
-        share = 0.25 * _SCALE_RTOL * ((hi - lo) * per_width[owner] + per_leaf[owner])
+        share = 0.25 * rel_tol * ((hi - lo) * per_width[owner] + per_leaf[owner])
         split = error > share
         keep = ~split
         count += np.bincount(owner[split], minlength=n)
         if not split.any() or count.max() > _MAX_SUBINTERVALS_PER_GAP:
-            raise DomainError(
-                f"integral of the diffusivity did not reach relative {_SCALE_RTOL:g} "
-                f"within {_MAX_SUBINTERVALS_PER_GAP} subintervals per point"
+            raise QuadratureError(
+                f"adaptive quadrature did not reach relative {rel_tol:g} within "
+                f"{_MAX_SUBINTERVALS_PER_GAP} subintervals per gap: integral "
+                f"{cumulative[-1]:.6g}, error estimate {bound[-1]:.3g}"
             )
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        new_kronrod, new_error = _kronrod(profile, new_lo, new_hi)
+        new_kronrod, new_error = _kronrod(func, new_lo, new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         owner = np.concatenate((owner[keep], owner[split], owner[split]))
@@ -594,13 +597,14 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
     """Transformed downwind coordinate (1/u) * integral_0^x K(s) ds, in cm^2.
 
     Exact for a constant profile.  Otherwise one cumulative pass over the
-    sorted unique points: the gaps between neighbours are integrated by
-    adaptive 7/15-point Gauss-Kronrod quadrature and summed in order, with
-    the error of every cumulative value bounded to 1e-10 relative.  Monotone
-    nondecreasing in x.  A profile that needs more than 200 subintervals per
-    point, such as x^-0.9 at the source or one oscillating far faster than
-    the points are spaced, raises :class:`DomainError`.  A scale past the
-    range of doubles comes back as inf, quietly.
+    sorted unique points: the package's one adaptive 7/15-point
+    Gauss-Kronrod loop (``_gap_integrals``) integrates the gaps between
+    neighbours, summed in order, with the error of every cumulative value
+    bounded to 1e-10 relative.  Monotone nondecreasing in x.  A profile that
+    needs more than 200 subintervals for one gap, such as x^-0.9 at the
+    source or one oscillating far faster than the points are spaced, raises
+    :class:`QuadratureError`.  A scale past the range of doubles comes back
+    as inf, quietly.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
@@ -616,27 +620,12 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
     if pos.any():
         # an integral of K past the range of doubles makes the scale inf
         with np.errstate(over="ignore"):
-            gaps = _gap_integrals(params.diffusivity, points[pos])
+            ends = points[pos]
+            lo = np.concatenate(([0.0], ends[:-1]))
+            gaps = _gap_integrals(params.diffusivity, lo, ends, np.arange(ends.size), ends,
+                                  _SCALE_RTOL)
             scales[pos] = np.cumsum(gaps) / params.wind_speed
     return _as_output(scales[inverse], arr.shape)
-
-
-def distance_for_scale(scale: float, params: ChannelParams) -> float:
-    """Inverse of :func:`diffusion_scale`: downwind distance reaching ``scale``."""
-    if scale < 0.0:
-        raise DomainError("scale must be nonnegative")
-    if scale == 0.0:
-        return 0.0
-    if params.diffusivity.is_constant:
-        return params.wind_speed * scale / params.diffusivity.k0
-    from scipy.optimize import brentq
-
-    hi = 1.0
-    while diffusion_scale(hi, params) < scale:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError("scale not reachable within 1e12 cm")
-    return brentq(lambda x: diffusion_scale(x, params) - scale, 0.0, hi, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ heat equation validating the steady plume, an advection-diffusion march
 validating the jet response, adaptive time convolution validating the breath
 step response, a DFT of the sampled impulse response validating the
 frequency-domain shape, and Monte Carlo estimators validating the receiver
-integral and the missed-detection probability.  Each march derives its own
-steps: the steady one from a single resolution, the jet one from its box's
-spacing and the stability bound.
+integral and the missed-detection probability.  Each march starts from its
+closed form and derives its own steps: the steady one runs between two
+downwind distances from :func:`steady_state_concentration` at the first, in
+scale steps set by a single resolution; the jet one from
+:func:`jet_concentration` at its start time, in steps set by its box's
+spacing and the stability bound.  The time convolution runs on the same
+adaptive Gauss-Kronrod loop as the channel's :func:`diffusion_scale`, and
+fails under the same rule, with :class:`QuadratureError`.
 
 Every oracle is deterministic given its full configuration (seeds included)
 and carries an explicit error budget; disagreement beyond budget is a hard
@@ -28,16 +33,15 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
-    _kronrod,
+    _gap_integrals,
     _point,
     diffusion_scale,
-    distance_for_scale,
     frequency_response,
     impulse_response,
     jet_concentration,
     steady_state_concentration,
 )
-from .errors import DomainError, GridError, QuadratureError
+from .errors import DomainError, GridError
 from .receiver import ReceiverSpec, decide, ml_threshold
 
 __all__ = [
@@ -96,7 +100,7 @@ WILSON_Z = 3.0
 # the fraction of its peak above which a transient probe is compared
 _PROBE_SIGNIFICANCE = 0.05
 
-# the steady march's grid reach beyond the plume centre, in sqrt(scale_end)
+# the steady march's grid reach beyond the plume centre, in sqrt of its end scale
 _CONTAINMENT_MARGIN = 6.0
 
 
@@ -149,8 +153,8 @@ def _relative_errors(numeric, reference):
 
 @dataclass
 class SteadyMarchResult:
-    scale_start: float
-    scale_end: float
+    x_start: float
+    x_end: float
     resolution: float
     y: np.ndarray
     z: np.ndarray
@@ -160,17 +164,6 @@ class SteadyMarchResult:
     rate: float
     runtime_s: float
     warnings: Tuple[str, ...] = ()
-
-
-def _initial_slice(rate, wind_speed, scale, y, z, source_height):
-    # a square beyond the doubles is inf, and the Gaussian's limit there is 0
-    with np.errstate(over="ignore"):
-        cy = np.exp(-(y * y) / (4.0 * scale))
-        cz = np.exp(-((z - source_height) ** 2) / (4.0 * scale)) + np.exp(
-            -((z + source_height) ** 2) / (4.0 * scale)
-        )
-    pref = rate / (4.0 * wind_speed * np.pi * scale)
-    return pref * cz[:, None] * cy[None, :]
 
 
 def _laplacian_2d(C, lo, hi, dy, dz, out):
@@ -201,20 +194,20 @@ def _crosswind_integral(C, lo, hi, dy, dz, inner):
     return np.trapezoid(inner, dx=dz)
 
 
-def march_steady_plume(params: ChannelParams, source_height: float, scale_start: float,
-                       scale_end: float, resolution: float,
+def march_steady_plume(params: ChannelParams, source_height: float, x_start: float,
+                       x_end: float, resolution: float,
                        rate: float = 1.0) -> SteadyMarchResult:
-    """March the crosswind heat equation from the closed form at scale_start
-    to scale_end.
+    """March the crosswind heat equation from the closed form at x_start to
+    x_end, in the transformed coordinate s = diffusion_scale(x).
 
     The grid is set by ``resolution`` alone: y and z steps of ``resolution``
-    out to ``_CONTAINMENT_MARGIN`` * sqrt(scale_end) beyond the plume centre
+    out to ``_CONTAINMENT_MARGIN`` * sqrt(s(x_end)) beyond the plume centre
     (y = 0, z = source height), z from the ground, and scale steps of at most
     0.25 * resolution^2, the explicit march's stability bound.  The initial
-    slice is the narrow Gaussian the heat kernel makes of the point source by
-    scale_start, so the marched field is directly comparable to the closed
-    form at scale_end.  The ground row is no-flux; the outer boundaries hold
-    zero.
+    slice is :func:`steady_state_concentration` at x_start, as the jet march
+    starts from :func:`jet_concentration` at t_start, so the marched field
+    is directly comparable to the closed form at x_end.  The ground row is
+    no-flux; the outer boundaries hold zero.
 
     Each step updates only the rows of the exact nonzero support.  The
     stencil maps an all-zero neighbourhood to exactly 0.0, so the support
@@ -224,11 +217,15 @@ def march_steady_plume(params: ChannelParams, source_height: float, scale_start:
     so the field and the crosswind integrals are bit-identical to updating
     and integrating the whole slice.
     """
-    if not (0.0 < scale_start < scale_end):
-        raise GridError("need 0 < scale_start < scale_end")
+    if not (0.0 < x_start < x_end < math.inf):
+        raise GridError("need 0 < x_start < x_end < inf")
     if not (resolution > 0.0 and source_height > 0.0):
         raise GridError("resolution and source height must be positive")
     start = time.perf_counter()
+    scale_start, scale_end = diffusion_scale(np.array([x_start, x_end]), params)
+    if not (0.0 < scale_start < scale_end < math.inf):
+        raise GridError(f"the diffusion scales {scale_start:g} to {scale_end:g} cm^2 "
+                        "leave the range of doubles")
 
     reach = _CONTAINMENT_MARGIN * math.sqrt(scale_end)
     dy = dz = resolution
@@ -249,7 +246,8 @@ def march_steady_plume(params: ChannelParams, source_height: float, scale_start:
     n_steps = max(1, int(math.ceil(span / (0.25 * resolution * resolution))))
     d = span / n_steps
 
-    C = _initial_slice(rate, params.wind_speed, scale_start, y, z, source_height)
+    C = steady_state_concentration(rate, (x_start, y[None, :], z[:, None]), params,
+                                   source_height)
     C[:, 0] = 0.0
     C[:, -1] = 0.0
     C[-1, :] = 0.0
@@ -271,8 +269,8 @@ def march_steady_plume(params: ChannelParams, source_height: float, scale_start:
 
     scales = scale_start + d * np.arange(n_steps + 1)
     return SteadyMarchResult(
-        scale_start=scale_start,
-        scale_end=scale_end,
+        x_start=x_start,
+        x_end=x_end,
         resolution=resolution,
         y=y,
         z=z,
@@ -288,14 +286,12 @@ def march_steady_plume(params: ChannelParams, source_height: float, scale_start:
 def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
                          source_height: float,
                          coarse: Optional[SteadyMarchResult] = None) -> OracleReport:
-    """Compare the marched slice at scale_end against the closed form, mapped
-    back through the scale <-> distance relation, under the ``steady_l2`` and
-    ``steady_crosswind`` checks.  ``coarse``, a march of the same plume at a
-    coarser resolution, adds ``steady_refinement_factor``: its l2 error over
-    this march's."""
-    x_end = distance_for_scale(float(result.scales[-1]), params)
-    Y, Z = np.meshgrid(result.y, result.z)
-    closed = steady_state_concentration(result.rate, (x_end, Y, Z), params, source_height)
+    """Compare the marched slice at x_end against the closed form under the
+    ``steady_l2`` and ``steady_crosswind`` checks.  ``coarse``, a march of the
+    same plume at a coarser resolution, adds ``steady_refinement_factor``: its
+    l2 error over this march's."""
+    closed = steady_state_concentration(result.rate, (result.x_end, result.y[None, :],
+                                                      result.z[:, None]), params, source_height)
     max_rel, l2_rel = _relative_errors(result.field, closed)
     flux = result.rate / params.wind_speed
     crosswind_dev = float(np.max(np.abs(result.crosswind_integrals - flux) / flux))
@@ -308,11 +304,10 @@ def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
         max_rel_error=max_rel,
         l2_rel_error=l2_rel,
         checks=checks,
-        grid={"scale_start": result.scale_start, "scale_end": result.scale_end,
+        grid={"x_start": result.x_start, "x_end": result.x_end,
               "resolution": result.resolution},
         runtime_s=result.runtime_s,
         warnings=result.warnings,
-        extras={"distance_at_end": x_end},
     )
 
 
@@ -595,9 +590,6 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
 # ---------------------------------------------------------------------------
 
 
-_CONVOLUTION_ROUNDS = 10
-
-
 def step_convolution(point, params: ChannelParams, source_height: float,
                      entry_time: float = 0.0, rate: float = 1.0,
                      rel_tol: float = 1e-8) -> float:
@@ -606,12 +598,11 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     response.
 
     The elapsed time is cut at the pulse, at -8, -2, 0, 2 and 8 widths
-    2 sqrt(s)/u about x/u, and integrated by the 7/15-point Gauss-Kronrod
-    rule.  Each round bisects, with one impulse-response call for all of
-    them, the subintervals whose error estimate exceeds their share of a
-    quarter of the budget, by width and per subinterval, until the summed
-    estimate is within ``rel_tol`` of the integral.  Raises
-    :class:`QuadratureError` if it is not after 10 rounds.
+    2 sqrt(s)/u about x/u, and the pieces between the cuts are integrated as
+    one gap by the package's adaptive 7/15-point Gauss-Kronrod loop
+    (``channel._gap_integrals``, one impulse-response call per round) to
+    ``rel_tol``.  Raises :class:`QuadratureError` if that takes more than 200
+    subintervals.
     """
     px, py, pz, t = (float(c) for c in _point(point, 4))
     elapsed = t - entry_time
@@ -627,27 +618,9 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     cuts = [s for s in (center + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
             if 0.0 < s < elapsed]
     ends = np.array([0.0, *cuts, elapsed])
-    lo, hi = ends[:-1], ends[1:]
-    kronrod, error = _kronrod(integrand, lo, hi)
-    for _ in range(_CONVOLUTION_ROUNDS):
-        value = float(kronrod.sum())
-        budget = rel_tol * abs(value)
-        if error.sum() <= budget:
-            return rate * value
-        split = error > 0.25 * budget * ((hi - lo) / elapsed + 1.0 / lo.size)
-        keep = ~split
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_kronrod, new_error = _kronrod(integrand, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        kronrod = np.concatenate((kronrod[keep], new_kronrod))
-        error = np.concatenate((error[keep], new_error))
-    raise QuadratureError(
-        f"step convolution did not converge in {_CONVOLUTION_ROUNDS} rounds: "
-        f"value={kronrod.sum():.6g}, error estimate={error.sum():.3g}"
-    )
+    value = _gap_integrals(integrand, ends[:-1], ends[1:], np.zeros(ends.size - 1, dtype=int),
+                           ends[-1:], rel_tol)
+    return rate * float(value[0])
 
 
 # ---------------------------------------------------------------------------

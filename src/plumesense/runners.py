@@ -571,12 +571,11 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
 
     # steady-plume march against the closed form, plus refinement gain; no
     # name holds the marches, so their fields are freed before the jet march
-    scales = (diffusion_scale(50.0, params), diffusion_scale(250.0, params))
     resolution = exp["steady_resolution"]
     try:
         values.update(steady_oracle_report(
-            march_steady_plume(params, height, *scales, resolution / 2), params, height,
-            coarse=march_steady_plume(params, height, *scales, resolution)).checks)
+            march_steady_plume(params, height, 50.0, 250.0, resolution / 2), params, height,
+            coarse=march_steady_plume(params, height, 50.0, 250.0, resolution)).checks)
     except GridError as exc:
         raise ScenarioError("experiment.steady_resolution", str(exc)) from exc
 

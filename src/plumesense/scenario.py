@@ -61,7 +61,10 @@ def _expect_list(value, path):
 def _expect_number(value, path, positive=False, nonnegative=False, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the range of doubles
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(path, "must be finite")
     if positive and value <= 0.0:

@@ -52,10 +52,9 @@ def test_criterion_1_steady_plume_oracle_equivalence(params):
     """March of the transformed heat equation vs the closed form: L2 < 2%,
     refinement gain >= 3x, under 60 s."""
     start = time.perf_counter()
-    scales = (diffusion_scale(50.0, params), diffusion_scale(250.0, params))
-    coarse = steady_oracle_report(march_steady_plume(params, HEIGHT, *scales, 0.1),
+    coarse = steady_oracle_report(march_steady_plume(params, HEIGHT, 50.0, 250.0, 0.1),
                                   params, HEIGHT)
-    fine = steady_oracle_report(march_steady_plume(params, HEIGHT, *scales, 0.05),
+    fine = steady_oracle_report(march_steady_plume(params, HEIGHT, 50.0, 250.0, 0.05),
                                 params, HEIGHT)
     elapsed = time.perf_counter() - start
     assert coarse.l2_rel_error < 0.02

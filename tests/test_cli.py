@@ -463,6 +463,51 @@ def test_variable_diffusivity_exposure_leaves_quadrature_unloaded():
     assert _fresh_python(code) == "True False"
 
 
+def test_library_runs_on_numpy_alone():
+    """With scipy made unimportable, the library's numerical routes run under
+    a variable K = k0 (1 + x/L): the diffusion scale against its closed form,
+    the steady oracle from march to report, and the step convolution against
+    the breath response."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from plumesense import (ChannelParams, DiffusivityProfile, breath_response,\n"
+        "                        diffusion_scale)\n"
+        "from plumesense.oracles import (march_steady_plume, steady_oracle_report,\n"
+        "                                step_convolution)\n"
+        "profile = DiffusivityProfile.from_function(lambda x: 0.242 * (1.0 + x / 150.0))\n"
+        "params = ChannelParams(140.0, profile)\n"
+        "scale = diffusion_scale(250.0, params)\n"
+        "exact = 0.242 * (250.0 + 250.0 ** 2 / 300.0) / 140.0\n"
+        "report = steady_oracle_report(march_steady_plume(params, 180.0, 50.0, 250.0, 0.2),\n"
+        "                              params, 180.0)\n"
+        "point = (100.0, 0.5, 180.5, 2.0)\n"
+        "numeric = step_convolution(point, params, 180.0)\n"
+        "closed = breath_response(1.0, 0.0, point, params, 180.0)\n"
+        "print(abs(scale / exact - 1.0) < 1e-12, report.passed,\n"
+        "      abs(numeric / closed - 1.0) < 1e-6)\n"
+    )
+    assert _fresh_python(code) == "True True True"
+
+
+@pytest.mark.parametrize("command, scenario, override, path", [
+    ("field", "field.json", "channel.wind_speed={}", "channel.wind_speed"),
+    ("field", "field.json", "experiment.x.stop={}", "experiment.x.stop"),
+    ("conc-vs-dist", "concentration.json", "experiment.distances=[50, {}]",
+     "experiment.distances[1]"),
+])
+def test_integer_beyond_doubles_named(tmp_path, command, scenario, override, path):
+    """An integer too large for a double is not finite: the run names its
+    path and exits 2, without an OverflowError traceback."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    result = _fresh_process("from plumesense.cli import main; main()", command,
+                            "--scenario", str(scenarios / scenario),
+                            "--out", str(tmp_path / "out.csv"),
+                            "--set", override.format("1" + "0" * 400))
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr == f"configuration error: {path}: must be finite\n"
+
+
 def test_delay_returns_for_any_rel_tol(tmp_path):
     """A tolerance below the spacing of doubles cannot stall the delay: the
     closed form does not iterate, so the rows equal those at 1e-6."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plumesense.channel import (
+    _MAX_SUBINTERVALS_PER_GAP,
     ChannelParams,
     breath_response,
     diffusion_scale,
@@ -16,7 +17,7 @@ from plumesense.channel import (
     steady_field,
 )
 from plumesense import oracles
-from plumesense.errors import DomainError, GridError, QuadratureError
+from plumesense.errors import DomainError, EvaluationDomainError, GridError, QuadratureError
 from plumesense.oracles import (
     _DIFFUSION_BLOCK,
     ORACLE_CHECKS,
@@ -41,43 +42,52 @@ from plumesense.receiver import ReceiverSpec, q_function, receiver_exposure
 from conftest import DIFFUSIVITY, HEIGHT, RADIUS, WIND, traced_peak
 
 
-def validation_scales(params):
-    # 50..250 cm mapped into the transformed coordinate
-    return diffusion_scale(50.0, params), diffusion_scale(250.0, params)
+# validate-oracles' steady march runs from 50 to 250 cm downwind
+VALIDATION_DISTANCES = (50.0, 250.0)
 
 
 @pytest.fixture(scope="module")
 def coarse_steady(params):
-    return march_steady_plume(params, HEIGHT, *validation_scales(params), resolution=0.15)
+    return march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, resolution=0.15)
 
 
 class TestMarchGrid:
     """The steady march's grid, derived from its resolution."""
 
     def test_invalid_ranges_rejected(self, params):
-        for scale_start, scale_end, resolution in [
-            (0.0, 1.0, 0.1), (-0.1, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.5, 0.1),
-            (0.1, 1.0, 0.0), (0.1, 1.0, -0.2), (0.1, 1.0, math.nan),
+        for x_start, x_end, resolution in [
+            (0.0, 100.0, 0.1), (-10.0, 100.0, 0.1), (100.0, 100.0, 0.1),
+            (100.0, 50.0, 0.1), (50.0, math.inf, 0.1), (math.nan, 100.0, 0.1),
+            (50.0, math.nan, 0.1), (50.0, 100.0, 0.0), (50.0, 100.0, -0.2),
+            (50.0, 100.0, math.nan),
         ]:
             with pytest.raises(GridError):
-                march_steady_plume(params, HEIGHT, scale_start, scale_end, resolution)
+                march_steady_plume(params, HEIGHT, x_start, x_end, resolution)
+
+    def test_start_inside_x_min_raises(self, params):
+        # the closed form the march starts from is singular there
+        with pytest.raises(EvaluationDomainError):
+            march_steady_plume(params, HEIGHT, 0.5, 100.0, resolution=0.2)
 
     def test_grid_follows_the_resolution(self, params):
         # steps of the resolution out to the containment margin around the
         # centre, and scale steps within the explicit stability bound
-        result = march_steady_plume(params, HEIGHT, 0.05, 0.4, resolution=0.2)
-        reach = oracles._CONTAINMENT_MARGIN * math.sqrt(0.4)
+        result = march_steady_plume(params, HEIGHT, 30.0, 230.0, resolution=0.2)
+        scale_start, scale_end = diffusion_scale(np.array([30.0, 230.0]), params)
+        reach = oracles._CONTAINMENT_MARGIN * math.sqrt(scale_end)
         assert np.allclose(np.diff(result.y), 0.2) and np.allclose(np.diff(result.z), 0.2)
         assert result.y[-1] >= reach and result.z[-1] >= HEIGHT + reach
         assert result.z[0] == 0.0 and result.y[0] == -result.y[-1]
         assert np.diff(result.scales).max() <= 0.25 * 0.2**2 * (1 + 1e-12)
-        assert result.scales[-1] == pytest.approx(0.4, rel=1e-12)
+        assert result.scales[0] == scale_start
+        assert result.scales[-1] == pytest.approx(scale_end, rel=1e-12)
+        assert (result.x_start, result.x_end) == (30.0, 230.0)
 
     @pytest.mark.filterwarnings("error")
     def test_grid_too_coarse_for_the_plume_raises(self, params):
         # at 1e308 cm the closed form is 0 on every grid point: no error
         # figure can be taken, and the squares beyond the doubles stay quiet
-        result = march_steady_plume(params, HEIGHT, *validation_scales(params), 1e308)
+        result = march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, 1e308)
         assert not result.field.any()
         with pytest.raises(GridError, match="every grid point"):
             steady_oracle_report(result, params, HEIGHT)
@@ -89,9 +99,11 @@ def full_grid_march(result, params, source_height):
     dy = dz = result.resolution
     inv_dy2, inv_dz2 = 1.0 / (dy * dy), 1.0 / (dz * dz)
     n_steps = result.scales.size - 1
-    d = (result.scale_end - result.scale_start) / n_steps
-    C = oracles._initial_slice(result.rate, params.wind_speed, result.scale_start, result.y,
-                               result.z, source_height)
+    scale_start, scale_end = diffusion_scale(np.array([result.x_start, result.x_end]), params)
+    d = (scale_end - scale_start) / n_steps
+    Y, Z = np.meshgrid(result.y, result.z)
+    C = oracles.steady_state_concentration(result.rate, (result.x_start, Y, Z), params,
+                                           source_height)
     C[:, 0] = 0.0
     C[:, -1] = 0.0
     C[-1, :] = 0.0
@@ -127,7 +139,7 @@ class TestSteadyMarchSupport:
     def test_bit_identical_on_validation_grid(self, params, refine):
         # validate-oracles' grids: the support is under a fifth of the rows,
         # far from the ground and clipped below the top row
-        result = march_steady_plume(params, HEIGHT, *validation_scales(params),
+        result = march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES,
                                     0.1 if refine else 0.2)
         rows = z_support(result.field)
         assert rows.size < result.z.size / 5 and rows[0] > 0
@@ -136,31 +148,32 @@ class TestSteadyMarchSupport:
 
     def test_bit_identical_with_ground_row(self, params):
         # a source 1 cm up: the support holds the no-flux ground row throughout
-        result = march_steady_plume(params, 1.0, *validation_scales(params), resolution=0.2)
+        result = march_steady_plume(params, 1.0, *VALIDATION_DISTANCES, resolution=0.2)
         assert z_support(result.field)[0] == 0
         assert_matches_full_grid(result, params, 1.0)
 
     def test_bit_identical_with_support_at_the_edges(self, params):
         # a wide start: the slice is nonzero next to the y edges and the top row
-        result = march_steady_plume(params, HEIGHT, 0.3, 0.4, resolution=0.2)
+        result = march_steady_plume(params, HEIGHT, 175.0, 230.0, resolution=0.2)
         assert result.field[:, 1].any() and result.field[:, -2].any()
         assert z_support(result.field)[-1] == result.z.size - 2
         assert_matches_full_grid(result, params, HEIGHT)
 
     def test_bit_identical_from_all_zero_slice(self, params):
-        result = march_steady_plume(params, HEIGHT, 0.05, 0.4, resolution=0.2, rate=0.0)
+        result = march_steady_plume(params, HEIGHT, 30.0, 230.0, resolution=0.2, rate=0.0)
         assert not result.field.any() and not result.crosswind_integrals.any()
         assert_matches_full_grid(result, params, HEIGHT)
 
     def test_bit_identical_from_sharp_edged_slice(self, params, monkeypatch):
         # a closed-form slice fades into underflowed zeros; one cut off at full
         # strength, from the ground up, also checks the support's edge rows
-        def band(rate, wind_speed, scale, y, z, source_height):
-            rows = (z < 1.5)[:, None] | (np.abs(z - 3.0) < 0.3)[:, None]
-            return np.where(rows, rate + np.cos(7.0 * z[:, None] + 3.0 * y[None, :]), 0.0)
+        def band(rate, point, params, source_height):
+            _, y, z = point
+            rows = (z < 1.5) | (np.abs(z - 3.0) < 0.3)
+            return np.where(rows, rate + np.cos(7.0 * z + 3.0 * y), 0.0)
 
-        monkeypatch.setattr("plumesense.oracles._initial_slice", band)
-        result = march_steady_plume(params, 1.0, 0.05, 0.1, resolution=0.2)
+        monkeypatch.setattr(oracles, "steady_state_concentration", band)
+        result = march_steady_plume(params, 1.0, 30.0, 58.0, resolution=0.2)
         assert_matches_full_grid(result, params, 1.0)
 
 
@@ -186,11 +199,11 @@ class TestSteadyMarch:
         assert np.allclose(field, field[:, ::-1], rtol=1e-12, atol=1e-300)
 
     def test_under_resolved_start_warns(self, params):
-        result = march_steady_plume(params, HEIGHT, 0.005, 0.4, resolution=0.2)
+        result = march_steady_plume(params, HEIGHT, 3.0, 230.0, resolution=0.2)
         assert any("under 3 grid steps" in w for w in result.warnings)
 
     def test_refinement_reduces_error(self, params, coarse_steady):
-        fine = march_steady_plume(params, HEIGHT, *validation_scales(params),
+        fine = march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES,
                                   coarse_steady.resolution / 2)
         coarse_report = steady_oracle_report(coarse_steady, params, HEIGHT)
         fine_report = steady_oracle_report(fine, params, HEIGHT, coarse=coarse_steady)
@@ -200,13 +213,35 @@ class TestSteadyMarch:
         assert ORACLE_CHECKS["steady_refinement_factor"].passes(factor)
         assert fine_report.passed
 
+    @pytest.mark.parametrize("fault, failing", [
+        ("rate", "steady_crosswind"),
+        ("diffusivity", "steady_refinement_factor"),
+    ])
+    def test_faulty_closed_form_fails(self, params, monkeypatch, fault, failing):
+        # the march starts from the closed form it checks: a 1 % fault in it,
+        # at the start and the end alike, must still fail validate-oracles'
+        # steady checks at the scenario's resolution
+        closed_form = oracles.steady_state_concentration
+        wider = ChannelParams.with_constant(WIND, 1.01 * DIFFUSIVITY)
+
+        def faulty(rate, point, p, source_height):
+            if fault == "rate":
+                return closed_form(1.01 * rate, point, p, source_height)
+            return closed_form(rate, point, wider, source_height)
+
+        monkeypatch.setattr(oracles, "steady_state_concentration", faulty)
+        report = steady_oracle_report(
+            march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, 0.1), params, HEIGHT,
+            coarse=march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, 0.2))
+        assert not ORACLE_CHECKS[failing].passes(report.checks[failing])
+        assert not report.passed
+
     def test_receiver_point_value_against_march(self, params):
         # the closed-form value at the standard receiver point, pinned by
         # marching the plume to exactly that downwind distance
         from plumesense.channel import steady_state_concentration
 
-        result = march_steady_plume(params, HEIGHT, diffusion_scale(50.0, params),
-                                    diffusion_scale(100.0, params), resolution=0.1)
+        result = march_steady_plume(params, HEIGHT, 50.0, 100.0, resolution=0.1)
         iy = int(np.argmin(np.abs(result.y)))
         iz = int(np.argmin(np.abs(result.z - HEIGHT)))
         marched = result.field[iz, iy]
@@ -537,13 +572,16 @@ class TestStepConvolution:
 
         monkeypatch.setattr(oracles, "impulse_response", impulse)
         step_convolution((100.0, 0.0, HEIGHT, 2.0), params, HEIGHT)
-        # the first round integrates all six pieces between the cuts at once
+        # the first round integrates all six pieces between the cuts at once,
+        # and each later one the halves of the pieces it splits, within the
+        # shared loop's cap on subintervals per gap
         assert calls[0] == (6, 15)
-        assert 1 < len(calls) <= oracles._CONVOLUTION_ROUNDS
+        assert len(calls) > 1 and all(shape[0] % 2 == 0 for shape in calls[1:])
+        assert 6 + sum(shape[0] for shape in calls[1:]) // 2 <= _MAX_SUBINTERVALS_PER_GAP
 
     def test_unreachable_tolerance_raises(self, params):
         # below the rounding of the sum, no number of bisections can certify it
-        with pytest.raises(QuadratureError, match="did not converge in 10 rounds"):
+        with pytest.raises(QuadratureError, match="within 200 subintervals per gap"):
             step_convolution((100.0, 0.0, HEIGHT, 2.0), params, HEIGHT, rel_tol=1e-300)
 
 
