@@ -610,7 +610,8 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
     if np.any(arr < 0.0):
         raise DomainError("downwind distance must be nonnegative")
     if params.diffusivity.is_constant:
-        out = params.diffusivity.k0 * arr / params.wind_speed
+        with np.errstate(over="ignore"):
+            out = params.diffusivity.k0 * arr / params.wind_speed
         return float(out) if arr.ndim == 0 else out
     if not np.all(np.isfinite(arr)):
         raise DomainError("downwind distance must be finite")

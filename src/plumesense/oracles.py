@@ -368,43 +368,89 @@ class TransientMarchResult:
 
 # x-planes per block of the jet's diffusion step: a few planes of work
 # buffers stay in cache where slab-sized ones would not
-_DIFFUSION_BLOCK = 4
+_DIFFUSION_BLOCK = 8
+
+# numpy's pairwise float sum: runs of at most this many elements are summed
+# in one unrolled pass, longer ones split in two (``PW_BLOCKSIZE``)
+_PAIRWISE_BLOCK = 128
 
 
 def _diffuse_inplace(C, coef_x, coef_y, coef_z, acc, tmp):
     """Add one explicit diffusion increment to the interior of C.
 
-    ``coef_*`` is K*dt/step^2 per axis.  The interior runs through in blocks
-    of ``_DIFFUSION_BLOCK`` x-planes: ``acc`` holds two blocks (ping and
-    pong) and ``tmp`` one, each over C's interior crosswind shape.  A block's
-    increment is added only after the next block has read the old values of
-    its last plane, and each element sees the same operations in the same
-    order as a whole-slab update, so the result is bit-identical to it.  The
-    boundary shells of C never move (Dirichlet).
+    ``coef_*`` is K*dt/step^2 per axis.  C must be C-contiguous, so each of
+    its x-planes is one flat row of ``ny*nz`` values.  Every pass runs over
+    the contiguous run ``[nz, ny*nz - nz)`` of a row, which holds every
+    interior cell: its y-neighbours sit ``nz`` away, its z-neighbours 1 away,
+    and its x-neighbours in the rows before and after.  The run also covers
+    the z-shell cells (z index 0 and nz - 1); their increments are set to
+    -0.0 before the add, and x + (-0.0) is x for every x, signed zeros
+    included, so the shells never move.  Neither do the y-shell rows and the
+    first and last planes, which no pass writes (Dirichlet).
+
+    The planes run through in blocks of ``_DIFFUSION_BLOCK``: ``acc`` holds
+    two blocks (ping and pong) and ``tmp`` one, each ``(_DIFFUSION_BLOCK,
+    ny*nz - 2*nz)``.  A block's increment is added only after the next block
+    has read the old values of its last plane, and each interior element sees
+    the same operations in the same order as a whole-slab update, so the
+    result is bit-identical to it.
     """
-    core = slice(1, -1)
+    if not C.flags.c_contiguous:
+        raise ValueError("the diffusion slab must be C-contiguous")
+    nz = C.shape[2]
+    rows = C.reshape(C.shape[0], -1)
+    width = rows.shape[1]
+    run = slice(nz, width - nz)
     centre = -2.0 * (coef_x + coef_y + coef_z)
-    end = C.shape[0] - 1
+    end = rows.shape[0] - 1
     pending = None
     for block, s in enumerate(range(1, end, _DIFFUSION_BLOCK)):
         e = min(s + _DIFFUSION_BLOCK, end)
         a, t = acc[block % 2, :e - s], tmp[:e - s]
-        np.multiply(C[s:e, core, core], centre, out=a)
-        np.add(C[s + 1:e + 1, core, core], C[s - 1:e - 1, core, core], out=t)
+        np.multiply(rows[s:e, run], centre, out=a)
+        np.add(rows[s + 1:e + 1, run], rows[s - 1:e - 1, run], out=t)
         t *= coef_x
         a += t
-        np.add(C[s:e, 2:, core], C[s:e, :-2, core], out=t)
+        np.add(rows[s:e, 2 * nz:], rows[s:e, :width - 2 * nz], out=t)
         t *= coef_y
         a += t
-        np.add(C[s:e, core, 2:], C[s:e, core, :-2], out=t)
+        np.add(rows[s:e, nz + 1:width - nz + 1], rows[s:e, nz - 1:width - nz - 1], out=t)
         t *= coef_z
         a += t
+        shells = a.reshape(e - s, -1, nz)
+        shells[:, :, 0] = -0.0
+        shells[:, :, -1] = -0.0
         # the block before may move now: this one has read its last plane
         if pending is not None:
-            C[pending[0], core, core] += pending[1]
+            rows[pending[0], run] += pending[1]
         pending = (slice(s, e), a)
     if pending is not None:
-        C[pending[0], core, core] += pending[1]
+        rows[pending[0], run] += pending[1]
+
+
+def _support_sum(flat, start, stop, lo, hi):
+    """``flat[start:stop].sum()`` for a contiguous float64 ``flat`` that is
+    +0.0 outside ``[lo, hi)``, bit for bit, touching little more than that
+    support.
+
+    numpy sums a contiguous float64 run as 0.0 plus its pairwise sum: a run
+    of at most ``_PAIRWISE_BLOCK`` values in one fixed order, a longer one as
+    the sum of its two halves, the first rounded down to a multiple of 8.
+    This follows the same splits.  A part inside the support, and a short run,
+    is summed by numpy itself in the same order; a part outside is all +0.0,
+    whose pairwise sum is exactly +0.0.  The two can differ only in the sign
+    of a zero, and adding a signed zero to a nonzero value, or 0.0 to a zero,
+    gives the same result either way.
+    """
+    if stop <= lo or hi <= start:
+        return 0.0
+    size = stop - start
+    if size <= _PAIRWISE_BLOCK or (lo <= start and stop <= hi):
+        return flat[start:stop].sum()
+    half = size // 2
+    half -= half % 8
+    return (_support_sum(flat, start, start + half, lo, hi)
+            + _support_sum(flat, start + half, stop, lo, hi))
 
 
 def march_transient_jet(params: ChannelParams, source_height: float, grid: TransientGrid,
@@ -425,12 +471,23 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     the source line that factor is at least 1, so at unit mass the line value
     is 0 only where the along-wind term is, and then so is the whole plane.
 
+    The field lives in a frame that moves with the wind: a buffer of two
+    boxes of x-planes, whose box is the view ``frame[off:off + n]``.  Each
+    step advects by lowering ``off`` by ``cells``, so no value moves: the
+    planes that enter at the near end hold 0.0, as nothing has written them
+    since the buffer was zeroed, and those that leave at the far end drop out
+    of the view.  When ``off``
+    would go below 0, the live planes are copied back to the top of the
+    buffer and the rest of it is zeroed, once per about n/cells steps, so the
+    buffer stays two boxes whatever t_end is.
+
     Each step touches only the x-planes of the exact nonzero support.  The
     stencil maps an all-zero neighbourhood to exactly 0.0, so the support
     moves by ``cells`` planes and widens by one plane per side per step.  The
-    diffusion step runs over the support a few planes at a time, in the same
-    operation order (see ``_diffuse_inplace``), so the result is
-    bit-identical to updating the whole box.
+    diffusion step runs over the support a few planes at a time, each plane
+    as one flat row (see ``_diffuse_inplace``), and the mass sums the support
+    in numpy's own pairwise order (see ``_support_sum``), so every result is
+    bit-identical to advecting, diffusing and summing the whole box.
     """
     if not params.diffusivity.is_constant:
         raise DomainError("transient oracle is scoped to constant diffusivity profiles")
@@ -458,12 +515,20 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     if np.any(z < 0.0):
         raise GridError("z grid reaches below the ground")
 
+    # the box starts at the top of the frame: n planes of room below it
+    n = x.size
+    plane = y.size * z.size
+    frame = np.zeros((2 * n, y.size, z.size))
+    flat = frame.reshape(-1)
+    off = n
+    C = frame[off:off + n]
     # the closed form at t_start, evaluated only on the planes where the
     # source line is nonzero: see the docstring for why that is exact
     line = np.asarray(jet_concentration(1.0, 0.0, (x, 0.0, source_height, grid.t_start),
                                         params, source_height))
     nonzero = np.flatnonzero(line)
-    C = np.zeros((x.size, y.size, z.size))
+    # [lo, hi): the x-planes that may hold a nonzero value; all others are 0.0
+    lo, hi = n, n
     if nonzero.size:
         lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
         C[lo:hi] = jet_concentration(
@@ -473,7 +538,13 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
             params,
             source_height,
         )
+        support = lo + np.flatnonzero(C[lo:hi].any(axis=(1, 2)))
+        lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (n, n)
     cell_volume = dx * dy * dz
+
+    def box_mass():
+        return _support_sum(flat, off * plane, (off + n) * plane,
+                            (off + lo) * plane, (off + hi) * plane) * cell_volume
 
     n_steps = int(math.ceil((grid.t_end - grid.t_start) / dt))
     times = grid.t_start + dt * np.arange(n_steps + 1)
@@ -493,33 +564,38 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     snapshots = []
 
     mass = np.empty(n_steps + 1)
-    mass[0] = C.sum() * cell_volume
+    mass[0] = box_mass()
     probe_values = np.empty((len(probe_idx), n_steps + 1))
     for p, (i, j, k) in enumerate(probe_idx):
         probe_values[p, 0] = C[i, j, k]
     if 0 in snap_steps:
         snapshots.append((float(times[0]), C.copy()))
 
-    n = x.size
-    block = (_DIFFUSION_BLOCK, y.size - 2, z.size - 2)
+    block = (_DIFFUSION_BLOCK, plane - 2 * z.size)
     acc = np.empty((2, *block))
     tmp = np.empty(block)
     coef = (K * dt / dx**2, K * dt / dy**2, K * dt / dz**2)
-    # [lo, hi): the x-planes that may hold a nonzero value; all others are 0.0
-    support = np.flatnonzero(C.any(axis=(1, 2)))
-    lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (n, n)
     for step in range(1, n_steps + 1):
-        # exact advection: shift downwind by `cells` cells, zero inflow
+        # exact advection: the box moves `cells` planes down the frame, so
+        # box plane i + cells is the old plane i, and the inflow planes are 0.0
         new_lo, new_hi = min(lo + cells, n), min(hi + cells, n)
-        C[new_lo:new_hi] = C[lo:lo + new_hi - new_lo]
-        C[lo:new_lo] = 0.0
+        if off >= cells:
+            off -= cells
+        else:
+            # re-home: the live planes go back to the top and all below them
+            # is zeroed.  Above them is 0.0 already: a plane past the support
+            # is written only once the support reaches the box's far end, and
+            # from then on the live planes end there too.
+            frame[n + new_lo:n + new_hi] = frame[off + lo:off + lo + new_hi - new_lo]
+            frame[:n + new_lo] = 0.0
+            off = n
         lo, hi = new_lo, new_hi
+        C = frame[off:off + n]
         if lo < hi:
             # the slab keeps one zero ghost plane beyond each updated plane
             _diffuse_inplace(C[max(lo - 2, 0):min(hi + 2, n)], *coef, acc, tmp)
             lo, hi = max(lo - 1, 0), min(hi + 1, n)
-        # full-box sum: summing the slab alone would change the rounding
-        mass[step] = C.sum() * cell_volume
+        mass[step] = box_mass()
         for p, (i, j, k) in enumerate(probe_idx):
             probe_values[p, step] = C[i, j, k]
         if step in snap_steps:

@@ -569,6 +569,13 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     seed = _require_seed(config)
     values = {}
 
+    # the marches reach 250 cm downwind, where K x / u must be a double; a
+    # grid check could not tell this from a bad resolution
+    if not math.isfinite(diffusion_scale(250.0, params)):
+        raise ScenarioError("channel.diffusivity",
+                            "the diffusion scale K x / u at 250 cm leaves the range of "
+                            f"doubles at wind speed {params.wind_speed:g} cm/s")
+
     # steady-plume march against the closed form, plus refinement gain; no
     # name holds the marches, so their fields are freed before the jet march
     resolution = exp["steady_resolution"]

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .channel import (
     ChannelParams,
     DiffusivityProfile,
@@ -84,6 +86,18 @@ def _expect_int(value, path, minimum=None):
     return value
 
 
+# the largest size numpy can give an array on this platform
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def _expect_count(value, path, minimum):
+    """An integer from ``minimum`` to ``_MAX_COUNT``: a size or a loop count."""
+    count = _expect_int(value, path, minimum=minimum)
+    if count > _MAX_COUNT:
+        raise ScenarioError(path, f"must be at most {_MAX_COUNT}")
+    return count
+
+
 def _expect_bool(value, path):
     if not isinstance(value, bool):
         raise ScenarioError(path, f"expected true/false, got {value!r}")
@@ -113,7 +127,7 @@ def _expect_choice(value, path, options):
 
 
 def _expect_trials(value, path):
-    trials = _expect_int(value, path, minimum=0)
+    trials = _expect_count(value, path, minimum=0)
     if 0 < trials < 10_000:
         raise ScenarioError(path, "must be 0 (no Monte Carlo) or at least 10000")
     return trials
@@ -151,7 +165,7 @@ def _expect_range(value, path, default, positive=False):
     _reject_unknown(obj, default, path)
     start = _expect_number(obj["start"], f"{path}.start", positive=positive)
     stop = _expect_number(obj["stop"], f"{path}.stop", positive=positive)
-    num = _expect_int(obj["num"], f"{path}.num", minimum=2)
+    num = _expect_count(obj["num"], f"{path}.num", minimum=2)
     if stop <= start:
         raise ScenarioError(f"{path}.stop", "must exceed start")
     if not math.isfinite(stop - start):
@@ -163,7 +177,7 @@ def _expect_orders(value, path):
     seq = _expect_list(value, path)
     if len(seq) != 4:
         raise ScenarioError(path, "quadrature orders are [axial, radial, azimuthal, time]")
-    return [_expect_int(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(seq)]
+    return [_expect_count(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(seq)]
 
 
 def _optional(check):
@@ -207,7 +221,8 @@ def _number(default, unit, doc=None):
 
 
 def _count(default, minimum, doc=None):
-    return _Field(partial(_expect_int, minimum=minimum), default, f"int >= {minimum}", doc=doc)
+    return _Field(partial(_expect_count, minimum=minimum), default, f"int >= {minimum}",
+                  doc=doc)
 
 
 def _choice(default, options, doc=None):

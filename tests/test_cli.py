@@ -618,3 +618,52 @@ def test_tiny_steady_resolution_named(tmp_path):
         assert result.stderr.startswith("configuration error: experiment.steady_resolution: ")
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_count_beyond_array_sizes_named(tmp_path):
+    """A grid count past the largest numpy array size names its path and
+    exits 2, without numpy's size traceback."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    result = _fresh_process("from plumesense.cli import main; main()", "field",
+                            "--scenario", str(scenarios / "field.json"),
+                            "--out", str(tmp_path / "out.csv"),
+                            "--set", "experiment.x.num=1" + "0" * 400)
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr == (f"configuration error: experiment.x.num: must be at most "
+                             f"{np.iinfo(np.intp).max}\n")
+
+
+def test_trials_beyond_array_sizes_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    """A trial count past the largest numpy array size is rejected while the
+    scenario is parsed: neither the runner nor the Monte Carlo starts."""
+    from plumesense import runners
+
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle suite started")
+
+    monkeypatch.setitem(runners.RUNNERS, "validate_oracles", never)
+    monkeypatch.setattr(runners, "empirical_pmd", never)
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    code = cli.dispatch(["validate-oracles", "--scenario", str(scenarios / "validate.json"),
+                         "--out", str(tmp_path / "out.csv"),
+                         "--set", "experiment.trials=1" + "0" * 400])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: experiment.trials: must be at "
+                                       f"most {np.iinfo(np.intp).max}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("override, wind", [("channel.diffusivity=1e308", "140"),
+                                            ("channel.wind_speed=1e-308", "1e-308")])
+def test_diffusion_scale_overflow_names_the_channel(tmp_path, override, wind):
+    """K x / u past the range of doubles is the channel's fault, not the
+    march resolution's: validate-oracles names the diffusivity, exits 2 and
+    prints no numpy warning."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    result = _fresh_process("from plumesense.cli import main; main()", "validate-oracles",
+                            "--scenario", str(scenarios / "validate.json"),
+                            "--out", str(tmp_path / "out.csv"), "--set", override)
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr == ("configuration error: channel.diffusivity: the diffusion scale "
+                             "K x / u at 250 cm leaves the range of doubles at wind speed "
+                             f"{wind} cm/s\n")

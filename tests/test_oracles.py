@@ -20,12 +20,14 @@ from plumesense import oracles
 from plumesense.errors import DomainError, EvaluationDomainError, GridError, QuadratureError
 from plumesense.oracles import (
     _DIFFUSION_BLOCK,
+    _PAIRWISE_BLOCK,
     ORACLE_CHECKS,
     WILSON_Z,
     McExposureEstimate,
     PmdEstimate,
     TransientGrid,
     _diffuse_inplace,
+    _support_sum,
     _wilson_interval,
     empirical_pmd,
     march_steady_plume,
@@ -318,7 +320,42 @@ def assert_starts_from_closed_form(result, params):
     assert np.array_equal(field, jet_concentration(result.jet_mass, 0.0, box, params, HEIGHT))
 
 
+def sharp_band(x_lo):
+    """A stand-in for the jet's closed form: a band 1 cm long from x_lo,
+    cut off at full strength on every side."""
+    def field(jet_mass, release_time, point, params, source_height):
+        x, y, z, _ = point
+        band = (x >= x_lo) & (x < x_lo + 1.0) & (np.abs(y) < 0.5) & (z > HEIGHT - 0.5)
+        return np.where(band, 1.0 + np.cos(7.0 * x + 3.0 * y + z), 0.0)
+    return field
+
+
+def same_bits(a, b):
+    """Equal bit for bit: signed zeros differ, as do NaN payloads."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def awkward_field(rng, shape):
+    """Random values with exact and signed zeros and subnormals."""
+    C = rng.standard_normal(shape)
+    C[rng.random(shape) < 0.2] = 0.0
+    C[rng.random(shape) < 0.05] = -0.0
+    tiny = rng.random(shape) < 0.2
+    C[tiny] = 5e-324 * rng.integers(-2**20, 2**20, size=tiny.sum())
+    return C
+
+
+def row_diffusion(C, coef):
+    """The kernel on C in place, with work buffers of its row shape."""
+    run = (C.shape[1] - 2) * C.shape[2]
+    _diffuse_inplace(C, *coef, np.empty((2, _DIFFUSION_BLOCK, run)),
+                     np.empty((_DIFFUSION_BLOCK, run)))
+
+
 class TestBlockedDiffusion:
+    # stencil weights at the stability bound
+    COEF = (0.1, 0.15, 0.25)
+
     @pytest.mark.parametrize("planes", [1, _DIFFUSION_BLOCK - 1, _DIFFUSION_BLOCK,
                                         _DIFFUSION_BLOCK + 1, 2 * _DIFFUSION_BLOCK + 1])
     def test_bit_identical_to_whole_slab(self, rng, planes):
@@ -332,10 +369,82 @@ class TestBlockedDiffusion:
         coef = (0.1, 0.15, 0.25)
         expected = C.copy()
         whole_slab_diffusion(expected, *coef)
-        acc = np.empty((2, _DIFFUSION_BLOCK, 5, 4))
-        tmp = np.empty((_DIFFUSION_BLOCK, 5, 4))
+        # each x-plane is one row: the work buffers span its interior y rows
+        acc = np.empty((2, _DIFFUSION_BLOCK, 5 * 6))
+        tmp = np.empty((_DIFFUSION_BLOCK, 5 * 6))
         _diffuse_inplace(C, *coef, acc, tmp)
         assert np.array_equal(C, expected)
+
+    @pytest.mark.parametrize("nz", [2, 3])
+    @pytest.mark.parametrize("planes", [1, _DIFFUSION_BLOCK + 1])
+    def test_bit_identical_on_the_smallest_crosswind_boxes(self, rng, planes, nz):
+        # one interior y row; at nz = 2 every cell of it is z shell, and the
+        # shells hold nonzero values, signed zeros and subnormals
+        C = awkward_field(rng, (planes + 2, 3, nz))
+        C[:, :, [0, -1]] = rng.choice([-0.0, 5e-324, -1.5, 2.0], size=(planes + 2, 3, 2))
+        assert np.signbit(C[C == 0.0]).any() and (np.abs(C[C != 0.0]) < 1e-300).any()
+        expected = C.copy()
+        whole_slab_diffusion(expected, *self.COEF)
+        shells = C.copy()
+        row_diffusion(C, self.COEF)
+        assert same_bits(C, expected)
+        # the shells keep their very bits, -0.0 included
+        for edge in (np.s_[:, :, 0], np.s_[:, :, -1], np.s_[:, 0, :], np.s_[:, -1, :],
+                     np.s_[0], np.s_[-1]):
+            assert same_bits(C[edge], shells[edge])
+        if nz == 3:
+            assert not same_bits(C[1:-1, 1, 1], shells[1:-1, 1, 1])
+
+    def test_slab_must_be_contiguous(self, rng):
+        C = rng.standard_normal((4, 5, 8))[:, :, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            row_diffusion(C, self.COEF)
+
+
+class TestSupportSum:
+    """``_support_sum`` against numpy's own sum of the whole box."""
+
+    @pytest.mark.parametrize("shape, branch", [
+        ((1, 2, 3), "under-8"), ((3, 5, 6), "one-block"), ((40, 7, 6), "split"),
+        ((300, 13, 11), "split")])
+    def test_bit_identical_to_box_sum(self, rng, shape, branch):
+        n, plane = shape[0], shape[1] * shape[2]
+        # the box's size picks numpy's branch: a short loop, one unrolled
+        # block, or a split in two
+        assert branch == ("under-8" if n * plane < 8 else
+                          "one-block" if n * plane <= _PAIRWISE_BLOCK else "split")
+        # the slab at either end, one plane, a middle slab, the whole box and
+        # an empty slab
+        slabs = {(0, 1), (n - 1, n), (0, n), (n // 3, n // 3 + max(1, n // 4)), (n, n),
+                 (0, 0), (n // 2, n // 2)}
+        for lo, hi in slabs:
+            for _ in range(3):
+                # the box is a window of a larger buffer, as the march's frame,
+                # and nonzero outside the window
+                frame = rng.standard_normal((n + 5, *shape[1:])) * 1e6
+                box = frame[2:2 + n]
+                box[:] = 0.0
+                box[lo:hi] = awkward_field(rng, (hi - lo, *shape[1:])) * np.exp(
+                    rng.uniform(-30, 30, size=(hi - lo, *shape[1:])))
+                total = _support_sum(frame.reshape(-1), 2 * plane, (2 + n) * plane,
+                                     (2 + lo) * plane, (2 + hi) * plane)
+                assert same_bits(np.float64(total), box.sum())
+
+    def test_order_matters_on_these_values(self, rng):
+        # the check above can fail: summing the slab alone rounds differently
+        # for most of these slabs
+        box = np.zeros((300, 13, 11))
+        moved = 0
+        for lo in range(0, 280, 20):
+            box[:] = 0.0
+            box[lo:lo + 17] = rng.standard_normal((17, 13, 11)) * np.exp(
+                rng.uniform(-30, 30, size=(17, 13, 11)))
+            plane = 13 * 11
+            assert same_bits(np.float64(_support_sum(box.reshape(-1), 0, box.size,
+                                                     lo * plane, (lo + 17) * plane)),
+                             box.sum())
+            moved += not same_bits(box[lo:lo + 17].sum(), box.sum())
+        assert moved >= 7
 
 
 class TestTransientMarch:
@@ -432,6 +541,32 @@ class TestTransientMarch:
         box_bytes = 8 * result.x.size * result.y.size * result.z.size
         assert peak <= 6 * box_bytes
 
+    @pytest.mark.parametrize("wind, cells", [(15.0, 1), (50.0, 4)], ids=["1", "4"])
+    def test_long_march_rehomes_the_frame(self, monkeypatch, wind, cells):
+        # t_end lies past three transits of the box, so the frame re-homes
+        # at least three times.  The band starts near the inflow end, so the
+        # support is live at the first re-home; at one cell per step its
+        # upwind edge stays in the box, and it is live at every re-home
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", sharp_band(5.0))
+        params = ChannelParams.with_constant(wind, DIFFUSIVITY)
+        transits = 3.5 * 12.0 / wind
+        grid = TransientGrid(
+            x_span=(4.0, 16.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
+            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.05, t_end=0.05 + transits,
+        )
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)],
+                                     snapshot_times=(grid.t_start, grid.t_end))
+        assert result.dt == cells * grid.step_x / wind
+        assert (result.times.size - 1) * cells > 3 * result.x.size
+        if cells == 1:
+            assert x_support(result.snapshots[-1][1]).size
+        assert_matches_full_box(result, params)
+        # the frame is two boxes, the diffusion buffers and small change
+        _, peak = traced_peak(lambda: march_transient_jet(
+            params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)]))
+        box_bytes = 8 * result.x.size * result.y.size * result.z.size
+        assert peak < 3 * box_bytes
+
     @pytest.mark.filterwarnings("error")
     def test_probe_the_pulse_never_reaches_raises(self, params):
         # the pulse passes x = 29 only after t = 0.2 s; the window ends at 0.08 s
@@ -457,12 +592,7 @@ class TestTransientMarch:
     def test_bit_identical_from_sharp_edged_field(self, monkeypatch, wind, cells):
         # a closed-form pulse fades into underflowed zeros at the support's
         # edges; a field cut off at full strength also checks the edge planes
-        def slab_field(jet_mass, release_time, point, params, source_height):
-            x, y, z, _ = point
-            band = (x >= 10.0) & (x < 11.0) & (np.abs(y) < 0.5) & (z > HEIGHT - 0.5)
-            return np.where(band, 1.0 + np.cos(7.0 * x + 3.0 * y + z), 0.0)
-
-        monkeypatch.setattr("plumesense.oracles.jet_concentration", slab_field)
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", sharp_band(10.0))
         # the wind sets the cells per step at these 0.12 cm steps
         params = ChannelParams.with_constant(wind, DIFFUSIVITY)
         grid = TransientGrid(
