@@ -356,8 +356,11 @@ class TestBlockedDiffusion:
     # stencil weights at the stability bound
     COEF = (0.1, 0.15, 0.25)
 
-    @pytest.mark.parametrize("planes", [1, _DIFFUSION_BLOCK - 1, _DIFFUSION_BLOCK,
-                                        _DIFFUSION_BLOCK + 1, 2 * _DIFFUSION_BLOCK + 1])
+    # short slabs that fill part of one block, then slabs on either side of
+    # each block boundary
+    @pytest.mark.parametrize("planes", sorted({1, 3, 4, 5, 9, _DIFFUSION_BLOCK - 1,
+                                               _DIFFUSION_BLOCK, _DIFFUSION_BLOCK + 1,
+                                               2 * _DIFFUSION_BLOCK + 1}))
     def test_bit_identical_to_whole_slab(self, rng, planes):
         # random values with exact zeros and subnormals, and stencil weights
         # at the stability bound
