@@ -330,7 +330,7 @@ def _crosswind_factor(y, z, scale, source_height):
 
 
 # ---------------------------------------------------------------------------
-# numerical kernels: erfc, its inverse and the Gauss-Kronrod rule
+# numerical kernels: erfc and the Gauss-Kronrod rule
 # ---------------------------------------------------------------------------
 
 
@@ -418,58 +418,6 @@ def _erfc(x: ArrayLike) -> np.ndarray:
         r = np.exp(-hi * hi - 0.5625) * np.exp((hi - w) * (hi + w) + ratio) / w
         out[band] = np.where(v > 0.0, r, 2.0 - r)
     return out
-
-
-# Wichura's AS 241 (PPND16) for the standard normal quantile, as in CPython's
-# statistics.NormalDist.inv_cdf: a rational function of (p - 1/2)^2 over the
-# centre, and of sqrt(-log(min(p, 1 - p))) below and above 5 in the tails
-_NDTRI_A = (3.387132872796366608e+0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
-            1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
-            3.3430575583588128105e+4, 2.5090809287301226727e+3)
-_NDTRI_B = (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2,
-            5.3941960214247511077e+3, 2.1213794301586595867e+4, 3.9307895800092710610e+4,
-            2.8729085735721942674e+4, 5.2264952788528545610e+3)
-_NDTRI_C = (1.42343711074968357734e+0, 4.63033784615654529590e+0, 5.76949722146069140550e+0,
-            3.64784832476320460504e+0, 1.27045825245236838258e+0, 2.41780725177450611770e-1,
-            2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_NDTRI_D = (1.0, 2.05319162663775882187e+0, 1.67638483018380384940e+0,
-            6.89767334985100004550e-1, 1.48103976427480074590e-1, 1.51986665636164571966e-2,
-            5.47593808499534494600e-4, 1.05075007164441684324e-9)
-_NDTRI_E = (6.65790464350110377720e+0, 5.46378491116411436990e+0, 1.78482653991729133580e+0,
-            2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-            2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_NDTRI_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-            1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
-            1.42151175831644588870e-7, 2.04426310338993978564e-15)
-
-
-def _erfcinv(y: ArrayLike) -> np.ndarray:
-    """Inverse of :func:`_erfc` on [0, 2], elementwise, as -ndtri(y/2)/sqrt(2)
-    with AS 241 for the normal quantile ndtri (about 1e-16 relative).
-
-    inf at 0, -inf at 2, and NaN outside [0, 2] or at NaN.
-    """
-    p = 0.5 * np.asarray(y, dtype=float)
-    q = p - 0.5
-    out = np.full(p.shape, np.nan)
-    out[p == 0.0] = -np.inf
-    out[p == 1.0] = np.inf
-    band = np.abs(q) <= 0.425
-    if band.any():
-        v = q[band]
-        r = 0.180625 - v * v
-        out[band] = _polynomial(r, _NDTRI_A) * v / _polynomial(r, _NDTRI_B)
-    band = (np.abs(q) > 0.425) & (p > 0.0) & (p < 1.0)
-    if band.any():
-        v = q[band]
-        r = np.sqrt(-np.log(np.where(v < 0.0, p[band], 1.0 - p[band])))
-        ratio = np.empty(r.shape)
-        near = r <= 5.0
-        far = ~near
-        ratio[near] = _polynomial(r[near] - 1.6, _NDTRI_C) / _polynomial(r[near] - 1.6, _NDTRI_D)
-        ratio[far] = _polynomial(r[far] - 5.0, _NDTRI_E) / _polynomial(r[far] - 5.0, _NDTRI_F)
-        out[band] = np.where(v < 0.0, -ratio, ratio)
-    return out / -math.sqrt(2.0)
 
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1] (qk15) and the 7-point Gauss
@@ -840,11 +788,11 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
 
 
 def steady_field(rate: float, params: ChannelParams, source_height: float):
-    """Time-independent field f(x, y, z, t) for the steady plume."""
+    """Time-independent field f(x, y, z, t) for the steady plume; its value
+    has the shape of (x, y, z), which broadcasts against t."""
 
     def field(x, y, z, t):
-        value = steady_state_concentration(rate, (x, y, z), params, source_height)
-        return np.broadcast_to(value, np.broadcast(x, y, z, t).shape) if np.ndim(t) else value
+        return steady_state_concentration(rate, (x, y, z), params, source_height)
 
     return field
 

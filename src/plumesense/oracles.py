@@ -667,11 +667,10 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
 
 
 def step_convolution(point, params: ChannelParams, source_height: float,
-                     entry_time: float = 0.0, rate: float = 1.0,
                      rel_tol: float = 1e-8) -> float:
-    """Adaptive quadrature of the impulse response against a unit step of
-    ``rate`` starting at ``entry_time``: the independent route to the breath
-    response.
+    """Adaptive quadrature of the impulse response against a unit step at
+    t = 0: the independent route to the unit breath response, and 0.0 at
+    t <= 0.
 
     The elapsed time is cut at the pulse, at -8, -2, 0, 2 and 8 widths
     2 sqrt(s)/u about x/u, and the pieces between the cuts are integrated as
@@ -681,8 +680,7 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     subintervals.
     """
     px, py, pz, t = (float(c) for c in _point(point, 4))
-    elapsed = t - entry_time
-    if elapsed <= 0.0:
+    if t <= 0.0:
         return 0.0
 
     def integrand(s):
@@ -692,11 +690,11 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     width = 2.0 * math.sqrt(diffusion_scale(px, params)) / u
     center = px / u
     cuts = [s for s in (center + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
-            if 0.0 < s < elapsed]
-    ends = np.array([0.0, *cuts, elapsed])
+            if 0.0 < s < t]
+    ends = np.array([0.0, *cuts, t])
     value = _gap_integrals(integrand, ends[:-1], ends[1:], np.zeros(ends.size - 1, dtype=int),
                            ends[-1:], rel_tol)
-    return rate * float(value[0])
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +733,9 @@ class SampledSpectrum:
 
 
 def sampled_transfer_function(point, params: ChannelParams, source_height: float,
-                              sample_interval: float, n_samples: int,
-                              t_start: float = 0.0) -> SampledSpectrum:
-    """Sample the impulse response on a uniform time grid and DFT it.
+                              sample_interval: float, n_samples: int) -> SampledSpectrum:
+    """Sample the impulse response on a uniform time grid from t = 0 and DFT
+    it.
 
     Guards: the Gaussian pulse (12 sigma wide) must span at least 32 samples,
     and the window must cover the pulse center +- 6 sigma.
@@ -753,10 +751,10 @@ def sampled_transfer_function(point, params: ChannelParams, source_height: float
             "(aliasing guard)"
         )
     t_peak = px / u
-    t_hi = t_start + (n_samples - 1) * sample_interval
-    if t_start > t_peak - 6.0 * sigma_t or t_hi < t_peak + 6.0 * sigma_t:
+    t_hi = (n_samples - 1) * sample_interval
+    if t_peak - 6.0 * sigma_t < 0.0 or t_hi < t_peak + 6.0 * sigma_t:
         raise GridError("sampling window must cover the pulse center +- 6 sigma")
-    times = t_start + sample_interval * np.arange(n_samples)
+    times = sample_interval * np.arange(n_samples)
     samples = np.asarray(impulse_response((px, py, pz, times), params, source_height))
     values = np.fft.rfft(samples) * sample_interval
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_samples, d=sample_interval)
@@ -847,10 +845,10 @@ def _wilson_interval(misses: int, trials: int, z: float):
 
 
 def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: float,
-                  sigma: float, trials: int, seed,
-                  z: float = WILSON_Z) -> PmdEstimate:
+                  sigma: float, trials: int, seed) -> PmdEstimate:
     """Simulate the infected hypothesis and count the readings that the
-    receiver's ML rule (:func:`ml_threshold`, :func:`decide`) calls healthy.
+    receiver's ML rule (:func:`ml_threshold`, :func:`decide`) calls healthy,
+    with a Wilson interval at z = ``WILSON_Z``.
 
     Reproducible for a fixed seed; ``trials`` must be at least 10^4 for the
     interval to be meaningful.
@@ -873,10 +871,10 @@ def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: 
         received += mean
         misses += n - int(np.count_nonzero(decide(received, threshold)))
         remaining -= n
-    lower, upper = _wilson_interval(misses, trials, z)
+    lower, upper = _wilson_interval(misses, trials, WILSON_Z)
     return PmdEstimate(
         estimate=misses / trials, lower=lower, upper=upper, trials=int(trials),
-        misses=misses, z=z,
+        misses=misses, z=WILSON_Z,
     )
 
 
@@ -894,9 +892,9 @@ class McExposureEstimate:
         return abs(self.value - reference) / self.standard_error
 
 
-def mc_receiver_exposure(recv: ReceiverSpec, field, samples: int, seed,
-                         t_start: float = 0.0) -> McExposureEstimate:
-    """Unbiased Monte Carlo estimate of the receiver space-time integral.
+def mc_receiver_exposure(recv: ReceiverSpec, field, samples: int, seed) -> McExposureEstimate:
+    """Unbiased Monte Carlo estimate of the receiver space-time integral over
+    the window from t = 0.
 
     Uniform rejection sampling inside the sphere paired with uniform times in
     the window; deterministic for a fixed seed.
@@ -912,7 +910,7 @@ def mc_receiver_exposure(recv: ReceiverSpec, field, samples: int, seed,
         # cube-to-sphere acceptance is pi/6; cap chunks to keep memory flat
         chunk = max(65_536, min(4_000_000, int((samples - accepted) / 0.5 + 1)))
         pts = rng.uniform(-r, r, size=(chunk, 3))
-        ts = rng.uniform(t_start, t_start + recv.sampling_window, size=chunk)
+        ts = rng.uniform(0.0, recv.sampling_window, size=chunk)
         keep = np.sum(pts * pts, axis=1) <= r * r
         pts, ts = pts[keep], ts[keep]
         take = min(pts.shape[0], samples - accepted)

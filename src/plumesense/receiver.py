@@ -105,7 +105,9 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
     radial, azimuthal, time) orders: x across the sphere, then a polar rule
     on each (y, z) disc of radius sqrt(a^2 - xi^2), where a plume narrow
     across the wind is smooth in rho; deterministic for fixed orders.
-    ``field(x, y, z, t)`` must broadcast over numpy arrays.  Dividing by
+    ``field(x, y, z, t)`` gets the time nodes as a (1, 1, 1, time) array,
+    and its value must broadcast against the node grid (the steady field's
+    has no time axis).  Dividing by
     ``recv.volume * recv.sampling_window`` gives the mean concentration.
 
     Units: concentration * cm^3 * s.
@@ -121,14 +123,13 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
     rho_max = np.sqrt(recv.radius * recv.radius - xi * xi)[:, None, None, None]
     RHO = rho_max * unit[None, :, None, None]
     PSI = psi[None, None, :, None]
-    TT = np.broadcast_to(t[None, None, None, :], (n_x, n_rho, n_psi, n_t))
 
     cx, cy, cz = recv.center
     X = cx + xi[:, None, None, None]
     Y = cy + RHO * np.cos(PSI)
     Z = cz + RHO * np.sin(PSI)
 
-    values = np.asarray(field(X, Y, Z, TT), dtype=float)
+    values = np.asarray(field(X, Y, Z, t[None, None, None, :]), dtype=float)
     # rho d(rho) with rho = rho_max * unit is rho_max^2 * unit d(unit)
     weight = (
         (w_x[:, None, None, None] * rho_max * rho_max)

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .channel import (
     _erfc,
-    _erfcinv,
     breath_response,
     diffusion_scale,
     frequency_response,
@@ -346,10 +345,11 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
     On the axis the breath response over the steady plume is the erfc front
     (erfc((d - u t)/r) - erfc(d/r))/2 with r = 2 sqrt(diffusion_scale(d)), so
     the delay is its exact inverse t = (d - r erfcinv(2f + erfc(d/r)))/u,
-    with the package's own erfc (fdlibm's rule) and erfcinv (AS 241 for the
-    normal quantile, erfcinv(y) = -ndtri(y/2)/sqrt(2)) in
-    :mod:`plumesense.channel`.  ``experiment.rel_tol`` is accepted but not used.
+    with the package's own erfc (fdlibm's rule), and erfcinv(y) =
+    -ndtri(y/2)/sqrt(2) per distance by the stdlib's AS 241 quantile
+    ``NormalDist().inv_cdf``.  ``experiment.rel_tol`` is accepted but not used.
     """
+    from statistics import NormalDist  # not at the top: it loads fractions and decimal, ~5 ms
     exp = config.experiment
     fraction = exp["fraction"]
     distances = np.asarray(exp["distances"])
@@ -372,7 +372,8 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
                 f"{fraction} of its steady value",
             )
         with np.errstate(over="ignore"):
-            delay = (distances - root * _erfcinv(front)) / u
+            erfcinv = np.array([-NormalDist().inv_cdf(p) for p in 0.5 * front]) / math.sqrt(2.0)
+            delay = (distances - root * erfcinv) / u
         if not np.all(np.isfinite(delay)):
             raise ScenarioError("experiment.wind_speeds",
                                 f"the delay at {u} cm/s overflows; the wind is too slow")

@@ -88,13 +88,20 @@ def _expect_int(value, path, minimum=None):
 
 # the largest size numpy can give an array on this platform
 _MAX_COUNT = int(np.iinfo(np.intp).max)
+# the most points of one range, and of the field's x * y * z grid: 16 times
+# the largest grid the benchmark evaluates (16 x 128 x 128)
+_MAX_POINTS = 2**22
+# the most Monte Carlo detection trials, drawn 10^6 at a time
+_MAX_TRIALS = 10**8
+# the most volume-integral samples, all held in one array (80 MB)
+_MAX_SAMPLES = 10**7
 
 
-def _expect_count(value, path, minimum):
-    """An integer from ``minimum`` to ``_MAX_COUNT``: a size or a loop count."""
+def _expect_count(value, path, minimum, maximum=_MAX_COUNT):
+    """An integer from ``minimum`` to ``maximum``: a size or a loop count."""
     count = _expect_int(value, path, minimum=minimum)
-    if count > _MAX_COUNT:
-        raise ScenarioError(path, f"must be at most {_MAX_COUNT}")
+    if count > maximum:
+        raise ScenarioError(path, f"must be at most {maximum}")
     return count
 
 
@@ -127,7 +134,7 @@ def _expect_choice(value, path, options):
 
 
 def _expect_trials(value, path):
-    trials = _expect_count(value, path, minimum=0)
+    trials = _expect_count(value, path, minimum=0, maximum=_MAX_TRIALS)
     if 0 < trials < 10_000:
         raise ScenarioError(path, "must be 0 (no Monte Carlo) or at least 10000")
     return trials
@@ -165,7 +172,7 @@ def _expect_range(value, path, default, positive=False):
     _reject_unknown(obj, default, path)
     start = _expect_number(obj["start"], f"{path}.start", positive=positive)
     stop = _expect_number(obj["stop"], f"{path}.stop", positive=positive)
-    num = _expect_count(obj["num"], f"{path}.num", minimum=2)
+    num = _expect_count(obj["num"], f"{path}.num", minimum=2, maximum=_MAX_POINTS)
     if stop <= start:
         raise ScenarioError(f"{path}.stop", "must exceed start")
     if not math.isfinite(stop - start):
@@ -220,8 +227,9 @@ def _number(default, unit, doc=None):
     return _Field(partial(_expect_number, positive=True), default, "number > 0", unit, doc)
 
 
-def _count(default, minimum, doc=None):
-    return _Field(partial(_expect_count, minimum=minimum), default, f"int >= {minimum}",
+def _count(default, minimum, doc=None, maximum=_MAX_COUNT):
+    shown = f"int >= {minimum}" if maximum == _MAX_COUNT else f"int from {minimum} to {maximum}"
+    return _Field(partial(_expect_count, minimum=minimum, maximum=maximum), default, shown,
                   doc=doc)
 
 
@@ -239,7 +247,7 @@ def _sweep(default, unit, doc=None, positive=True):
 def _range(default, unit, doc=None, positive=False):
     return _Field(partial(_expect_range, default=default, positive=positive), default,
                   f"range {{start, stop, num}}: {'numbers > 0, ' if positive else ''}"
-                  "stop > start, num >= 2", unit, doc)
+                  f"stop > start, num from 2 to {_MAX_POINTS}", unit, doc)
 
 
 def _resolve_fields(fields, raw, path):
@@ -325,13 +333,16 @@ _NOISE_FIELDS = {
 }
 _NEAR_DISTANCES = _sweep([50.0 + 50.0 * i for i in range(10)], "cm")
 _WIND_SPEEDS = _sweep([70.0, 140.0, 280.0], "cm/s")
+_GRID_POINTS = f"x.num * y.num * z.num must be at most {_MAX_POINTS}"
 _ORDERS = _Field(_expect_orders, list(DEFAULT_QUADRATURE_ORDERS),
                  "[axial, radial, azimuthal, time], ints >= 1")
 _EXPERIMENT_FIELDS = {
     "field": {
-        "x": _range({"start": 50.0, "stop": 500.0, "num": 10}, "cm", positive=True),
-        "y": _range({"start": -10.0, "stop": 10.0, "num": 21}, "cm"),
-        "z": _range({"start": 170.0, "stop": 190.0, "num": 21}, "cm", "start >= 0 (ground)"),
+        "x": _range({"start": 50.0, "stop": 500.0, "num": 10}, "cm", _GRID_POINTS,
+                    positive=True),
+        "y": _range({"start": -10.0, "stop": 10.0, "num": 21}, "cm", _GRID_POINTS),
+        "z": _range({"start": 170.0, "stop": 190.0, "num": 21}, "cm",
+                    f"start >= 0 (ground); {_GRID_POINTS}"),
     },
     "timeseries": {
         "times": _range({"start": 0.0, "stop": 10.0, "num": 201}, "s"),
@@ -360,14 +371,14 @@ _EXPERIMENT_FIELDS = {
     "pmd": {
         "distances": _sweep([2500.0 * (i + 1) for i in range(12)], "cm"),
         "quadrature_orders": _ORDERS,
-        "empirical_trials": _Field(_expect_trials, 0, "int: 0 or >= 10000",
+        "empirical_trials": _Field(_expect_trials, 0, f"int: 0 or 10000 to {_MAX_TRIALS}",
                                    doc="0 disables the Monte Carlo columns"),
         "empirical_count": _count(3, 1, "how many of the largest distances get Monte Carlo"),
     },
     "mc_pmd": {
         "snr_arguments": _sweep([0.5, 1.0, 1.5, 2.0, 2.5], None,
                                 "detection arguments gain*C/(2*sigma)", positive=False),
-        "trials": _count(1_000_000, 10_000),
+        "trials": _count(1_000_000, 10_000, maximum=_MAX_TRIALS),
     },
     "validate_oracles": {
         "steady_resolution": _Field(
@@ -375,8 +386,8 @@ _EXPERIMENT_FIELDS = {
             "steady march grid step; a second march runs at half of it, and the work grows "
             "as its inverse fourth power"),
         "transient": _Field(_expect_bool, True, "bool"),
-        "trials": _count(200_000, 10_000, "Monte Carlo detection trials"),
-        "mc_samples": _count(200_000, 100_000, "volume-integral samples"),
+        "trials": _count(200_000, 10_000, "Monte Carlo detection trials", _MAX_TRIALS),
+        "mc_samples": _count(200_000, 100_000, "volume-integral samples", _MAX_SAMPLES),
     },
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_FIELDS)
@@ -420,6 +431,12 @@ def _resolve_sources(raw, source_height):
             sto["probabilities"], f"{path}.probabilities")
         if sto["jet_masses"] is not None and len(sto["jet_masses"]) != len(users):
             raise ScenarioError(f"{path}.jet_masses", "need one mass per user")
+        # without them each user's release takes the mass of its first jet
+        if sto["jet_masses"] is None:
+            for i, user in enumerate(users):
+                if not user["jets"]:
+                    raise ScenarioError(f"{path}.jet_masses", f"user {i} has no jets to take "
+                                        "a mass from; need one mass per user")
     return out
 
 
@@ -455,8 +472,12 @@ def _resolve_experiment(raw):
     kind = _KIND.check(raw.get("kind", _KIND.default), "experiment.kind")
     fields = {key: value for key, value in raw.items() if key != "kind"}
     out = {"kind": kind, **_resolve_fields(_EXPERIMENT_FIELDS[kind], fields, "experiment")}
-    if kind == "field" and out["z"]["start"] < 0.0:
-        raise ScenarioError("experiment.z.start", "must be >= 0 (ground)")
+    if kind == "field":
+        if out["z"]["start"] < 0.0:
+            raise ScenarioError("experiment.z.start", "must be >= 0 (ground)")
+        points = math.prod(out[axis]["num"] for axis in "xyz")
+        if points > _MAX_POINTS:
+            raise ScenarioError("experiment", f"the grid's {_GRID_POINTS}, got {points}")
     return out
 
 

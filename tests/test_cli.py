@@ -463,6 +463,14 @@ def test_variable_diffusivity_exposure_leaves_quadrature_unloaded():
     assert _fresh_python(code) == "True False"
 
 
+def test_import_leaves_statistics_unloaded():
+    """Only the delay runner needs the standard library's normal quantile, so
+    importing the CLI leaves statistics (and its fractions and decimal)
+    unloaded for every other subcommand."""
+    assert _fresh_python("import sys\nimport plumesense.cli\n"
+                         "print('statistics' in sys.modules)\n") == "False"
+
+
 def test_library_runs_on_numpy_alone():
     """With scipy made unimportable, the library's numerical routes run under
     a variable K = k0 (1 + x/L): the diffusion scale against its closed form,
@@ -621,21 +629,22 @@ def test_tiny_steady_resolution_named(tmp_path):
 
 
 def test_count_beyond_array_sizes_named(tmp_path):
-    """A grid count past the largest numpy array size names its path and
-    exits 2, without numpy's size traceback."""
+    """A grid count past the largest numpy array size, and so past the
+    stated maximum of a range's points, names its path and exits 2, without
+    numpy's size traceback."""
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     result = _fresh_process("from plumesense.cli import main; main()", "field",
                             "--scenario", str(scenarios / "field.json"),
                             "--out", str(tmp_path / "out.csv"),
                             "--set", "experiment.x.num=1" + "0" * 400)
     assert result.returncode == cli.EXIT_CONFIG, result.stderr
-    assert result.stderr == (f"configuration error: experiment.x.num: must be at most "
-                             f"{np.iinfo(np.intp).max}\n")
+    assert result.stderr == "configuration error: experiment.x.num: must be at most 4194304\n"
 
 
 def test_trials_beyond_array_sizes_rejected_before_any_run(tmp_path, monkeypatch, capsys):
-    """A trial count past the largest numpy array size is rejected while the
-    scenario is parsed: neither the runner nor the Monte Carlo starts."""
+    """A trial count past the largest numpy array size, and so past the
+    stated maximum of trials, is rejected while the scenario is parsed:
+    neither the runner nor the Monte Carlo starts."""
     from plumesense import runners
 
     def never(*args, **kwargs):
@@ -648,8 +657,8 @@ def test_trials_beyond_array_sizes_rejected_before_any_run(tmp_path, monkeypatch
                          "--out", str(tmp_path / "out.csv"),
                          "--set", "experiment.trials=1" + "0" * 400])
     assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (f"configuration error: experiment.trials: must be at "
-                                       f"most {np.iinfo(np.intp).max}\n")
+    assert capsys.readouterr().err == ("configuration error: experiment.trials: must be at "
+                                       "most 100000000\n")
     assert not (tmp_path / "out.csv").exists()
 
 

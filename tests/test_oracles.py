@@ -650,14 +650,10 @@ class TestStepConvolution:
         assert ORACLE_CHECKS["convolution"].passes(worst)
 
     def test_zero_before_entry(self, params):
-        assert step_convolution((100.0, 0.0, HEIGHT, 4.0), params, HEIGHT,
-                                entry_time=5.0) == 0.0
-
-    def test_linear_in_rate(self, params):
-        point = (100.0, 0.0, HEIGHT, 2.0)
-        single = step_convolution(point, params, HEIGHT, rate=1.0)
-        double = step_convolution(point, params, HEIGHT, rate=2.0)
-        assert double == pytest.approx(2.0 * single, rel=1e-12)
+        """The unit step starts at t = 0: no time, or negative time, has
+        passed since, so nothing has arrived."""
+        for t in (-1.0, -0.0, 0.0):
+            assert step_convolution((100.0, 0.0, HEIGHT, t), params, HEIGHT) == 0.0
 
     def test_point_is_any_length_4_sequence(self, params):
         point = (100.0, 0.0, HEIGHT, 2.0)
@@ -763,7 +759,7 @@ class TestSampledSpectrum:
 
 
 def reference_empirical_pmd(exposure, sampler_efficiency, binding_fraction, sigma, trials,
-                            seed, z=WILSON_Z):
+                            seed):
     """empirical_pmd with the threshold worked out by hand as mean / 2 and a
     miss counted as received < threshold."""
     if trials < 10_000:
@@ -782,10 +778,10 @@ def reference_empirical_pmd(exposure, sampler_efficiency, binding_fraction, sigm
         received += mean
         misses += int(np.count_nonzero(received < threshold))
         remaining -= n
-    lower, upper = _wilson_interval(misses, trials, z)
+    lower, upper = _wilson_interval(misses, trials, WILSON_Z)
     return PmdEstimate(
         estimate=misses / trials, lower=lower, upper=upper, trials=int(trials),
-        misses=misses, z=z,
+        misses=misses, z=WILSON_Z,
     )
 
 

@@ -104,6 +104,11 @@ class TestRejections:
               "experiment": {"kind": "timeseries"}}, "sources.stochastic.interval"),
             ({"experiment": {"kind": "validate_oracles", "steady_resolution": 0.0999}},
              "experiment.steady_resolution"),
+            # without jet_masses each release takes the user's first jet mass
+            ({"sources": {"users": [{"jets": [{"time": 0.0, "mass": 2.0}]}, {}],
+                          "stochastic": {"interval": 1.0, "horizon": 1.0,
+                                         "probabilities": [[0.5, 0.5]]}},
+              "experiment": {"kind": "timeseries"}}, "sources.stochastic.jet_masses: user 1"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
@@ -128,6 +133,62 @@ class TestRejections:
         base["sources"]["stochastic"]["probabilities"] = [[0.5]] * 4
         with pytest.raises(ScenarioError, match=r"probabilities: need .* 3 rows, got 4"):
             parse_scenario(base)
+
+
+class TestCountMaxima:
+    """Counts that would allocate past memory or run for hours are named
+    while the scenario is parsed."""
+
+    @pytest.mark.parametrize("experiment, path, maximum", [
+        ({"kind": "field", "x": {"num": 2**62}}, "experiment.x.num", 2**22),
+        ({"kind": "field", "y": {"num": 2**22 + 1}}, "experiment.y.num", 2**22),
+        ({"kind": "timeseries", "times": {"num": 2**22 + 1}}, "experiment.times.num", 2**22),
+        ({"kind": "freq", "omega": {"num": 10**400}}, "experiment.omega.num", 2**22),
+        ({"kind": "validate_oracles", "trials": 10**15}, "experiment.trials", 10**8),
+        ({"kind": "validate_oracles", "mc_samples": 10**7 + 1}, "experiment.mc_samples",
+         10**7),
+        ({"kind": "mc_pmd", "trials": 10**8 + 1}, "experiment.trials", 10**8),
+        ({"kind": "pmd", "empirical_trials": 10**9}, "experiment.empirical_trials", 10**8),
+    ])
+    def test_count_past_its_maximum_named(self, experiment, path, maximum):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario({"experiment": experiment})
+        assert str(excinfo.value) == f"{path}: must be at most {maximum}"
+
+    @pytest.mark.parametrize("experiment", [
+        {"kind": "field", "x": {"num": 2**20}, "y": {"num": 2}, "z": {"num": 2}},
+        {"kind": "timeseries", "times": {"num": 2**22}},
+        {"kind": "validate_oracles", "trials": 10**8, "mc_samples": 10**7},
+        {"kind": "mc_pmd", "trials": 10**8},
+        {"kind": "pmd", "empirical_trials": 10**8},
+    ])
+    def test_count_at_its_maximum_accepted(self, experiment):
+        def counts(exp):
+            return {key: exp[key]["num"] if isinstance(exp[key], dict) else exp[key]
+                    for key in experiment}
+
+        assert counts(parse_scenario({"experiment": experiment}).experiment) == counts(experiment)
+
+    @pytest.mark.parametrize("nums", [(2**20 + 1, 2, 2), (100_000, 100_000, 21)])
+    def test_field_grid_past_the_maximum_named(self, nums):
+        """Each range is within its maximum, but the grid they span is not."""
+        experiment = {"kind": "field", **{axis: {"num": num} for axis, num in zip("xyz", nums)}}
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario({"experiment": experiment})
+        assert str(excinfo.value) == ("experiment: the grid's x.num * y.num * z.num must be at "
+                                      f"most {2**22}, got {math.prod(nums)}")
+
+    def test_schema_states_the_maxima(self):
+        schema = scenario_schema()["experiment"]
+        for kind, key in (("field", "x"), ("field", "y"), ("field", "z"),
+                          ("timeseries", "times"), ("freq", "omega")):
+            assert schema[kind][key]["type"].endswith(f"num from 2 to {2**22}"), (kind, key)
+        for key in ("x", "y", "z"):
+            assert f"x.num * y.num * z.num must be at most {2**22}" in schema["field"][key]["doc"]
+        assert schema["validate_oracles"]["trials"]["type"] == f"int from 10000 to {10**8}"
+        assert schema["validate_oracles"]["mc_samples"]["type"] == f"int from 100000 to {10**7}"
+        assert schema["mc_pmd"]["trials"]["type"] == f"int from 10000 to {10**8}"
+        assert schema["pmd"]["empirical_trials"]["type"] == f"int: 0 or 10000 to {10**8}"
 
 
 class TestRoundTrip:
@@ -695,6 +756,12 @@ def _resolve_sources(raw, source_height):
             ]
             if len(masses) != len(users):
                 raise ScenarioError("sources.stochastic.jet_masses", "need one mass per user")
+        else:
+            for j, user in enumerate(users):
+                if not user["jets"]:
+                    raise ScenarioError("sources.stochastic.jet_masses",
+                                        f"user {j} has no jets to take a mass from; need one "
+                                        "mass per user")
         out["stochastic"] = {
             "interval": interval,
             "horizon": horizon,
