@@ -464,11 +464,12 @@ def _kronrod(func: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     """
     half = 0.5 * (hi - lo)
     values = func((lo + half)[:, None] + half[:, None] * _KRONROD_NODES)
-    weighted = values @ _KRONROD_WEIGHTS
+    # row sums: a BLAS matrix-vector product may sum a row in another order
+    # when other rows share the call
+    weighted = (values * _KRONROD_WEIGHTS).sum(axis=1)
     kronrod = half * weighted
-    distance = half * np.abs(weighted - values @ _GAUSS_WEIGHTS)
-    deviation = values - 0.5 * weighted[:, None]
-    spread = half * (np.abs(deviation, out=deviation) @ _KRONROD_WEIGHTS)
+    distance = half * np.abs(weighted - (values * _GAUSS_WEIGHTS).sum(axis=1))
+    spread = half * (np.abs(values - 0.5 * weighted[:, None]) * _KRONROD_WEIGHTS).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = spread * np.minimum(1.0, (200.0 * distance / spread) ** 1.5)
     error = np.where(spread > 0.0, scaled, distance)
@@ -481,55 +482,48 @@ def _kronrod(func: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
 # ---------------------------------------------------------------------------
 
 
-def _suffix_min(values: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(values[::-1])[::-1]
-
-
 def _gap_integrals(func: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
                    hi: np.ndarray, owner: np.ndarray, ends: np.ndarray,
                    rel_tol: float) -> np.ndarray:
-    """Integrals of ``func`` over the gaps [0, ends[0]], [ends[0], ends[1]],
-    ... for strictly increasing positive ``ends``, by adaptive 7/15-point
-    Gauss-Kronrod quadrature from the subintervals [lo, hi] that tile them,
-    the gap of each in ``owner`` (nondecreasing).
+    """Integrals of ``func`` over the gaps [0, ends[j]], each tiled by the
+    subintervals [lo, hi] whose ``owner`` is j, by adaptive 7/15-point
+    Gauss-Kronrod quadrature.
 
-    The integral S_j over [0, ends[j]] is the sum of the Kronrod estimates of
-    the subintervals up to ends[j], and its error bound the sum of their error
-    estimates.  The pass ends once every bound is within ``rel_tol * S_j``.
-    Until then each round bisects, with one ``func`` call for all of them, the
-    subintervals whose error exceeds their share of half that budget, so that
-    rounding cannot keep a converged pass open.  A share is the mean of two
-    allotments, each of which sums to at most S_j over [0, ends[j]] for every
-    j: by width, width * min S_j / ends[j], and per subinterval,
-    min S_j / (subintervals up to ends[j]), both minima over j at or past the
-    subinterval's gap.  The width allotment keeps a smooth integrand cheap;
-    the per-subinterval one lets the subinterval at 0 converge where the
-    integrand behaves like x^p there, for every p > 0 and for integrable
-    singularities such as 1/sqrt(x).  Raises :class:`QuadratureError` when a
-    gap needs more than ``_MAX_SUBINTERVALS_PER_GAP`` subintervals or no
-    subinterval is left to split.
+    A gap's integral S is the sum of its subintervals' Kronrod estimates and
+    its bound the sum of their error estimates.  A gap is done, and left
+    alone, once its bound is within ``rel_tol * S``, so its value does not
+    depend on the other gaps.  Each round bisects, with one ``func`` call for
+    all open gaps, the subintervals whose error exceeds their share of half
+    the gap's budget: the mean of a width share, width * S / end, which keeps
+    a smooth integrand cheap, and an equal share, S / (the gap's
+    subintervals), which lets the subinterval at 0 converge where the
+    integrand behaves like x^p, p > 0, or like 1/sqrt(x).  Raises
+    :class:`QuadratureError`, naming the first failing gap, when a gap needs
+    more than ``_MAX_SUBINTERVALS_PER_GAP`` subintervals or has none left to
+    split.
     """
     n = ends.size
     kronrod, error = _kronrod(func, lo, hi)
     while True:
-        gaps = np.bincount(owner, weights=kronrod, minlength=n)
-        cumulative = np.cumsum(gaps)
-        bound = np.cumsum(np.bincount(owner, weights=error, minlength=n))
-        if np.all(bound <= rel_tol * cumulative):
-            return gaps
+        integral = np.bincount(owner, weights=kronrod, minlength=n)
+        bound = np.bincount(owner, weights=error, minlength=n)
+        open_gaps = ~(bound <= rel_tol * integral)
+        if not open_gaps.any():
+            return integral
         count = np.bincount(owner, minlength=n)
-        per_width = _suffix_min(cumulative / ends)
-        per_leaf = _suffix_min(cumulative / np.cumsum(count))
-        share = 0.25 * rel_tol * ((hi - lo) * per_width[owner] + per_leaf[owner])
-        split = error > share
-        keep = ~split
-        count += np.bincount(owner[split], minlength=n)
-        if not split.any() or count.max() > _MAX_SUBINTERVALS_PER_GAP:
+        share = 0.25 * rel_tol * ((hi - lo) * (integral / ends)[owner]
+                                  + (integral / count)[owner])
+        split = (error > share) & open_gaps[owner]
+        added = np.bincount(owner[split], minlength=n)
+        failed = open_gaps & ((added == 0) | (count + added > _MAX_SUBINTERVALS_PER_GAP))
+        if failed.any():
+            j = np.argmax(failed)
             raise QuadratureError(
                 f"adaptive quadrature did not reach relative {rel_tol:g} within "
-                f"{_MAX_SUBINTERVALS_PER_GAP} subintervals per gap: integral "
-                f"{cumulative[-1]:.6g}, error estimate {bound[-1]:.3g}"
+                f"{_MAX_SUBINTERVALS_PER_GAP} subintervals per gap: over [0, {ends[j]:.6g}] "
+                f"integral {integral[j]:.6g}, error estimate {bound[j]:.3g}"
             )
+        keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
@@ -544,15 +538,14 @@ def _gap_integrals(func: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 def diffusion_scale(x: ArrayLike, params: ChannelParams):
     """Transformed downwind coordinate (1/u) * integral_0^x K(s) ds, in cm^2.
 
-    Exact for a constant profile.  Otherwise one cumulative pass over the
-    sorted unique points: the package's one adaptive 7/15-point
-    Gauss-Kronrod loop (``_gap_integrals``) integrates the gaps between
-    neighbours, summed in order, with the error of every cumulative value
-    bounded to 1e-10 relative.  Monotone nondecreasing in x.  A profile that
-    needs more than 200 subintervals for one gap, such as x^-0.9 at the
-    source or one oscillating far faster than the points are spaced, raises
-    :class:`QuadratureError`.  A scale past the range of doubles comes back
-    as inf, quietly.
+    Exact for a constant profile.  Otherwise the package's one adaptive
+    7/15-point Gauss-Kronrod loop (``_gap_integrals``) integrates K over
+    [0, x] for each distinct positive x on its own, to 1e-10 relative, so a
+    point's scale does not depend on the other points of the call; two points
+    closer than that can come out in either order.  A profile that needs more
+    than 200 subintervals over one [0, x], such as x^-0.9 at the source or a
+    fast oscillation, raises :class:`QuadratureError`.  A scale past the
+    range of doubles comes back as inf, quietly.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
@@ -570,10 +563,9 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
         # an integral of K past the range of doubles makes the scale inf
         with np.errstate(over="ignore"):
             ends = points[pos]
-            lo = np.concatenate(([0.0], ends[:-1]))
-            gaps = _gap_integrals(params.diffusivity, lo, ends, np.arange(ends.size), ends,
-                                  _SCALE_RTOL)
-            scales[pos] = np.cumsum(gaps) / params.wind_speed
+            scales[pos] = _gap_integrals(params.diffusivity, np.zeros(ends.size), ends,
+                                         np.arange(ends.size), ends,
+                                         _SCALE_RTOL) / params.wind_speed
     return _as_output(scales[inverse], arr.shape)
 
 
@@ -585,7 +577,7 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
 def _downwind(point, params: ChannelParams, source_height: float, term, after=None):
     """Shared body of the transient and steady closed forms: ``term(x, t, s)``
     times the crosswind Gaussian of variance 2s (s = diffusion_scale(x)) with
-    its ground image, at the points with 0 < x < inf and, if given, t > after;
+    its ground image, at the points with 0 < x < inf and, if given, t >= after;
     exactly 0 elsewhere.  Raises :class:`EvaluationDomainError` at
     0 < x < x_min, :class:`DomainError` at a NaN coordinate or non-finite time."""
     x, y, z, t = _point(point, 4)
@@ -602,7 +594,7 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=No
         _check_downwind_band(X[live], params)
     live &= X < np.inf
     if after is not None:
-        live &= t > after
+        live &= t >= after
     if live.any():
         s = np.asarray(diffusion_scale(X[live], params))
         if np.isinf(s).any():  # the response's limit at an infinite scale is 0
@@ -617,30 +609,32 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=No
     return _as_output(out, shape)
 
 
+def _impulse_term(u: float):
+    """The impulse response's along-wind term(x, t, s) at wind speed u."""
+    return lambda x, t, s: np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)
+
+
 def impulse_response(point, params: ChannelParams, source_height: float):
     """Concentration at ``point`` per unit jet mass released at the origin at t = 0.
 
     Points at or upwind of the source (x <= 0) return 0 (no upwind transport);
     0 < x < x_min raises :class:`EvaluationDomainError`.
     """
-    u = params.wind_speed
-    return _downwind(point, params, source_height, lambda x, t, s: (
-        np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)))
+    return _downwind(point, params, source_height, _impulse_term(params.wind_speed))
 
 
 def jet_concentration(jet_mass: float, release_time: float, point, params: ChannelParams,
                       source_height: float):
     """Concentration from one jet of ``jet_mass`` units released at ``release_time``.
 
-    Exactly zero before the release (causality), then the shifted impulse
-    response scaled by the mass.
+    The impulse response at the elapsed time t - release_time, scaled by the
+    mass, and exactly zero before the release (causality).
     """
     if not (jet_mass >= 0.0):
         raise DomainError("jet mass must be nonnegative")
     x, y, z, t = _point(point, 4)
-    h = np.asarray(impulse_response((x, y, z, t - release_time), params, source_height))
-    gated = np.where(t >= release_time, jet_mass * h, 0.0)
-    return _as_output(gated, np.broadcast(t, h).shape)
+    return jet_mass * _downwind((x, y, z, t - release_time), params, source_height,
+                                _impulse_term(params.wind_speed), after=0.0)
 
 
 def breath_response(breath_rate: float, entry_time: float, point, params: ChannelParams,

@@ -476,6 +476,18 @@ def run_timeseries(config: ScenarioConfig) -> ResultTable:
     scenario = config.multi_user_scenario()
     params = config.channel_params()
     point = exp["point"] if exp["point"] is not None else list(config.receiver_spec().center)
+    # a jet peaks at 1 / (8 (pi s)^1.5) times its mass; below s ~ 2.5e-207 cm^2
+    # that is past the doubles, and the rows would be inf or 0/0
+    jet_x = [u.x for u in scenario.users if u.jets or scenario.stochastic is not None]
+    downwind = [point[0] - x for x in jet_x if point[0] - x >= params.x_min]
+    if downwind:
+        s = diffusion_scale(min(downwind), params)
+        with np.errstate(divide="ignore", over="ignore"):
+            peak = 1.0 / (8.0 * (np.pi * np.float64(s)) ** 1.5)
+        if not np.isfinite(peak):
+            raise ScenarioError("channel.diffusivity",
+                                f"a jet's peak 1 / (8 (pi s)^1.5) leaves the range of doubles "
+                                f"at the point, where the diffusion scale K x / u is {s:g} cm^2")
     times = _linspace(exp["times"])
     where = (point[0], point[1], point[2], times)
     columns = [times, np.asarray(multi_user_response(scenario, where, params))]

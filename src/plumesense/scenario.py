@@ -346,8 +346,8 @@ _EXPERIMENT_FIELDS = {
     },
     "timeseries": {
         "times": _range({"start": 0.0, "stop": 10.0, "num": 201}, "s"),
-        "point": _Field(_optional(_expect_triple), None, "[x, y, z] or null", "cm",
-                        "null: the receiver center"),
+        "point": _Field(_optional(_expect_triple), None, "[x, y, z] with z >= 0, or null",
+                        "cm", "null: the receiver center"),
     },
     "freq": {
         "omega": _range({"start": 0.0, "stop": 400.0, "num": 81}, "rad/s"),
@@ -478,6 +478,8 @@ def _resolve_experiment(raw):
         points = math.prod(out[axis]["num"] for axis in "xyz")
         if points > _MAX_POINTS:
             raise ScenarioError("experiment", f"the grid's {_GRID_POINTS}, got {points}")
+    if kind == "timeseries" and out["point"] is not None and out["point"][2] < 0.0:
+        raise ScenarioError("experiment.point", "z must be >= 0 (ground)")
     return out
 
 

@@ -164,6 +164,22 @@ class TestDiffusionScale:
             diffusion_scale(xs, p)
         np.testing.assert_allclose(diffusion_scale(xs[:-1], p), xs[:-1], rtol=1e-10, atol=0.0)
 
+    def test_failing_gap_named(self):
+        # the hard point comes before an easy one: the message names the gap
+        # [0, 450] that failed, not the last point of the call
+        p = ChannelParams(1.0, DiffusivityProfile.from_function(
+            lambda x: 1.0 + 0.5 * np.sin(50.0 * x) * ((x > 400.0) & (x < 460.0))))
+        with pytest.raises(QuadratureError, match=r"over \[0, 450\] integral 449\.99"):
+            diffusion_scale(np.array([1.0, 450.0, 1000.0]), p)
+
+    def test_point_scale_independent_of_batch(self):
+        # a point's scale has the same bits alone and among five other points
+        rng = np.random.default_rng(20261019)
+        for x in rng.uniform(1.0, 600.0, 200):
+            batch = np.concatenate(([x], rng.uniform(1.0, 600.0, 5)))
+            alone = diffusion_scale(np.array([x]), LINEAR_K_PARAMS)[0]
+            assert diffusion_scale(batch, LINEAR_K_PARAMS)[0] == alone
+
     def test_nonfinite_distance_rejected_for_variable_profile(self):
         p = ChannelParams(1.0, DiffusivityProfile.from_function(lambda x: 1.0 + 0.0 * x))
         for bad in (math.nan, math.inf):
@@ -247,6 +263,24 @@ class TestImpulseResponse:
 class TestJetConcentration:
     def test_causality_before_release(self, params):
         assert jet_concentration(5.0, 10.0, (100.0, 0.0, HEIGHT, 9.99), params, HEIGHT) == 0.0
+        # the release instant itself is live (about 4.8e-61 per unit mass at
+        # 1 cm), the double just before it is not
+        assert jet_concentration(5.0, 10.0, (1.0, 0.0, HEIGHT, 10.0), params, HEIGHT) > 0.0
+        before = np.nextafter(10.0, -np.inf)
+        assert jet_concentration(5.0, 10.0, (1.0, 0.0, HEIGHT, before), params, HEIGHT) == 0.0
+
+    def test_independent_of_batch(self):
+        # under a variable K a point's value has the same bits alone and
+        # among five other points, before and after the release
+        rng = np.random.default_rng(20261019)
+        for x in rng.uniform(1.0, 600.0, 200):
+            xs = np.concatenate(([x], rng.uniform(1.0, 600.0, 5)))
+            t = x / WIND + rng.normal(0.0, 0.01)
+            alone = jet_concentration(2.0, 0.5, (x, 0.3, HEIGHT, t + 0.5), LINEAR_K_PARAMS,
+                                      HEIGHT)
+            batch = jet_concentration(2.0, 0.5, (xs, 0.3, HEIGHT, t + 0.5), LINEAR_K_PARAMS,
+                                      HEIGHT)
+            assert batch[0] == alone
 
     def test_time_shift_identity_exact(self, params):
         # dyadic shift keeps t - t0 exact in floating point

@@ -576,6 +576,20 @@ def test_overflowing_release_grid_named(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_vanishing_jet_spread_named_without_warnings(tmp_path):
+    """At K = 1e-250 cm^2/s a jet's 8 (pi s)^1.5 underflows to 0: timeseries
+    names the diffusivity and exits 2, with no NaN rows and no numpy warning."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    result = _fresh_process("from plumesense.cli import main; main()", "timeseries",
+                            "--scenario", str(scenarios / "timeseries.json"),
+                            "--out", str(out), "--set", "channel.diffusivity=1e-250")
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr.startswith("configuration error: channel.diffusivity: ")
+    assert "Warning" not in result.stderr
+    assert not out.exists()
+
+
 def test_overflowing_phase_named_without_warnings(tmp_path):
     """omega x / u overflows at 1.7e308 rad/s: the run names experiment.omega
     and prints no numpy warning."""

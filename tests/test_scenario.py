@@ -93,6 +93,8 @@ class TestRejections:
              "experiment.empirical_trials"),
             ({"experiment": {"kind": "field", "z": {"start": -1.0, "stop": 1.0, "num": 3}}},
              "experiment.z.start"),
+            ({"experiment": {"kind": "timeseries", "point": [100.0, 0.0, -5.0]}},
+             "experiment.point: z must be >= 0"),
             ({"sources": {"users": [{"location": [0.0, 0.0, 0.0]}]}},
              "sources.users[0].location"),
             ({"sources": {"users": [{}], "stochastic": {"interval": 1.0, "horizon": 1.0,
@@ -856,6 +858,8 @@ def _resolve_experiment(raw):
             if raw.get("point") is not None
             else None
         )
+        if out["point"] is not None and out["point"][2] < 0.0:
+            raise ScenarioError(f"{path}.point", "z must be >= 0 (ground)")
     elif kind == "freq":
         _reject_unknown(raw, ("kind", "omega", "unwrap"), path)
         out["omega"] = _expect_range(
