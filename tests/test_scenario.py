@@ -93,8 +93,6 @@ class TestRejections:
              "experiment.empirical_trials"),
             ({"experiment": {"kind": "field", "z": {"start": -1.0, "stop": 1.0, "num": 3}}},
              "experiment.z.start"),
-            ({"experiment": {"kind": "timeseries", "point": [100.0, 0.0, -5.0]}},
-             "experiment.point: z must be >= 0"),
             ({"sources": {"users": [{"location": [0.0, 0.0, 0.0]}]}},
              "sources.users[0].location"),
             ({"sources": {"users": [{}], "stochastic": {"interval": 1.0, "horizon": 1.0,
@@ -111,6 +109,8 @@ class TestRejections:
                           "stochastic": {"interval": 1.0, "horizon": 1.0,
                                          "probabilities": [[0.5, 0.5]]}},
               "experiment": {"kind": "timeseries"}}, "sources.stochastic.jet_masses: user 1"),
+            ({"experiment": {"kind": "timeseries", "point": [100.0, 0.0, -5.0]}},
+             "experiment.point: z must be >= 0"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
