@@ -574,44 +574,52 @@ def diffusion_scale(x: ArrayLike, params: ChannelParams):
 # ---------------------------------------------------------------------------
 
 
-def _downwind(point, params: ChannelParams, source_height: float, term, after=None):
+def _downwind(point, params: ChannelParams, source_height: float, term, after=-np.inf):
     """Shared body of the transient and steady closed forms: ``term(x, t, s)``
     times the crosswind Gaussian of variance 2s (s = diffusion_scale(x)) with
-    its ground image, at the points with 0 < x < inf and, if given, t >= after;
-    exactly 0 elsewhere.  Raises :class:`EvaluationDomainError` at
-    0 < x < x_min, :class:`DomainError` at a NaN coordinate or non-finite time."""
+    its ground image, at the points with 0 < x < inf and t >= after; exactly 0
+    elsewhere.  Each factor has the broadcast shape of what it reads: s that of
+    x, the term that of (x, t), the crosswind factor that of (x, y, z).  Raises
+    :class:`EvaluationDomainError` at 0 < x < x_min, :class:`DomainError` at a
+    NaN coordinate or non-finite time."""
     x, y, z, t = _point(point, 4)
     _check_height(source_height)
     _check_coordinates(x, y, z)
     if not np.all(np.isfinite(t)):
         raise DomainError("time must be finite")
-    # read-only views of the broadcast grid: only the live points are copied
     shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
-    X, Y, Z = (np.broadcast_to(c, shape) for c in (x, y, z))
-    out = np.zeros(shape)
-    live = np.asarray(X > 0.0)  # an array even when 0-d, so that live[live] works
-    if live.any():
-        _check_downwind_band(X[live], params)
-    live &= X < np.inf
-    if after is not None:
-        live &= t >= after
-    if live.any():
-        s = np.asarray(diffusion_scale(X[live], params))
-        if np.isinf(s).any():  # the response's limit at an infinite scale is 0
-            live[live] = finite = s < np.inf
-            s = s[finite]
-        # a scalar time, as the steady plume's, is not copied out to every point
-        T = np.broadcast_to(t, shape)[live] if t.ndim else t
-        # far downwind the prefactors overflow to inf, the response to its limit 0
-        with np.errstate(over="ignore"):
-            out[live] = term(X[live], T, s) * _crosswind_factor(
-                Y[live], Z[live], s, source_height)
-    return _as_output(out, shape)
+    # at least 1-d: numpy's exp on a 0-d array is not its vector exp
+    x, y, z, t = np.atleast_1d(x, y, z, t)
+    live = x > 0.0
+    _check_downwind_band(x[live], params)
+    live &= x < np.inf
+    # a dead x keeps a placeholder scale of 1, so that its factors stay quiet
+    s = np.ones(x.shape)
+    s[live] = diffusion_scale(x[live], params)
+    live &= s < np.inf  # the response's limit at an infinite scale is 0
+    s[~live] = 1.0
+    live = live & (t >= after)
+    if not live.any():
+        return _as_output(np.zeros(shape), shape)
+    # far downwind the prefactors overflow to inf, the response to its limit 0
+    with np.errstate(over="ignore"):
+        along = np.where(live, term(x, t, s), 0.0)
+        return _as_output(along * _crosswind_factor(y, z, s, source_height), shape)
 
 
 def _impulse_term(u: float):
-    """The impulse response's along-wind term(x, t, s) at wind speed u."""
-    return lambda x, t, s: np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)
+    """The impulse response's along-wind term(x, t, s) at wind speed u; raises
+    :class:`DomainError` where its peak 1 / (8 (pi s)^1.5) is not a double."""
+
+    def term(x, t, s):
+        spread = 8.0 * (np.pi * s) ** 1.5
+        with np.errstate(divide="ignore"):
+            if not np.all(np.isfinite(1.0 / spread)):
+                raise DomainError(f"a jet's peak 1 / (8 (pi s)^1.5) leaves the range of "
+                                  f"doubles where the diffusion scale is {np.min(s):g} cm^2")
+        return np.exp(-((x - u * t) ** 2) / (4.0 * s)) / spread
+
+    return term
 
 
 def impulse_response(point, params: ChannelParams, source_height: float):
@@ -676,12 +684,7 @@ def person_response(source: SourceSpec, point, params: ChannelParams):
 def multi_user_response(scenario: MultiUserScenario, point, params: ChannelParams):
     """Superposed responses of all users; each is exactly 0 at or upwind of
     its user and before its user enters."""
-    x, y, z, t = _point(point, 4)
-    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
-    total = np.zeros(shape)
-    for user in scenario.users:
-        total += person_response(user, (x, y, z, t), params)
-    return _as_output(total, shape)
+    return sum(person_response(user, point, params) for user in scenario.users)
 
 
 def stochastic_expected_response(scenario: MultiUserScenario, point, params: ChannelParams):
@@ -697,15 +700,12 @@ def stochastic_expected_response(scenario: MultiUserScenario, point, params: Cha
     x, y, z, t = _point(point, 4)
     shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
     total = np.zeros(shape)
-    for i, t_release in enumerate(grid.release_times()):
-        for j, user in enumerate(scenario.users):
-            p = grid.probabilities[i][j]
-            if p == 0.0:
-                continue
-            local = (x - user.x, y - user.y, z, t)
-            total += p * jet_concentration(
-                scenario.stochastic_jet_mass(j), t_release, local, params, user.height
-            )
+    for t_release, row in zip(grid.release_times(), grid.probabilities):
+        for j, (user, p) in enumerate(zip(scenario.users, row)):
+            if p != 0.0:
+                total += p * jet_concentration(scenario.stochastic_jet_mass(j), t_release,
+                                               (x - user.x, y - user.y, z, t), params,
+                                               user.height)
     return _as_output(total, shape)
 
 

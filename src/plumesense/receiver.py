@@ -97,6 +97,25 @@ def _gauss_legendre(n, lo, hi):
     return lo + half * (nodes + 1.0), half * weights
 
 
+@functools.lru_cache(maxsize=64)
+def _ball_rule(radius, n_x, n_rho, n_psi):
+    """:func:`receiver_exposure`'s spatial rule on a ball about the origin,
+    read-only: the axial offsets xi, rho cos(psi), rho sin(psi) and the
+    weights, on the (axial, radial, azimuthal, 1) node grid."""
+    xi, w_x = _gauss_legendre(n_x, -radius, radius)
+    unit, w_unit = _gauss_legendre(n_rho, 0.0, 1.0)
+    psi, w_psi = _gauss_legendre(n_psi, 0.0, 2.0 * np.pi)
+    rho_max = np.sqrt(radius * radius - xi * xi)[:, None, None, None]
+    RHO, PSI = rho_max * unit[None, :, None, None], psi[None, None, :, None]
+    # rho d(rho) with rho = rho_max * unit is rho_max^2 * unit d(unit)
+    weight = ((w_x[:, None, None, None] * rho_max * rho_max)
+              * (unit * w_unit)[None, :, None, None]) * w_psi[None, None, :, None]
+    rule = (xi[:, None, None, None], RHO * np.cos(PSI), RHO * np.sin(PSI), weight)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
                       orders=DEFAULT_QUADRATURE_ORDERS) -> float:
     """Space-time integral of the field over the receiver sphere and window.
@@ -104,7 +123,8 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
     Tensor Gauss-Legendre quadrature about the wind axis (x) with (axial,
     radial, azimuthal, time) orders: x across the sphere, then a polar rule
     on each (y, z) disc of radius sqrt(a^2 - xi^2), where a plume narrow
-    across the wind is smooth in rho; deterministic for fixed orders.
+    across the wind is smooth in rho; deterministic for fixed orders, and
+    the spatial rule is built once per radius and orders.
     ``field(x, y, z, t)`` gets the time nodes as a (1, 1, 1, time) array,
     and its value must broadcast against the node grid (the steady field's
     has no time axis).  Dividing by
@@ -115,29 +135,17 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
     if not math.isfinite(t_start):
         raise DomainError("exposure window start t_start must be finite")
     n_x, n_rho, n_psi, n_t = orders
-    xi, w_x = _gauss_legendre(n_x, -recv.radius, recv.radius)
-    unit, w_unit = _gauss_legendre(n_rho, 0.0, 1.0)
-    psi, w_psi = _gauss_legendre(n_psi, 0.0, 2.0 * np.pi)
+    xi, y_off, z_off, weight = _ball_rule(recv.radius, n_x, n_rho, n_psi)
     t, w_t = _gauss_legendre(n_t, t_start, t_start + recv.sampling_window)
-
-    rho_max = np.sqrt(recv.radius * recv.radius - xi * xi)[:, None, None, None]
-    RHO = rho_max * unit[None, :, None, None]
-    PSI = psi[None, None, :, None]
-
     cx, cy, cz = recv.center
-    X = cx + xi[:, None, None, None]
-    Y = cy + RHO * np.cos(PSI)
-    Z = cz + RHO * np.sin(PSI)
-
-    values = np.asarray(field(X, Y, Z, t[None, None, None, :]), dtype=float)
-    # rho d(rho) with rho = rho_max * unit is rho_max^2 * unit d(unit)
-    weight = (
-        (w_x[:, None, None, None] * rho_max * rho_max)
-        * (unit * w_unit)[None, :, None, None]
-        * w_psi[None, None, :, None]
-        * w_t[None, None, None, :]
-    )
-    return float(np.sum(values * weight))
+    values = field(cx + xi, cy + y_off, cz + z_off, t[None, None, None, :])
+    # value * (weight * w_t) one time node (one long inner loop) at a time
+    grid = np.empty((n_x, n_rho, n_psi, n_t))
+    values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
+    for k in range(n_t):
+        np.multiply(weight[..., 0], w_t[k], out=grid[..., k])
+        grid[..., k] *= values[..., k]
+    return float(np.sum(grid))
 
 
 # ---------------------------------------------------------------------------

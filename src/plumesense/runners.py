@@ -451,14 +451,12 @@ def run_field_grid(config: ScenarioConfig) -> ResultTable:
     xs = _linspace(exp["x"])
     ys = _linspace(exp["y"])
     zs = _linspace(exp["z"])
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    total = np.zeros(X.shape)
+    x, y, z = xs[:, None, None], ys[None, :, None], zs[None, None, :]
+    total = np.zeros((xs.size, ys.size, zs.size))
     for user in users:
-        total += np.asarray(
-            steady_state_concentration(
-                user.breath_rate, (X - user.x, Y - user.y, Z), params, user.height
-            )
-        )
+        total += steady_state_concentration(user.breath_rate, (x - user.x, y - user.y, z),
+                                            params, user.height)
+    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     return ResultTable(
         columns=("x", "y", "z", "concentration"),
         units=("cm", "cm", "cm", "1/cm^3"),
@@ -476,26 +474,20 @@ def run_timeseries(config: ScenarioConfig) -> ResultTable:
     scenario = config.multi_user_scenario()
     params = config.channel_params()
     point = exp["point"] if exp["point"] is not None else list(config.receiver_spec().center)
-    # a jet peaks at 1 / (8 (pi s)^1.5) times its mass; below s ~ 2.5e-207 cm^2
-    # that is past the doubles, and the rows would be inf or 0/0
-    jet_x = [u.x for u in scenario.users if u.jets or scenario.stochastic is not None]
-    downwind = [point[0] - x for x in jet_x if point[0] - x >= params.x_min]
-    if downwind:
-        s = diffusion_scale(min(downwind), params)
-        with np.errstate(divide="ignore", over="ignore"):
-            peak = 1.0 / (8.0 * (np.pi * np.float64(s)) ** 1.5)
-        if not np.isfinite(peak):
-            raise ScenarioError("channel.diffusivity",
-                                f"a jet's peak 1 / (8 (pi s)^1.5) leaves the range of doubles "
-                                f"at the point, where the diffusion scale K x / u is {s:g} cm^2")
     times = _linspace(exp["times"])
     where = (point[0], point[1], point[2], times)
-    columns = [times, np.asarray(multi_user_response(scenario, where, params))]
     names, units = ["time", "concentration"], ["s", "1/cm^3"]
-    if scenario.stochastic is not None:
-        columns.append(np.asarray(stochastic_expected_response(scenario, where, params)))
-        names.append("expected")
-        units.append("1/cm^3")
+    try:
+        columns = [times, np.asarray(multi_user_response(scenario, where, params))]
+        if scenario.stochastic is not None:
+            columns.append(np.asarray(stochastic_expected_response(scenario, where, params)))
+            names.append("expected")
+            units.append("1/cm^3")
+    except EvaluationDomainError:
+        raise
+    except DomainError as exc:
+        # a jet's peak 1 / (8 (pi s)^1.5) leaves the doubles where K vanishes
+        raise ScenarioError("channel.diffusivity", str(exc)) from exc
     return ResultTable(
         columns=tuple(names),
         units=tuple(units),

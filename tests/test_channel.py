@@ -269,18 +269,44 @@ class TestJetConcentration:
         before = np.nextafter(10.0, -np.inf)
         assert jet_concentration(5.0, 10.0, (1.0, 0.0, HEIGHT, before), params, HEIGHT) == 0.0
 
-    def test_independent_of_batch(self):
-        # under a variable K a point's value has the same bits alone and
-        # among five other points, before and after the release
+    def test_independent_of_batch(self, params):
+        """Under a constant and a linear K, the impulse, jet, breath and
+        steady forms give a scalar point the same bits alone, among five
+        other points, and inside an (n,1,1)·(1,m,1)·(1,1,k) grid, before and
+        after a release (or an entry) at 0.5 s.  Each factor is evaluated on
+        its own coordinates' shape, and on a 0-d array numpy's exp is not its
+        vector exp, so the scalar path is the one this guards."""
         rng = np.random.default_rng(20261019)
-        for x in rng.uniform(1.0, 600.0, 200):
-            xs = np.concatenate(([x], rng.uniform(1.0, 600.0, 5)))
-            t = x / WIND + rng.normal(0.0, 0.01)
-            alone = jet_concentration(2.0, 0.5, (x, 0.3, HEIGHT, t + 0.5), LINEAR_K_PARAMS,
-                                      HEIGHT)
-            batch = jet_concentration(2.0, 0.5, (xs, 0.3, HEIGHT, t + 0.5), LINEAR_K_PARAMS,
-                                      HEIGHT)
-            assert batch[0] == alone
+        for p in (params, LINEAR_K_PARAMS):
+            for call in (lambda point: impulse_response((*point[:3], point[3] - 0.5), p, HEIGHT),
+                         lambda point: jet_concentration(2.0, 0.5, point, p, HEIGHT),
+                         lambda point: breath_response(1.5, 0.5, point, p, HEIGHT),
+                         lambda point: steady_state_concentration(1.5, point[:3], p, HEIGHT)):
+                for x in rng.uniform(1.0, 600.0, 100):
+                    y, z = rng.normal(0.0, 1.5), HEIGHT + rng.normal(0.0, 1.5)
+                    t = float(rng.choice([x / WIND + 0.5 + rng.normal(0.0, 0.01),
+                                          rng.uniform(0.0, 1.0)]))
+                    alone = call((x, y, z, t))
+                    assert isinstance(alone, float)
+                    others = rng.uniform(1.0, 600.0, (3, 5))
+                    batch = call((np.append(x, others[0]), np.append(y, others[1] - 300.0),
+                                  np.append(z, others[2] / 3.0), np.append(t, others[0] / WIND)))
+                    i, j, k = rng.integers(0, 6, 3)
+                    grid = call((np.insert(others[0], i, x)[:, None, None],
+                                 np.insert(others[1] / 100.0, j, y)[None, :, None],
+                                 np.insert(HEIGHT + others[2] / 300.0, k, z)[None, None, :], t))
+                    assert grid.shape == (6, 6, 6)
+                    assert alone.hex() == float(batch[0]).hex() == float(grid[i, j, k]).hex()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda p: impulse_response((100.0, 0.0, HEIGHT, 100.0 / WIND), p, HEIGHT),
+        lambda p: jet_concentration(1.0, 0.5, ([40.0, 100.0], 0.0, HEIGHT, 1.0), p, HEIGHT),
+    ], ids=["impulse", "jet"])
+    def test_vanishing_spread_named(self, call):
+        # at K = 1e-250 cm^2/s, 8 (pi s)^1.5 underflows to 0: the peak is not a double
+        with pytest.raises(DomainError, match="diffusion scale"):
+            call(ChannelParams.with_constant(WIND, 1e-250))
 
     def test_time_shift_identity_exact(self, params):
         # dyadic shift keeps t - t0 exact in floating point
@@ -303,7 +329,7 @@ class TestJetConcentration:
 
     def test_peak_memory_on_broadcast_grid_within_ten_outputs(self, params):
         # an (n,1,1)·(1,m,1)·(1,1,k) grid, every point live: the coordinates
-        # are gathered from broadcast views, not copied out to the grid first
+        # are not copied out to the grid first
         x = np.linspace(10.0, 20.0, 120)[:, None, None]
         y = np.linspace(-2.4, 2.4, 61)[None, :, None]
         z = np.linspace(HEIGHT - 2.4, HEIGHT + 2.4, 62)[None, None, :]
@@ -311,6 +337,23 @@ class TestJetConcentration:
                                                           HEIGHT))
         assert out.shape == (120, 61, 62) and out.all()
         assert peak <= 10 * out.nbytes
+
+    @pytest.mark.parametrize("form", ["jet", "steady", "breath"])
+    def test_peak_memory_on_broadcast_grid_within_three_outputs(self, params, form):
+        # the same grid: at most two arrays of its size live at once, the
+        # crosswind factor and the output, then the output and the jet's mass
+        # times it
+        x = np.linspace(10.0, 20.0, 120)[:, None, None]
+        y = np.linspace(-2.4, 2.4, 61)[None, :, None]
+        z = np.linspace(HEIGHT - 2.4, HEIGHT + 2.4, 62)[None, None, :]
+        call = {
+            "jet": lambda: jet_concentration(2.0, 0.0, (x, y, z, 0.1), params, HEIGHT),
+            "steady": lambda: steady_state_concentration(2.0, (x, y, z), params, HEIGHT),
+            "breath": lambda: breath_response(2.0, 0.0, (x, y, z, 0.1), params, HEIGHT),
+        }[form]
+        out, peak = traced_peak(call)
+        assert out.shape == (120, 61, 62) and out.all()
+        assert peak <= 3 * out.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,18 @@ class TestTransientMarch:
         box_bytes = 8 * result.x.size * result.y.size * result.z.size
         assert peak <= 6 * box_bytes
 
+    def test_march_peak_memory_within_three_boxes(self, params):
+        # the same march: the frame is two boxes, and the closed-form start
+        # holds at most two arrays of its planes' size (222 of 701 planes),
+        # since the kernel computes each factor on its coordinates' own shape
+        grid = TransientGrid(
+            x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
+            step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
+        )
+        result, peak = traced_peak(lambda: march_transient_jet(
+            params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)]))
+        assert peak <= 3 * 8 * result.x.size * result.y.size * result.z.size
+
     @pytest.mark.parametrize("wind, cells", [(15.0, 1), (50.0, 4)], ids=["1", "4"])
     def test_long_march_rehomes_the_frame(self, monkeypatch, wind, cells):
         # t_end lies past three transits of the box, so the frame re-homes

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from plumesense.channel import ChannelParams, breath_response, jet_concentration, steady_field
+from plumesense.channel import (
+    ChannelParams,
+    DiffusivityProfile,
+    MultiUserScenario,
+    SourceSpec,
+    breath_response,
+    jet_concentration,
+    multi_user_response,
+    steady_field,
+)
 from plumesense.errors import DomainError, GeometryError
 from plumesense.receiver import (
+    _ball_rule,
     _legendre_rule,
     ReceiverSpec,
     decide,
@@ -102,6 +112,25 @@ def slow_air_fields(params):
     return {
         "breath": lambda x, y, z, t: breath_response(1.0, 0.0, (x, y, z, t), params, HEIGHT),
         "jet": lambda x, y, z, t: jet_concentration(1.0, -11.0, (x, y, z, t), slow, HEIGHT),
+    }
+
+
+def reference_fields(params):
+    """Fields whose values take every shape the rule meets: the steady
+    plume's (no time axis) under a constant and a linear K, and the full
+    time axis of a breath, a slow-air jet and two users with jets."""
+    linear = ChannelParams(params.wind_speed, DiffusivityProfile.from_function(
+        lambda x: 0.242 * (1.0 + np.asarray(x) / 150.0)))
+    slow = ChannelParams.with_constant(8.0, params.diffusivity.k0)
+    users = MultiUserScenario(users=(
+        SourceSpec((0.0, 0.0, HEIGHT), breath_rate=1.0, jets=((-11.0, 1.0),), entry_time=-12.0),
+        SourceSpec((20.0, 0.4, HEIGHT - 0.5), breath_rate=0.5, jets=((-9.5, 2.0), (-8.0, 1.5)),
+                   entry_time=-10.0)))
+    return {
+        "steady": steady_field(1.0, params, HEIGHT),
+        "steady_linear_k": steady_field(1.0, linear, HEIGHT),
+        **slow_air_fields(params),
+        "users_with_jets": lambda x, y, z, t: multi_user_response(users, (x, y, z, t), slow),
     }
 
 
@@ -202,13 +231,16 @@ class TestReceiverExposure:
 
     @pytest.mark.parametrize("orders", [(32, 16, 32, 4), (16, 16, 16, 8)])
     def test_cached_nodes_match_fresh_nodes(self, recv, params, orders):
-        fields = {"steady": steady_field(1.0, params, HEIGHT), **slow_air_fields(params)}
-        for name, field in fields.items():
-            expected = reference_exposure(recv, field, 0.0, orders)
-            assert expected > 0.0, name
-            # the first call may fill the cache, the second reads it
-            assert receiver_exposure(recv, field, 0.0, orders) == expected, name
-            assert receiver_exposure(recv, field, 0.0, orders) == expected, name
+        # the cached ball rule, weighted one time node at a time, gives the
+        # bits of the whole weight tensor built afresh, for windows that
+        # start at 0 and elsewhere
+        for t_start in (0.0, -1.25, 0.6):
+            for name, field in reference_fields(params).items():
+                expected = reference_exposure(recv, field, t_start, orders)
+                assert expected > 0.0, (name, t_start)
+                # the first call may fill the cache, the second reads it
+                assert receiver_exposure(recv, field, t_start, orders) == expected, name
+                assert receiver_exposure(recv, field, t_start, orders) == expected, name
 
     def test_cached_nodes_are_read_only(self):
         nodes, weights = _legendre_rule(8)
@@ -217,6 +249,11 @@ class TestReceiverExposure:
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             weights[0] = 0.0
+        rule = _ball_rule(RADIUS, 8, 6, 4)
+        assert _ball_rule(RADIUS, 8, 6, 4) is rule
+        for array in rule:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
 
 
 class TestThresholdAndDecision:
