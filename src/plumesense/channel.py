@@ -608,8 +608,7 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=-n
 
 
 def _impulse_term(u: float):
-    """The impulse response's along-wind term(x, t, s) at wind speed u; raises
-    :class:`DomainError` where its peak 1 / (8 (pi s)^1.5) is not a double."""
+    """The impulse response's along-wind term(x, t, s) at wind speed u."""
 
     def term(x, t, s):
         spread = 8.0 * (np.pi * s) ** 1.5
@@ -626,7 +625,8 @@ def impulse_response(point, params: ChannelParams, source_height: float):
     """Concentration at ``point`` per unit jet mass released at the origin at t = 0.
 
     Points at or upwind of the source (x <= 0) return 0 (no upwind transport);
-    0 < x < x_min raises :class:`EvaluationDomainError`.
+    0 < x < x_min raises :class:`EvaluationDomainError`, and a peak
+    1 / (8 (pi s)^1.5) past the doubles (s below ~2.5e-207 cm^2) :class:`DomainError`.
     """
     return _downwind(point, params, source_height, _impulse_term(params.wind_speed))
 
