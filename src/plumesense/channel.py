@@ -24,6 +24,7 @@ concurrently; the parameter and source objects are immutable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -154,19 +155,19 @@ class SourceSpec:
     def __post_init__(self):
         loc = tuple(float(c) for c in self.location)
         if len(loc) != 3:
-            raise DomainError("location must be (x0, y0, height)")
+            raise DomainError("location must be (x0, y0, height)", field="location")
         if not (loc[2] > 0.0):
-            raise DomainError("source height must be positive")
+            raise DomainError("source height must be > 0", field="location")
         object.__setattr__(self, "location", loc)
         if not (self.breath_rate >= 0.0):
-            raise DomainError("breath_rate must be nonnegative")
+            raise DomainError("breath_rate must be nonnegative", field="breath_rate")
         jets = tuple(
             j if isinstance(j, JetRelease) else JetRelease(float(j[0]), float(j[1]))
             for j in self.jets
         )
-        for j in jets:
+        for k, j in enumerate(jets):
             if j.time < self.entry_time:
-                raise DomainError("jet release times must not precede entry_time")
+                raise DomainError("must not precede entry_time", field=f"jets[{k}].time")
         object.__setattr__(self, "jets", jets)
 
     @property
@@ -185,7 +186,9 @@ class SourceSpec:
 @dataclass(frozen=True)
 class StochasticGrid:
     """Discretized release schedule: probabilities p[i][j] that user j emits a
-    jet in interval i, with the release pinned to the interval start i*interval."""
+    jet in interval i, with the release pinned to the interval start i*interval.
+    The row count is checked before any row, then each row in turn (a list as
+    wide as row 0, of numbers in [0, 1])."""
 
     interval: float
     horizon: float
@@ -194,29 +197,38 @@ class StochasticGrid:
 
     def __post_init__(self):
         if not (self.interval > 0.0):
-            raise DomainError("stochastic interval must be positive")
+            raise DomainError("stochastic interval must be positive", field="interval")
         if not (self.horizon > 0.0):
-            raise DomainError("stochastic horizon must be positive")
+            raise DomainError("stochastic horizon must be positive", field="horizon")
         if not math.isfinite(self.horizon / self.interval):
-            raise DomainError("horizon / interval overflows; the release grid has no end")
-        rows = tuple(tuple(float(p) for p in row) for row in self.probabilities)
-        if len(rows) != self.num_intervals:
-            raise DomainError(
-                f"expected ceil(horizon/interval) = {self.num_intervals} probability rows, "
-                f"got {len(rows)}"
-            )
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise DomainError("probability rows must all have the same length")
-        for row in rows:
-            for p in row:
-                if not (0.0 <= p <= 1.0):
-                    raise DomainError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probabilities", rows)
+            raise DomainError("horizon / interval overflows; the release grid has no end",
+                              field="interval")
+        if self.horizon / self.interval == 0.0:
+            raise DomainError("horizon / interval underflows to 0; the release grid has no "
+                              "interval", field="interval")
+        if len(self.probabilities) != self.num_intervals:
+            raise DomainError(f"need ceil(horizon/interval) = {self.num_intervals} rows, "
+                              f"got {len(self.probabilities)}", field="probabilities")
+        rows = []
+        for i, row in enumerate(self.probabilities):
+            field = f"probabilities[{i}]"
+            if not isinstance(row, (list, tuple, np.ndarray)):
+                raise DomainError(f"expected a list, got {type(row).__name__}", field=field)
+            if i and len(row) != len(rows[0]):
+                raise DomainError(f"need {len(rows[0])} probabilities, as row 0 has",
+                                  field=field)
+            for j, p in enumerate(row):
+                if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                    raise DomainError(f"expected a number, got {p!r}", field=f"{field}[{j}]")
+                if not 0.0 <= p <= 1.0:
+                    raise DomainError("must lie in [0, 1]", field=f"{field}[{j}]")
+            rows.append(tuple(float(p) for p in row))
+        object.__setattr__(self, "probabilities", tuple(rows))
         if self.jet_masses is not None:
             masses = tuple(float(m) for m in self.jet_masses)
-            if not all(m > 0.0 for m in masses):
-                raise DomainError("jet masses must be positive")
+            for k, m in enumerate(masses):
+                if not m > 0.0:
+                    raise DomainError("jet mass must be positive", field=f"jet_masses[{k}]")
             object.__setattr__(self, "jet_masses", masses)
 
     @property
@@ -241,22 +253,21 @@ class MultiUserScenario:
     def __post_init__(self):
         users = tuple(self.users)
         if not users:
-            raise DomainError("scenario needs at least one user")
+            raise DomainError("need at least one user", field="users")
         object.__setattr__(self, "users", users)
         grid = self.stochastic
         if grid is not None:
             if grid.num_users != len(users):
-                raise DomainError(
-                    f"probability rows have {grid.num_users} entries for {len(users)} users"
-                )
+                raise DomainError(f"need one probability per user ({len(users)})",
+                                  field="stochastic.probabilities[0]")
             if grid.jet_masses is not None and len(grid.jet_masses) != len(users):
-                raise DomainError("jet_masses must list one mass per user")
+                raise DomainError("need one mass per user", field="stochastic.jet_masses")
+            # without them each user's release takes the mass of its first jet
             if grid.jet_masses is None:
                 for i, u in enumerate(users):
                     if not u.jets:
-                        raise DomainError(
-                            f"user {i} has no jets; supply stochastic jet_masses instead"
-                        )
+                        raise DomainError(f"user {i} has no jets to take a mass from; need "
+                                          "one mass per user", field="stochastic.jet_masses")
 
     def stochastic_jet_mass(self, user_index: int) -> float:
         grid = self.stochastic
@@ -581,7 +592,9 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=-n
     elsewhere.  Each factor has the broadcast shape of what it reads: s that of
     x, the term that of (x, t), the crosswind factor that of (x, y, z).  Raises
     :class:`EvaluationDomainError` at 0 < x < x_min, :class:`DomainError` at a
-    NaN coordinate or non-finite time."""
+    NaN coordinate or non-finite time, and one with field ``diffusivity``
+    where the term at a live point is not a double (s has all but vanished,
+    so its prefactor overflows)."""
     x, y, z, t = _point(point, 4)
     _check_height(source_height)
     _check_coordinates(x, y, z)
@@ -602,8 +615,12 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=-n
     if not live.any():
         return _as_output(np.zeros(shape), shape)
     # far downwind the prefactors overflow to inf, the response to its limit 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         along = np.where(live, term(x, t, s), 0.0)
+    if not np.all(np.isfinite(along)):
+        raise DomainError(f"the along-wind term leaves the range of doubles where the "
+                          f"diffusion scale is {np.min(s):g} cm^2", field="diffusivity")
+    with np.errstate(over="ignore"):
         return _as_output(along * _crosswind_factor(y, z, s, source_height), shape)
 
 
@@ -615,7 +632,8 @@ def _impulse_term(u: float):
         with np.errstate(divide="ignore"):
             if not np.all(np.isfinite(1.0 / spread)):
                 raise DomainError(f"a jet's peak 1 / (8 (pi s)^1.5) leaves the range of "
-                                  f"doubles where the diffusion scale is {np.min(s):g} cm^2")
+                                  f"doubles where the diffusion scale is {np.min(s):g} cm^2",
+                                  field="diffusivity")
         return np.exp(-((x - u * t) ** 2) / (4.0 * s)) / spread
 
     return term
@@ -626,7 +644,8 @@ def impulse_response(point, params: ChannelParams, source_height: float):
 
     Points at or upwind of the source (x <= 0) return 0 (no upwind transport);
     0 < x < x_min raises :class:`EvaluationDomainError`, and a peak
-    1 / (8 (pi s)^1.5) past the doubles (s below ~2.5e-207 cm^2) :class:`DomainError`.
+    1 / (8 (pi s)^1.5) past the doubles (s below ~2.5e-207 cm^2) :class:`DomainError`
+    with field ``diffusivity``.
     """
     return _downwind(point, params, source_height, _impulse_term(params.wind_speed))
 
@@ -741,9 +760,10 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     the steady plume per unit rate; the phase is the pure transport delay
     -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.  Where the
     diffusion scale overflows to inf, far downwind, the magnitude is its
-    limit 0.  Raises :class:`DomainError` below about 1.6e-162 cm/s, where
-    u * u underflows to 0, and where omega x / u overflows, so that the phase
-    is not finite.
+    limit 0.  Raises :class:`DomainError` with field ``wind_speed`` below
+    about 1.6e-162 cm/s, where u * u underflows to 0, and with field
+    ``omega`` where omega x / u overflows, so that the phase is not finite.
+    s has the shape of x, the crosswind factor of (x, y, z), the rest of (x, omega).
     """
     x, y, z = _point(point, 3)
     _check_height(source_height)
@@ -751,29 +771,30 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
     w = np.asarray(omega, dtype=float)
     if np.isnan(w).any():
         raise DomainError("frequency omega must not be NaN")
-    X, Y, Z, W = np.broadcast_arrays(x, y, z, w)
-    shape = X.shape
-    if np.any(X <= 0.0):
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, w.shape)
+    # at least 1-d: numpy's exp on a 0-d array is not its vector exp
+    x, y, z, w = np.atleast_1d(x, y, z, w)
+    if np.any(x <= 0.0):
         raise EvaluationDomainError("frequency response requires x >= x_min downwind")
-    _check_downwind_band(X, params)
+    _check_downwind_band(x, params)
     u = params.wind_speed
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = np.asarray(diffusion_scale(X, params))
+        s = diffusion_scale(x, params)
         # exactly 1 at omega = 0, where an infinite s would make it exp(NaN)
-        decay = np.exp(-(W * W) * s / (u * u), out=np.ones(X.shape), where=W != 0.0)
-        magnitude = _crosswind_factor(Y, Z, s, source_height) / (4.0 * np.pi * u * s) * decay
+        decay = np.ones(np.broadcast_shapes(x.shape, w.shape))
+        np.exp(-(w * w) * s / (u * u), out=decay, where=w != 0.0)
+        magnitude = _crosswind_factor(y, z, s, source_height) / (4.0 * np.pi * u * s) * decay
     if u * u == 0.0 or not np.all(np.isfinite(magnitude)):
         raise DomainError(f"the transfer function is not finite at wind speed {u} cm/s; "
-                          "x K / u or u * u leaves the range of doubles")
+                          "x K / u or u * u leaves the range of doubles", field="wind_speed")
     with np.errstate(over="ignore", invalid="ignore"):
-        raw_phase = -W * X / u
+        raw_phase = -w * x / u
         phase = raw_phase if unwrap_phase else _principal_phase(raw_phase)
     if not np.all(np.isfinite(phase)):
         raise DomainError(f"the transfer function phase is not finite at {u} cm/s and up "
-                          f"to {np.max(np.abs(W))} rad/s; omega x / u overflows")
-    return ComplexResponse(
-        magnitude=_as_output(magnitude, shape), phase=_as_output(phase, shape)
-    )
+                          f"to {np.max(np.abs(w))} rad/s; omega x / u overflows", field="omega")
+    phase = np.broadcast_to(phase, magnitude.shape).copy()
+    return ComplexResponse(magnitude=_as_output(magnitude, shape), phase=_as_output(phase, shape))
 
 
 # ---------------------------------------------------------------------------

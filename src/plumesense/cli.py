@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvaluationDomainError, PlumesenseError, QuadratureError, ScenarioError
+from .errors import DomainError, PlumesenseError, QuadratureError, ScenarioError
 from .oracles import ORACLE_CHECKS
 from .runners import RUNNERS, needs_seed, write_results
 from .scenario import parse_scenario, scenario_schema
@@ -48,6 +48,11 @@ _SUBCOMMAND_KINDS = {
     "mc-pmd": "mc_pmd",
     "validate-oracles": "validate_oracles",
 }
+
+# the scenario path of the quantity a closed form blames in a run (its
+# DomainError.field); x_min is the near-source band's
+_FIELD_PATHS = {"x_min": "channel.x_min", "wind_speed": "channel.wind_speed",
+                "diffusivity": "channel.diffusivity", "omega": "experiment.omega"}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,9 +207,10 @@ def _run_experiment(args) -> int:
     logger.info("running %s (config %s, seed %s)", kind, config.config_hash, config.seed)
     try:
         table = RUNNERS[kind](config)
-    except EvaluationDomainError as exc:
-        # a point of the experiment lies between the source and x_min downwind
-        raise ScenarioError("channel.x_min", str(exc)) from exc
+    except DomainError as exc:
+        if exc.field not in _FIELD_PATHS:
+            raise
+        raise ScenarioError(_FIELD_PATHS[exc.field], str(exc)) from exc
 
     fmt = args.format or config.output_format
     if _writes_file(args.out):

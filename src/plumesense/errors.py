@@ -6,11 +6,25 @@ class PlumesenseError(Exception):
 
 
 class DomainError(PlumesenseError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``field``, if given, is the offending attribute's path below the object
+    that raised it (``probabilities[1][0]``, ``jets[0].time``,
+    ``stochastic.jet_masses``) or the quantity a closed form blames
+    (``diffusivity``, ``wind_speed``, ``omega``, ``x_min``); the parser and
+    the CLI map it onto a scenario path.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class EvaluationDomainError(DomainError):
     """Closed forms are singular below the configured minimum downwind distance."""
+
+    def __init__(self, message, field="x_min"):
+        super().__init__(message, field)
 
 
 class GeometryError(PlumesenseError, ValueError):

@@ -7,6 +7,10 @@ seed the output file is byte-identical across runs.  CSV files carry
 ``name [unit]`` header row, and values in scientific notation with 9
 significant digits.  The JSON format stores the same table as one structured
 record at full float precision.
+
+A closed form that fails on a channel or experiment quantity raises a
+``DomainError`` naming it in ``field``; the runners pass it on, and the CLI
+maps it onto its scenario path.
 """
 
 from __future__ import annotations
@@ -477,17 +481,11 @@ def run_timeseries(config: ScenarioConfig) -> ResultTable:
     times = _linspace(exp["times"])
     where = (point[0], point[1], point[2], times)
     names, units = ["time", "concentration"], ["s", "1/cm^3"]
-    try:
-        columns = [times, np.asarray(multi_user_response(scenario, where, params))]
-        if scenario.stochastic is not None:
-            columns.append(np.asarray(stochastic_expected_response(scenario, where, params)))
-            names.append("expected")
-            units.append("1/cm^3")
-    except EvaluationDomainError:
-        raise
-    except DomainError as exc:
-        # a jet's peak 1 / (8 (pi s)^1.5) leaves the doubles where K vanishes
-        raise ScenarioError("channel.diffusivity", str(exc)) from exc
+    columns = [times, np.asarray(multi_user_response(scenario, where, params))]
+    if scenario.stochastic is not None:
+        columns.append(np.asarray(stochastic_expected_response(scenario, where, params)))
+        names.append("expected")
+        units.append("1/cm^3")
     return ResultTable(
         columns=tuple(names),
         units=tuple(units),
@@ -505,19 +503,7 @@ def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
     center = config.receiver_spec().center
     point = (center[0] - user.x, center[1] - user.y, center[2])
     omegas = _linspace(exp["omega"])
-    try:
-        response = frequency_response(point, omegas, params, user.height,
-                                      unwrap_phase=exp["unwrap"])
-    except EvaluationDomainError:
-        raise
-    except DomainError as exc:
-        # the magnitude does not depend on omega and the phase is finite at
-        # omega = 0, so a failure there is the wind's; else omega x / u overflowed
-        try:
-            frequency_response(point, 0.0, params, user.height)
-        except DomainError:
-            raise ScenarioError("channel.wind_speed", str(exc)) from exc
-        raise ScenarioError("experiment.omega", str(exc)) from exc
+    response = frequency_response(point, omegas, params, user.height, unwrap_phase=exp["unwrap"])
     return ResultTable(
         columns=("omega", "magnitude", "phase"),
         units=("rad/s", "s/cm^3", "rad"),

@@ -10,7 +10,12 @@ receiver radius 2 cm).
 Parsing produces a fully resolved canonical dictionary: every default is
 materialized, so the config hash covers the effective configuration and a
 serialize/parse round trip is the identity.  Each key is described once, in
-a field table that both the parser and ``scenario_schema()`` read.
+a field table that both the parser and ``scenario_schema()`` read; the table
+checks each key's type and range.  A rule that spans keys lives in the typed
+object the section builds (``SourceSpec``, ``StochasticGrid``,
+``MultiUserScenario``, ``ReceiverSpec``), which names the field it blames;
+the parser builds each object once and prefixes that field with the
+section's path.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .channel import (
     SourceSpec,
     StochasticGrid,
 )
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, GeometryError, ScenarioError
 from .receiver import DEFAULT_QUADRATURE_ORDERS, ReceiverSpec
 
 __all__ = [
@@ -117,13 +122,6 @@ def _expect_fraction(value, path, closed_top=True):
     if not (0.0 < v and hi_ok):
         raise ScenarioError(path, f"must lie in (0, 1{']' if closed_top else ')'}, got {v}")
     return v
-
-
-def _expect_probability(value, path):
-    p = _expect_number(value, path)
-    if not 0.0 <= p <= 1.0:
-        raise ScenarioError(path, "must lie in [0, 1]")
-    return p
 
 
 def _expect_choice(value, path, options):
@@ -263,16 +261,6 @@ def _resolve_fields(fields, raw, path):
     return out
 
 
-def _expect_user(raw, path):
-    user = _resolve_fields(_USER_FIELDS, raw, path)
-    if user["location"] is not None and user["location"][2] <= 0.0:
-        raise ScenarioError(f"{path}.location", "source height must be > 0")
-    for i, jet in enumerate(user["jets"]):
-        if jet["time"] < user["entry_time"]:
-            raise ScenarioError(f"{path}.jets[{i}].time", "must not precede entry_time")
-    return user
-
-
 def _section(fields):
     """The schema's view of a field table."""
     return {key: field.schema() for key, field in fields.items()}
@@ -310,8 +298,8 @@ _STOCHASTIC_FIELDS = {
                          "one number > 0 per user, or null", "units"),
 }
 _SOURCES_FIELDS = {
-    "users": _Field(_list_of(_expect_user), [{"breath_rate": 1.0}], [_section(_USER_FIELDS)],
-                    doc="nonempty; null or absent: one unit breather"),
+    "users": _Field(_list_of(partial(_resolve_fields, _USER_FIELDS)), [{"breath_rate": 1.0}],
+                    [_section(_USER_FIELDS)], doc="nonempty; null or absent: one unit breather"),
     "stochastic": _Field(_optional(partial(_resolve_fields, _STOCHASTIC_FIELDS)), None,
                          _section(_STOCHASTIC_FIELDS)),
 }
@@ -399,8 +387,24 @@ _SEED = _Field(_optional(partial(_expect_int, minimum=0)), None, "int >= 0 or nu
 
 
 # ---------------------------------------------------------------------------
-# section validators: a table pass, then the rules that span several keys
+# section validators: a table pass, then the typed objects, which own the
+# rules that span several keys
 # ---------------------------------------------------------------------------
+
+
+def _typed(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a typed object built from the section at
+    ``path``; a rule it breaks is named at ``path`` plus the field it gives.
+    The receiver's ground rule is a :class:`GeometryError` of the section."""
+    try:
+        return build(*args, **kwargs)
+    except (DomainError, GeometryError) as exc:
+        field = getattr(exc, "field", None)
+        raise ScenarioError(f"{path}.{field}" if field else path, str(exc)) from exc
+
+
+def _source_spec(user: dict) -> SourceSpec:
+    return SourceSpec(**{**user, "jets": tuple((j["time"], j["mass"]) for j in user["jets"])})
 
 
 def _resolve_sources(raw, source_height):
@@ -409,34 +413,14 @@ def _resolve_sources(raw, source_height):
            if value is not None or key != "users"}
     out = _resolve_fields(_SOURCES_FIELDS, raw, "sources")
     users, sto = out["users"], out["stochastic"]
-    if not users:
-        raise ScenarioError("sources.users", "need at least one user")
     for user in users:
         if user["location"] is None:
             user["location"] = [0.0, 0.0, source_height]
-    if sto is not None:
-        path = "sources.stochastic"
-        if not math.isfinite(sto["horizon"] / sto["interval"]):
-            raise ScenarioError(f"{path}.interval", "horizon / interval overflows; "
-                                "the release grid has no end")
-        n_intervals = int(math.ceil(sto["horizon"] / sto["interval"]))
-        if len(sto["probabilities"]) != n_intervals:
-            raise ScenarioError(f"{path}.probabilities", f"need ceil(horizon/interval) = "
-                                f"{n_intervals} rows, got {len(sto['probabilities'])}")
-        for i, row in enumerate(sto["probabilities"]):
-            if len(_expect_list(row, f"{path}.probabilities[{i}]")) != len(users):
-                raise ScenarioError(f"{path}.probabilities[{i}]",
-                                    f"need one probability per user ({len(users)})")
-        sto["probabilities"] = _list_of(_list_of(_expect_probability))(
-            sto["probabilities"], f"{path}.probabilities")
-        if sto["jet_masses"] is not None and len(sto["jet_masses"]) != len(users):
-            raise ScenarioError(f"{path}.jet_masses", "need one mass per user")
-        # without them each user's release takes the mass of its first jet
-        if sto["jet_masses"] is None:
-            for i, user in enumerate(users):
-                if not user["jets"]:
-                    raise ScenarioError(f"{path}.jet_masses", f"user {i} has no jets to take "
-                                        "a mass from; need one mass per user")
+    specs = [_typed(f"sources.users[{i}]", _source_spec, user) for i, user in enumerate(users)]
+    grid = None if sto is None else _typed("sources.stochastic", StochasticGrid, **sto)
+    _typed("sources", MultiUserScenario, specs, grid)
+    if grid is not None:
+        sto["probabilities"] = [list(row) for row in grid.probabilities]
     return out
 
 
@@ -450,8 +434,7 @@ def _resolve_receiver(raw, source_height):
     distance = out.pop("distance")
     if out["center"] is None:
         out["center"] = [distance, 0.0, source_height]
-    if out["center"][2] - out["radius"] <= 0.0:
-        raise ScenarioError("receiver", "sphere must lie strictly above the ground")
+    _typed("receiver", ReceiverSpec, **out)
     return out
 
 
@@ -533,43 +516,21 @@ class ScenarioConfig:
         )
 
     def users(self) -> Tuple[SourceSpec, ...]:
-        return tuple(
-            SourceSpec(
-                location=tuple(u["location"]),
-                breath_rate=u["breath_rate"],
-                jets=tuple((j["time"], j["mass"]) for j in u["jets"]),
-                entry_time=u["entry_time"],
-            )
-            for u in self.resolved["sources"]["users"]
-        )
+        return tuple(map(_source_spec, self.resolved["sources"]["users"]))
 
     def multi_user_scenario(self) -> MultiUserScenario:
         sto = self.resolved["sources"]["stochastic"]
-        grid = None
-        if sto is not None:
-            grid = StochasticGrid(
-                interval=sto["interval"],
-                horizon=sto["horizon"],
-                probabilities=tuple(tuple(row) for row in sto["probabilities"]),
-                jet_masses=tuple(sto["jet_masses"]) if sto["jet_masses"] else None,
-            )
-        return MultiUserScenario(users=self.users(), stochastic=grid)
+        return MultiUserScenario(users=self.users(),
+                                 stochastic=None if sto is None else StochasticGrid(**sto))
 
     def receiver_spec(self, distance: Optional[float] = None,
                       volume_factor: float = 1.0) -> ReceiverSpec:
         """Receiver from the config, optionally recentered at ``distance``
         downwind (in line with the source height) or volume-scaled."""
         r = self.resolved["receiver"]
-        center = tuple(r["center"])
-        if distance is not None:
-            center = (distance, 0.0, self.source_height)
-        return ReceiverSpec(
-            center=center,
-            radius=r["radius"] * volume_factor ** (1.0 / 3.0),
-            sampling_window=r["sampling_window"],
-            sampler_efficiency=r["sampler_efficiency"],
-            binding_fraction=r["binding_fraction"],
-        )
+        center = r["center"] if distance is None else (distance, 0.0, self.source_height)
+        return ReceiverSpec(**{**r, "center": center,
+                               "radius": r["radius"] * volume_factor ** (1.0 / 3.0)})
 
     def noise_sigma(self, reference_rate: float) -> float:
         """Noise standard deviation: direct from variance, or solved from the
@@ -609,15 +570,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if resolved["sources"]["stochastic"] is not None and kind != "timeseries":
         raise ScenarioError("sources.stochastic",
                             f"only the timeseries experiment reads a release grid, not {kind}")
-    config = ScenarioConfig(resolved=resolved)
-    # constructing the typed objects re-checks every cross-field invariant
-    try:
-        config.channel_params()
-        config.multi_user_scenario()
-        config.receiver_spec()
-    except DomainError as exc:
-        raise ScenarioError("<scenario>", str(exc)) from exc
-    return config
+    return ScenarioConfig(resolved=resolved)
 
 
 def load_scenario(path) -> ScenarioConfig:

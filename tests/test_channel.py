@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import plumesense.channel as channel
 from plumesense.channel import (
     _GAUSS_WEIGHTS,
     _erfc,
@@ -733,6 +734,22 @@ class TestFrequencyResponse:
         phase = np.asarray(response.phase)
         assert np.all(phase > -math.pi) and np.all(phase <= math.pi)
 
+    def test_scale_evaluated_once_per_distance(self, params, monkeypatch):
+        """s is computed on x's shape, not on the (x, omega) grid: 10 distances
+        against 400 frequencies cost 10 scale points."""
+        points = []
+
+        def counted(x, p):
+            points.append(np.size(x))
+            return diffusion_scale(x, p)
+
+        monkeypatch.setattr(channel, "diffusion_scale", counted)
+        x = np.linspace(50.0, 500.0, 10)[:, None]
+        response = frequency_response((x, 0.0, HEIGHT), np.linspace(0.0, 400.0, 400), params,
+                                      HEIGHT)
+        assert response.magnitude.shape == response.phase.shape == (10, 400)
+        assert sum(points) == 10
+
 
 # ---------------------------------------------------------------------------
 # linearity and time invariance
@@ -1075,3 +1092,69 @@ class TestNonFiniteInputs:
     def test_nan_inputs_rejected(self, params, call):
         with pytest.raises(DomainError):
             call(params)
+
+
+# ---------------------------------------------------------------------------
+# broken rules name their field
+# ---------------------------------------------------------------------------
+
+_BREATHER = SourceSpec((0.0, 0.0, HEIGHT), breath_rate=1.0)
+_COUGHER = SourceSpec((0.0, 0.0, HEIGHT), jets=((0.0, 1.0),))
+_VANISHING_K = ChannelParams.with_constant(WIND, 1e-320)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, field", [
+    # the release grid: count, overflow, row, entry and mass rules
+    (lambda: StochasticGrid(5.0, 12.0, ((0.5,),)), "probabilities"),
+    (lambda: StochasticGrid(5.0, 12.0, [0.5]), "probabilities"),
+    (lambda: StochasticGrid(1e-308, 1e308, ()), "interval"),
+    (lambda: StochasticGrid(1e308, 1e-308, ()), "interval"),
+    (lambda: StochasticGrid(0.0, 5.0, ()), "interval"),
+    (lambda: StochasticGrid(5.0, -1.0, ()), "horizon"),
+    (lambda: StochasticGrid(5.0, 5.0, [0.5]), "probabilities[0]"),
+    (lambda: StochasticGrid(5.0, 10.0, ((0.5, 0.5), (0.5,))), "probabilities[1]"),
+    (lambda: StochasticGrid(5.0, 10.0, ((0.5,), (1.5,))), "probabilities[1][0]"),
+    (lambda: StochasticGrid(5.0, 5.0, ((0.5, "x"),)), "probabilities[0][1]"),
+    (lambda: StochasticGrid(5.0, 5.0, ((True,),)), "probabilities[0][0]"),
+    (lambda: StochasticGrid(5.0, 5.0, ((10**400,),)), "probabilities[0][0]"),
+    (lambda: StochasticGrid(5.0, 5.0, ((0.5, 0.5),), jet_masses=(1.0, -1.0)),
+     "jet_masses[1]"),
+    # the grid against the users: width, mass count, no jets without masses
+    (lambda: MultiUserScenario(()), "users"),
+    (lambda: MultiUserScenario((_COUGHER, _COUGHER), StochasticGrid(5.0, 5.0, ((0.5,),))),
+     "stochastic.probabilities[0]"),
+    (lambda: MultiUserScenario((_COUGHER,), StochasticGrid(5.0, 5.0, ((0.5,),), (1.0, 2.0))),
+     "stochastic.jet_masses"),
+    (lambda: MultiUserScenario((_COUGHER, _BREATHER),
+                               StochasticGrid(5.0, 5.0, ((0.5, 0.5),))),
+     "stochastic.jet_masses"),
+    # one source: location and jet time
+    (lambda: SourceSpec((0.0, 0.0, 0.0)), "location"),
+    (lambda: SourceSpec((0.0, 0.0)), "location"),
+    (lambda: SourceSpec((0.0, 0.0, HEIGHT), breath_rate=-1.0), "breath_rate"),
+    (lambda: SourceSpec((0.0, 0.0, HEIGHT), jets=((2.0, 1.0), (0.5, 1.0)), entry_time=1.0),
+     "jets[1].time"),
+    # the closed forms blame the channel or experiment quantity at fault
+    (lambda: steady_state_concentration(1.0, (100.0, 0.0, HEIGHT), _VANISHING_K, HEIGHT),
+     "diffusivity"),
+    (lambda: breath_response(1.0, 0.0, (100.0, [0.0, 1.0], HEIGHT, 1.0), _VANISHING_K, HEIGHT),
+     "diffusivity"),
+    (lambda: jet_concentration(1.0, 0.5, (100.0, 0.0, HEIGHT, 1.0), _VANISHING_K, HEIGHT),
+     "diffusivity"),
+    (lambda: frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0],
+                                ChannelParams.with_constant(1e-300, DIFFUSIVITY), HEIGHT),
+     "wind_speed"),
+    (lambda: frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.7e308],
+                                ChannelParams.with_constant(WIND, DIFFUSIVITY), HEIGHT),
+     "omega"),
+    (lambda: steady_state_concentration(1.0, (0.5, 0.0, HEIGHT),
+                                        ChannelParams.with_constant(WIND, DIFFUSIVITY), HEIGHT),
+     "x_min"),
+])
+def test_broken_rule_names_its_field(call, field):
+    """Each typed object raises its rules naming the field at fault, and
+    each closed form the quantity it blames, without a numpy warning."""
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert excinfo.value.field == field

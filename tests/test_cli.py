@@ -590,6 +590,24 @@ def test_vanishing_jet_spread_named_without_warnings(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, scenario", [
+    ("field", "field.json"), ("conc-vs-dist", "concentration.json"), ("pmd", "pmd.json"),
+])
+def test_vanishing_diffusivity_named_without_warnings(tmp_path, command, scenario):
+    """At K = 1e-320 cm^2/s the steady plume's rate / (4 u pi s) leaves the
+    doubles: the run names the diffusivity and exits 2, with no NaN rows, no
+    file and no numpy warning."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    result = _fresh_process("from plumesense.cli import main; main()", command,
+                            "--scenario", str(scenarios / scenario),
+                            "--out", str(out), "--set", "channel.diffusivity=1e-320")
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr.startswith("configuration error: channel.diffusivity: ")
+    assert "Warning" not in result.stderr
+    assert not out.exists()
+
+
 def test_overflowing_phase_named_without_warnings(tmp_path):
     """omega x / u overflows at 1.7e308 rad/s: the run names experiment.omega
     and prints no numpy warning."""

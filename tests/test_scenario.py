@@ -111,6 +111,13 @@ class TestRejections:
               "experiment": {"kind": "timeseries"}}, "sources.stochastic.jet_masses: user 1"),
             ({"experiment": {"kind": "timeseries", "point": [100.0, 0.0, -5.0]}},
              "experiment.point: z must be >= 0"),
+            # a fault that only the release grid's own rules see is named at
+            # its field, never at <scenario>
+            ({"sources": {"users": [{}], "stochastic": {"interval": 1e308, "horizon": 1e-308,
+                                                        "probabilities": [],
+                                                        "jet_masses": [1.0]}},
+              "experiment": {"kind": "timeseries"}},
+             "sources.stochastic.interval: horizon / interval underflows"),
         ],
     )
     def test_named_field_diagnostics(self, raw, path_fragment):
