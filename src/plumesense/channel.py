@@ -594,7 +594,8 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=-n
     :class:`EvaluationDomainError` at 0 < x < x_min, :class:`DomainError` at a
     NaN coordinate or non-finite time, and one with field ``diffusivity``
     where the term at a live point is not a double (s has all but vanished,
-    so its prefactor overflows)."""
+    so its prefactor overflows; an emission rate near the top of the doubles
+    that overflows it is blamed the same way), giving s at the first such point."""
     x, y, z, t = _point(point, 4)
     _check_height(source_height)
     _check_coordinates(x, y, z)
@@ -617,9 +618,11 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=-n
     # far downwind the prefactors overflow to inf, the response to its limit 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         along = np.where(live, term(x, t, s), 0.0)
-    if not np.all(np.isfinite(along)):
+    bad = ~np.isfinite(along)
+    if bad.any():
+        scale = np.broadcast_to(s, along.shape)[bad][0]
         raise DomainError(f"the along-wind term leaves the range of doubles where the "
-                          f"diffusion scale is {np.min(s):g} cm^2", field="diffusivity")
+                          f"diffusion scale is {scale:g} cm^2", field="diffusivity")
     with np.errstate(over="ignore"):
         return _as_output(along * _crosswind_factor(y, z, s, source_height), shape)
 
@@ -628,13 +631,7 @@ def _impulse_term(u: float):
     """The impulse response's along-wind term(x, t, s) at wind speed u."""
 
     def term(x, t, s):
-        spread = 8.0 * (np.pi * s) ** 1.5
-        with np.errstate(divide="ignore"):
-            if not np.all(np.isfinite(1.0 / spread)):
-                raise DomainError(f"a jet's peak 1 / (8 (pi s)^1.5) leaves the range of "
-                                  f"doubles where the diffusion scale is {np.min(s):g} cm^2",
-                                  field="diffusivity")
-        return np.exp(-((x - u * t) ** 2) / (4.0 * s)) / spread
+        return np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)
 
     return term
 
@@ -643,9 +640,9 @@ def impulse_response(point, params: ChannelParams, source_height: float):
     """Concentration at ``point`` per unit jet mass released at the origin at t = 0.
 
     Points at or upwind of the source (x <= 0) return 0 (no upwind transport);
-    0 < x < x_min raises :class:`EvaluationDomainError`, and a peak
-    1 / (8 (pi s)^1.5) past the doubles (s below ~2.5e-207 cm^2) :class:`DomainError`
-    with field ``diffusivity``.
+    0 < x < x_min raises :class:`EvaluationDomainError`, and a term past the
+    doubles (as where 8 (pi s)^1.5 underflows, s below ~2.5e-207 cm^2)
+    :class:`DomainError` with field ``diffusivity``.
     """
     return _downwind(point, params, source_height, _impulse_term(params.wind_speed))
 
