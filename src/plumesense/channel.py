@@ -627,38 +627,36 @@ def _downwind(point, params: ChannelParams, source_height: float, term, after=-n
         return _as_output(along * _crosswind_factor(y, z, s, source_height), shape)
 
 
-def _impulse_term(u: float):
-    """The impulse response's along-wind term(x, t, s) at wind speed u."""
-
-    def term(x, t, s):
-        return np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)
-
-    return term
-
-
 def impulse_response(point, params: ChannelParams, source_height: float):
-    """Concentration at ``point`` per unit jet mass released at the origin at t = 0.
+    """Concentration at ``point`` per unit jet mass released at the origin at t = 0:
+    the unit jet, so exactly 0 before the release (t < 0).
 
     Points at or upwind of the source (x <= 0) return 0 (no upwind transport);
     0 < x < x_min raises :class:`EvaluationDomainError`, and a term past the
     doubles (as where 8 (pi s)^1.5 underflows, s below ~2.5e-207 cm^2)
     :class:`DomainError` with field ``diffusivity``.
     """
-    return _downwind(point, params, source_height, _impulse_term(params.wind_speed))
+    return jet_concentration(1.0, 0.0, point, params, source_height)
 
 
 def jet_concentration(jet_mass: float, release_time: float, point, params: ChannelParams,
                       source_height: float):
     """Concentration from one jet of ``jet_mass`` units released at ``release_time``.
 
-    The impulse response at the elapsed time t - release_time, scaled by the
-    mass, and exactly zero before the release (causality).
+    The along-wind term exp(-(x - u t')^2 / 4s) / (8 (pi s)^1.5) at the
+    elapsed time t' = t - release_time, scaled by the mass, and exactly zero
+    before the release (causality).
     """
     if not (jet_mass >= 0.0):
         raise DomainError("jet mass must be nonnegative")
+    u = params.wind_speed
+
+    def term(x, t, s):
+        return np.exp(-((x - u * t) ** 2) / (4.0 * s)) / (8.0 * (np.pi * s) ** 1.5)
+
     x, y, z, t = _point(point, 4)
-    return jet_mass * _downwind((x, y, z, t - release_time), params, source_height,
-                                _impulse_term(params.wind_speed), after=0.0)
+    return jet_mass * _downwind((x, y, z, t - release_time), params, source_height, term,
+                                after=0.0)
 
 
 def breath_response(breath_rate: float, entry_time: float, point, params: ChannelParams,
@@ -753,45 +751,42 @@ def frequency_response(point, omega: ArrayLike, params: ChannelParams, source_he
                        unwrap_phase: bool = False) -> ComplexResponse:
     """Channel transfer function at a fixed observation point.
 
-    Magnitude decays as a Gaussian in omega from H(0) = integral of h dt,
-    the steady plume per unit rate; the phase is the pure transport delay
-    -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.  Where the
-    diffusion scale overflows to inf, far downwind, the magnitude is its
-    limit 0.  Raises :class:`DomainError` with field ``wind_speed`` below
-    about 1.6e-162 cm/s, where u * u underflows to 0, and with field
-    ``omega`` where omega x / u overflows, so that the phase is not finite.
-    s has the shape of x, the crosswind factor of (x, y, z), the rest of (x, omega).
+    The magnitude is the kernel's along-wind term exp(-omega^2 s / u^2) /
+    (4 pi u s), omega in the time slot, times the crosswind factor: a
+    Gaussian in omega from H(0) = integral of h dt, the steady plume per unit
+    rate bit for bit, and 0 where s overflows far downwind.  The phase is the
+    transport delay -omega*x/u, wrapped to (-pi, pi] unless ``unwrap_phase``.
+    Raises :class:`EvaluationDomainError` at x < x_min (x <= 0 included) and
+    :class:`DomainError` with field ``diffusivity`` where s has all but
+    vanished, ``wind_speed`` where u * u underflows to 0 (u below about
+    1.6e-162 cm/s), and ``omega`` at an infinite omega or where omega x / u
+    overflows.
     """
     x, y, z = _point(point, 3)
-    _check_height(source_height)
-    _check_coordinates(x, y, z)
     w = np.asarray(omega, dtype=float)
     if np.isnan(w).any():
         raise DomainError("frequency omega must not be NaN")
-    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, w.shape)
-    # at least 1-d: numpy's exp on a 0-d array is not its vector exp
-    x, y, z, w = np.atleast_1d(x, y, z, w)
+    if np.isinf(w).any():
+        raise DomainError("frequency omega must be finite", field="omega")
     if np.any(x <= 0.0):
         raise EvaluationDomainError("frequency response requires x >= x_min downwind")
-    _check_downwind_band(x, params)
     u = params.wind_speed
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = diffusion_scale(x, params)
-        # exactly 1 at omega = 0, where an infinite s would make it exp(NaN)
-        decay = np.ones(np.broadcast_shapes(x.shape, w.shape))
-        np.exp(-(w * w) * s / (u * u), out=decay, where=w != 0.0)
-        magnitude = _crosswind_factor(y, z, s, source_height) / (4.0 * np.pi * u * s) * decay
-    if u * u == 0.0 or not np.all(np.isfinite(magnitude)):
-        raise DomainError(f"the transfer function is not finite at wind speed {u} cm/s; "
-                          "x K / u or u * u leaves the range of doubles", field="wind_speed")
+    if u * u == 0.0:
+        raise DomainError(f"u * u underflows to 0 at wind speed {u} cm/s", field="wind_speed")
+
+    def term(x, w, s):
+        return 1.0 / (4.0 * u * np.pi * s) * np.exp(-(w * w) * s / (u * u))
+
+    magnitude = _downwind((x, y, z, w), params, source_height, term)
     with np.errstate(over="ignore", invalid="ignore"):
         raw_phase = -w * x / u
         phase = raw_phase if unwrap_phase else _principal_phase(raw_phase)
     if not np.all(np.isfinite(phase)):
         raise DomainError(f"the transfer function phase is not finite at {u} cm/s and up "
                           f"to {np.max(np.abs(w))} rad/s; omega x / u overflows", field="omega")
-    phase = np.broadcast_to(phase, magnitude.shape).copy()
-    return ComplexResponse(magnitude=_as_output(magnitude, shape), phase=_as_output(phase, shape))
+    shape = np.shape(magnitude)
+    return ComplexResponse(magnitude=magnitude,
+                           phase=_as_output(np.broadcast_to(phase, shape).copy(), shape))
 
 
 # ---------------------------------------------------------------------------

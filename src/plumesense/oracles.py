@@ -142,7 +142,14 @@ def _relative_errors(numeric, reference):
                         "coarse to resolve the plume")
     mask = np.abs(reference) >= 1e-3 * peak
     max_rel = float(np.max(np.abs(numeric[mask] - reference[mask]) / np.abs(reference[mask])))
-    l2_rel = float(np.linalg.norm(numeric - reference) / np.linalg.norm(reference))
+    # both norms scaled by one exact power of two, so that a peak near the
+    # top of the doubles does not overflow the sums of squares; one buffer
+    # holds each scaled array in turn, as much memory as the unscaled norms
+    unit = math.ldexp(1.0, -math.frexp(peak)[1])
+    scaled = numeric - reference
+    scaled *= unit
+    error = np.linalg.norm(scaled)
+    l2_rel = float(error / np.linalg.norm(np.multiply(reference, unit, out=scaled)))
     return max_rel, l2_rel
 
 
@@ -215,7 +222,9 @@ def march_steady_plume(params: ChannelParams, source_height: float, x_start: flo
     (Dirichlet) row, and it takes in the no-flux ground row only once it
     reaches the row above.  Every other row stays 0.0 and integrates to 0.0,
     so the field and the crosswind integrals are bit-identical to updating
-    and integrating the whole slice.
+    and integrating the whole slice.  Raises :class:`DomainError` with field
+    ``diffusivity`` where s(x_end), then s(x_start), is not a positive
+    double, and :class:`GridError` for a bad grid.
     """
     if not (0.0 < x_start < x_end < math.inf):
         raise GridError("need 0 < x_start < x_end < inf")
@@ -223,9 +232,15 @@ def march_steady_plume(params: ChannelParams, source_height: float, x_start: flo
         raise GridError("resolution and source height must be positive")
     start = time.perf_counter()
     scale_start, scale_end = diffusion_scale(np.array([x_start, x_end]), params)
-    if not (0.0 < scale_start < scale_end < math.inf):
-        raise GridError(f"the diffusion scales {scale_start:g} to {scale_end:g} cm^2 "
-                        "leave the range of doubles")
+    # an overflow shows first at the end, an underflow at the start
+    for x, scale in ((x_end, scale_end), (x_start, scale_start)):
+        if not (0.0 < scale < math.inf):
+            raise DomainError(f"the diffusion scale K x / u at {x:g} cm leaves the range of "
+                              f"doubles at wind speed {params.wind_speed:g} cm/s",
+                              field="diffusivity")
+    if not scale_start < scale_end:
+        raise GridError(f"the diffusion scale must grow from x_start to x_end; it is "
+                        f"{scale_start:g} to {scale_end:g} cm^2")
 
     reach = _CONTAINMENT_MARGIN * math.sqrt(scale_end)
     dy = dz = resolution

@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Tuple
 
 import numpy as np
 
 from . import __version__
 from .channel import (
+    _check_downwind_band,
     _erfc,
     breath_response,
     diffusion_scale,
@@ -34,7 +34,7 @@ from .channel import (
     steady_field,
     stochastic_expected_response,
 )
-from .errors import DomainError, EvaluationDomainError, GridError, ScenarioError
+from .errors import DomainError, GridError, ScenarioError
 from .oracles import (
     ORACLE_CHECKS,
     TransientGrid,
@@ -85,9 +85,8 @@ class ResultTable:
     ``rows`` is any rectangular sequence of numbers on input and an
     ``(n_rows, n_columns)`` float64 array afterwards.  Tables compare by
     identity; compare ``rows`` with ``np.array_equal``.  ``metadata`` holds
-    strings; only version, config_hash and seed are persisted (anything
-    volatile like timestamps stays in memory so files are bit-stable for a
-    fixed config and seed).
+    strings; only version, config_hash and seed are persisted, so files are
+    bit-stable for a fixed config and seed.
     """
 
     columns: Tuple[str, ...]
@@ -264,13 +263,10 @@ def read_results(path) -> ResultTable:
 
 
 def _metadata(config: ScenarioConfig) -> dict:
-    # created_utc stays in memory only; persisted files carry just the
-    # deterministic keys so identical config+seed gives identical bytes
     return {
         "version": __version__,
         "config_hash": config.config_hash,
         "seed": "none" if config.seed is None else str(config.seed),
-        "created_utc": datetime.now(timezone.utc).isoformat(),
     }
 
 
@@ -357,12 +353,7 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
     exp = config.experiment
     fraction = exp["fraction"]
     distances = np.asarray(exp["distances"])
-    x_min = config.channel_params().x_min
-    if distances[0] < x_min:
-        raise EvaluationDomainError(
-            f"delay distance {distances[0]} cm lies below x_min = {x_min} cm; the closed "
-            "form is singular near the source"
-        )
+    _check_downwind_band(distances, config.channel_params())
     blocks = []
     for u in exp["wind_speeds"]:
         root = 2.0 * np.sqrt(diffusion_scale(distances, config.channel_params(wind_speed=u)))
@@ -559,13 +550,6 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     exp = config.experiment
     seed = _require_seed(config)
     values = {}
-
-    # the marches reach 250 cm downwind, where K x / u must be a double; a
-    # grid check could not tell this from a bad resolution
-    if not math.isfinite(diffusion_scale(250.0, params)):
-        raise ScenarioError("channel.diffusivity",
-                            "the diffusion scale K x / u at 250 cm leaves the range of "
-                            f"doubles at wind speed {params.wind_speed:g} cm/s")
 
     # steady-plume march against the closed form, plus refinement gain; no
     # name holds the marches, so their fields are freed before the jet march

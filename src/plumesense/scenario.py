@@ -481,13 +481,13 @@ class ScenarioConfig:
 
     # -- canonical form ----------------------------------------------------
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.resolved, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The one canonical serialisation: compact, keys sorted."""
+        return json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
 
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
     # -- typed accessors ----------------------------------------------------
 

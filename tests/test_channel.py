@@ -240,6 +240,11 @@ class TestImpulseResponse:
         assert impulse_response((0.0, 0.0, HEIGHT, 1.0), params, HEIGHT) == 0.0
         assert impulse_response((-50.0, 0.0, HEIGHT, 1.0), params, HEIGHT) == 0.0
 
+    def test_zero_before_release(self, params):
+        """The release is at t = 0: just before it, at 1 cm, the ungated
+        Gaussian is 8.2e-63, and the response is exactly 0."""
+        assert impulse_response((1.0, 0.0, HEIGHT, -1e-4), params, HEIGHT) == 0.0
+
     def test_near_source_band_rejected(self, params):
         with pytest.raises(EvaluationDomainError):
             impulse_response((0.5 * params.x_min, 0.0, HEIGHT, 1.0), params, HEIGHT)
@@ -667,7 +672,7 @@ class TestFrequencyResponse:
         for point in ((100.0, 0.0, HEIGHT), (40.0, 0.7, HEIGHT - 1.2), (250.0, -2.0, 20.0)):
             response = frequency_response(point, 0.0, params, HEIGHT)
             steady = steady_state_concentration(1.0, point, params, HEIGHT)
-            assert response.magnitude == pytest.approx(steady, rel=1e-12)
+            assert response.magnitude == steady
 
     def test_phase_is_transport_delay(self, params):
         point = (100.0, 0.0, HEIGHT)
@@ -727,6 +732,13 @@ class TestFrequencyResponse:
             with pytest.raises(DomainError, match="phase"):
                 frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.7e308], params, HEIGHT,
                                    unwrap_phase=unwrap)
+
+    def test_infinite_omega_named(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                frequency_response((100.0, 0.0, HEIGHT), [0.0, -math.inf], params, HEIGHT)
+        assert excinfo.value.field == "omega"
 
     def test_principal_phase_within_interval(self, params):
         omegas = np.linspace(0.0, 2000.0, 501)
@@ -1015,7 +1027,8 @@ class TestDownwindKernelAgainstReference:
             released = _aimed(rng, point, first.x,
                               rng.choice(scenario.stochastic.release_times()))
             pairs = [
-                (impulse_response, reference_impulse_response,
+                # the impulse response is the unit jet, gated at its release
+                (impulse_response, lambda *args: reference_jet_concentration(1.0, 0.0, *args),
                  (_aimed(rng, point, 0.0, 0.0), p, height)),
                 (jet_concentration, reference_jet_concentration,
                  (mass, start, _aimed(rng, point, 0.0, start), p, height)),
@@ -1141,6 +1154,8 @@ _VANISHING_K = ChannelParams.with_constant(WIND, 1e-320)
     (lambda: breath_response(1.0, 0.0, (100.0, [0.0, 1.0], HEIGHT, 1.0), _VANISHING_K, HEIGHT),
      "diffusivity"),
     (lambda: jet_concentration(1.0, 0.5, (100.0, 0.0, HEIGHT, 1.0), _VANISHING_K, HEIGHT),
+     "diffusivity"),
+    (lambda: frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0], _VANISHING_K, HEIGHT),
      "diffusivity"),
     (lambda: frequency_response((100.0, 0.0, HEIGHT), [0.0, 1.0],
                                 ChannelParams.with_constant(1e-300, DIFFUSIVITY), HEIGHT),

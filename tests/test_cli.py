@@ -592,11 +592,12 @@ def test_vanishing_jet_spread_named_without_warnings(tmp_path):
 
 @pytest.mark.parametrize("command, scenario", [
     ("field", "field.json"), ("conc-vs-dist", "concentration.json"), ("pmd", "pmd.json"),
+    ("freq", "freq.json"),
 ])
 def test_vanishing_diffusivity_named_without_warnings(tmp_path, command, scenario):
-    """At K = 1e-320 cm^2/s the steady plume's rate / (4 u pi s) leaves the
-    doubles: the run names the diffusivity and exits 2, with no NaN rows, no
-    file and no numpy warning."""
+    """At K = 1e-320 cm^2/s the steady plume's rate / (4 u pi s), and the
+    transfer function's 1 / (4 u pi s), leave the doubles: the run names the
+    diffusivity and exits 2, with no NaN rows, no file and no numpy warning."""
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     out = tmp_path / "out.csv"
     result = _fresh_process("from plumesense.cli import main; main()", command,
@@ -605,6 +606,22 @@ def test_vanishing_diffusivity_named_without_warnings(tmp_path, command, scenari
     assert result.returncode == cli.EXIT_CONFIG, result.stderr
     assert result.stderr.startswith("configuration error: channel.diffusivity: ")
     assert "Warning" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("diffusivity", ["5e-324", "1e-300"])
+def test_vanishing_diffusivity_names_the_channel_in_validate_oracles(tmp_path, diffusivity):
+    """At K = 5e-324 cm^2/s the diffusion scale at 50 cm underflows to 0, and
+    at 1e-300 the steady plume peaks near 1e297: validate-oracles names the
+    diffusivity and exits 2, with numpy's warnings raised as errors."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    result = _fresh_process("import warnings; warnings.simplefilter('error', RuntimeWarning); "
+                            "from plumesense.cli import main; main()", "validate-oracles",
+                            "--scenario", str(scenarios / "validate.json"),
+                            "--out", str(out), "--set", f"channel.diffusivity={diffusivity}")
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr.startswith("configuration error: channel.diffusivity: ")
     assert not out.exists()
 
 
