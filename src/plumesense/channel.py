@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationDomainError, QuadratureError, ScenarioError
+from .errors import DomainError, EvaluationDomainError, QuadratureError
 
 __all__ = [
     "DiffusivityProfile",
@@ -710,7 +710,7 @@ def stochastic_expected_response(scenario: MultiUserScenario, point, params: Cha
     """
     grid = scenario.stochastic
     if grid is None:
-        raise ScenarioError("sources.stochastic", "scenario has no stochastic grid")
+        raise DomainError("scenario has no stochastic grid", field="stochastic")
     x, y, z, t = _point(point, 4)
     shape = np.broadcast_shapes(x.shape, y.shape, z.shape, t.shape)
     total = np.zeros(shape)

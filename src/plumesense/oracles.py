@@ -103,6 +103,9 @@ _PROBE_SIGNIFICANCE = 0.05
 # the steady march's grid reach beyond the plume centre, in sqrt of its end scale
 _CONTAINMENT_MARGIN = 6.0
 
+# the relative tolerance step_convolution integrates the impulse response to
+_CONVOLUTION_RTOL = 1e-8
+
 
 @dataclass
 class OracleReport:
@@ -168,7 +171,6 @@ class SteadyMarchResult:
     scales: np.ndarray
     field: np.ndarray  # final slice, indexed [z, y]
     crosswind_integrals: np.ndarray
-    rate: float
     runtime_s: float
     warnings: Tuple[str, ...] = ()
 
@@ -202,10 +204,10 @@ def _crosswind_integral(C, lo, hi, dy, dz, inner):
 
 
 def march_steady_plume(params: ChannelParams, source_height: float, x_start: float,
-                       x_end: float, resolution: float,
-                       rate: float = 1.0) -> SteadyMarchResult:
-    """March the crosswind heat equation from the closed form at x_start to
-    x_end, in the transformed coordinate s = diffusion_scale(x).
+                       x_end: float, resolution: float) -> SteadyMarchResult:
+    """March the crosswind heat equation for a unit-rate plume from the
+    closed form at x_start to x_end, in the transformed coordinate
+    s = diffusion_scale(x).
 
     The grid is set by ``resolution`` alone: y and z steps of ``resolution``
     out to ``_CONTAINMENT_MARGIN`` * sqrt(s(x_end)) beyond the plume centre
@@ -261,7 +263,7 @@ def march_steady_plume(params: ChannelParams, source_height: float, x_start: flo
     n_steps = max(1, int(math.ceil(span / (0.25 * resolution * resolution))))
     d = span / n_steps
 
-    C = steady_state_concentration(rate, (x_start, y[None, :], z[:, None]), params,
+    C = steady_state_concentration(1.0, (x_start, y[None, :], z[:, None]), params,
                                    source_height)
     C[:, 0] = 0.0
     C[:, -1] = 0.0
@@ -292,7 +294,6 @@ def march_steady_plume(params: ChannelParams, source_height: float, x_start: flo
         scales=scales,
         field=C,
         crosswind_integrals=integrals,
-        rate=rate,
         runtime_s=time.perf_counter() - start,
         warnings=tuple(warnings),
     )
@@ -305,10 +306,10 @@ def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
     ``steady_l2`` and ``steady_crosswind`` checks.  ``coarse``, a march of the
     same plume at a coarser resolution, adds ``steady_refinement_factor``: its
     l2 error over this march's."""
-    closed = steady_state_concentration(result.rate, (result.x_end, result.y[None, :],
-                                                      result.z[:, None]), params, source_height)
+    closed = steady_state_concentration(1.0, (result.x_end, result.y[None, :],
+                                              result.z[:, None]), params, source_height)
     max_rel, l2_rel = _relative_errors(result.field, closed)
-    flux = result.rate / params.wind_speed
+    flux = 1.0 / params.wind_speed
     crosswind_dev = float(np.max(np.abs(result.crosswind_integrals - flux) / flux))
     checks = {"steady_l2": l2_rel, "steady_crosswind": crosswind_dev}
     if coarse is not None:
@@ -377,7 +378,6 @@ class TransientMarchResult:
     probe_values: np.ndarray  # (n_probes, n_times)
     snapshots: Tuple[Tuple[float, np.ndarray], ...]
     dt: float
-    jet_mass: float
     runtime_s: float
 
 
@@ -469,10 +469,10 @@ def _support_sum(flat, start, stop, lo, hi):
 
 
 def march_transient_jet(params: ChannelParams, source_height: float, grid: TransientGrid,
-                        jet_mass: float = 1.0,
                         probes: Sequence[Tuple[float, float, float]] = (),
                         snapshot_times: Sequence[float] = ()) -> TransientMarchResult:
-    """March the full advection-diffusion equation for a jet released at t = 0.
+    """March the full advection-diffusion equation for a unit-mass jet released
+    at t = 0.
 
     Scope: constant diffusivity only, so scheme error is not conflated with
     the coordinate transform.  Advection advances ``cells``, an exact integer
@@ -483,8 +483,8 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     the x-planes between the first and last nonzero value on the source line
     (x, 0, source_height); every other plane is exactly 0.0.  That is exact:
     each value is the along-wind term at x times the crosswind factor, and on
-    the source line that factor is at least 1, so at unit mass the line value
-    is 0 only where the along-wind term is, and then so is the whole plane.
+    the source line that factor is at least 1, so the line value is 0 only
+    where the along-wind term is, and then so is the whole plane.
 
     The field lives in a frame that moves with the wind: a buffer of two
     boxes of x-planes, whose box is the view ``frame[off:off + n]``.  Each
@@ -547,7 +547,7 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
     if nonzero.size:
         lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
         C[lo:hi] = jet_concentration(
-            jet_mass,
+            1.0,
             0.0,
             (x[lo:hi, None, None], y[None, :, None], z[None, None, :], grid.t_start),
             params,
@@ -627,7 +627,6 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
         probe_values=probe_values,
         snapshots=tuple(snapshots),
         dt=dt,
-        jet_mass=jet_mass,
         runtime_s=time.perf_counter() - start,
     )
 
@@ -646,9 +645,7 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
     sq_ref = 0.0
     for p, (px, py, pz) in enumerate(result.probe_points):
         closed = np.asarray(
-            jet_concentration(
-                result.jet_mass, 0.0, (px, py, pz, result.times), params, source_height
-            )
+            jet_concentration(1.0, 0.0, (px, py, pz, result.times), params, source_height)
         )
         if not closed.any():
             raise GridError(f"the pulse never reaches probe {(px, py, pz)} between "
@@ -667,8 +664,7 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
         l2_rel_error=math.sqrt(sq_num / sq_ref),
         checks={
             "transient_probe": worst,
-            "transient_mass": float(
-                np.max(np.abs(result.mass - result.jet_mass) / result.jet_mass)),
+            "transient_mass": float(np.max(np.abs(result.mass - 1.0))),
         },
         grid=asdict(result.grid),
         runtime_s=result.runtime_s,
@@ -681,8 +677,7 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
 # ---------------------------------------------------------------------------
 
 
-def step_convolution(point, params: ChannelParams, source_height: float,
-                     rel_tol: float = 1e-8) -> float:
+def step_convolution(point, params: ChannelParams, source_height: float) -> float:
     """Adaptive quadrature of the impulse response against a unit step at
     t = 0: the independent route to the unit breath response, and 0.0 at
     t <= 0.
@@ -691,8 +686,8 @@ def step_convolution(point, params: ChannelParams, source_height: float,
     2 sqrt(s)/u about x/u, and the pieces between the cuts are integrated as
     one gap by the package's adaptive 7/15-point Gauss-Kronrod loop
     (``channel._gap_integrals``, one impulse-response call per round) to
-    ``rel_tol``.  Raises :class:`QuadratureError` if that takes more than 200
-    subintervals.
+    ``_CONVOLUTION_RTOL``.  Raises :class:`QuadratureError` if that takes
+    more than 200 subintervals.
     """
     px, py, pz, t = (float(c) for c in _point(point, 4))
     if t <= 0.0:
@@ -708,7 +703,7 @@ def step_convolution(point, params: ChannelParams, source_height: float,
             if 0.0 < s < t]
     ends = np.array([0.0, *cuts, t])
     value = _gap_integrals(integrand, ends[:-1], ends[1:], np.zeros(ends.size - 1, dtype=int),
-                           ends[-1:], rel_tol)
+                           ends[-1:], _CONVOLUTION_RTOL)
     return float(value[0])
 
 
@@ -859,11 +854,12 @@ def _wilson_interval(misses: int, trials: int, z: float):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: float,
-                  sigma: float, trials: int, seed) -> PmdEstimate:
-    """Simulate the infected hypothesis and count the readings that the
-    receiver's ML rule (:func:`ml_threshold`, :func:`decide`) calls healthy,
-    with a Wilson interval at z = ``WILSON_Z``.
+def empirical_pmd(signal: float, sigma: float, trials: int, seed) -> PmdEstimate:
+    """Simulate the infected hypothesis, readings of mean ``signal`` (the
+    noiseless reading, capture gain * exposure) and standard deviation
+    ``sigma``, and count those that the receiver's ML rule
+    (:func:`ml_threshold`, :func:`decide`) calls healthy, with a Wilson
+    interval at z = ``WILSON_Z``.
 
     Reproducible for a fixed seed; ``trials`` must be at least 10^4 for the
     interval to be meaningful.
@@ -872,18 +868,17 @@ def empirical_pmd(exposure: float, sampler_efficiency: float, binding_fraction: 
         raise DomainError("need at least 1e4 trials")
     if not (sigma >= 0.0):
         raise DomainError("sigma must be nonnegative")
-    threshold = ml_threshold(exposure, sampler_efficiency, binding_fraction)
+    threshold = ml_threshold(signal)
     rng = np.random.default_rng(seed)
-    mean = sampler_efficiency * binding_fraction * exposure
     misses = 0
     remaining = int(trials)
     while remaining > 0:
         n = min(remaining, 1_000_000)
-        # in place: one draw-sized array, whether mean is a float or a
+        # in place: one draw-sized array, whether signal is a float or a
         # numpy scalar
         received = rng.standard_normal(n)
         received *= sigma
-        received += mean
+        received += signal
         misses += n - int(np.count_nonzero(decide(received, threshold)))
         remaining -= n
     lower, upper = _wilson_interval(misses, trials, WILSON_Z)

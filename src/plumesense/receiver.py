@@ -1,10 +1,13 @@
 """Receiver measurement model and maximum-likelihood virus detection.
 
-The receiver is a sphere that samples air over a window, captures a fraction
-of the particles (sampler efficiency), binds a fraction of those at the
-sensor surface (binding fraction), and reads out the accumulated value with
-additive Gaussian noise.  The decision rule compares the reading against the
-maximum-likelihood threshold of half the noiseless mean; the Monte Carlo
+The receiver is a sphere that samples air over a window.  Its front end
+captures a fraction of the particles (sampler efficiency) and binds a
+fraction of those at the sensor surface (binding fraction); the two enter
+only as their product, :attr:`ReceiverSpec.capture_gain`, and the gain times
+the accumulated exposure is the noiseless reading.  The detector works on
+that reading alone: the sensor adds Gaussian noise of standard deviation
+sigma, and the decision rule compares the noisy reading against the
+maximum-likelihood threshold of half the noiseless one.  The Monte Carlo
 miss counter (``oracles.empirical_pmd``) applies exactly this rule through
 :func:`ml_threshold` and :func:`decide`.
 
@@ -72,7 +75,8 @@ class ReceiverSpec:
 
     @property
     def capture_gain(self) -> float:
-        """Combined deterministic gain applied to the accumulated concentration."""
+        """Sampler efficiency times binding fraction: the noiseless reading per
+        unit of accumulated exposure, and the one place the two are combined."""
         return self.sampler_efficiency * self.binding_fraction
 
 
@@ -153,14 +157,12 @@ def receiver_exposure(recv: ReceiverSpec, field, t_start: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-def ml_threshold(exposure: float, sampler_efficiency: float, binding_fraction: float) -> float:
+def ml_threshold(signal: float) -> float:
     """Maximum-likelihood decision threshold for equally likely hypotheses:
-    half the noiseless infected mean, gain * exposure / 2."""
-    if not math.isfinite(exposure):
-        raise DomainError("threshold exposure must be finite")
-    if not (exposure >= 0.0 and sampler_efficiency >= 0.0 and binding_fraction >= 0.0):
-        raise DomainError("threshold inputs must be nonnegative")
-    return sampler_efficiency * binding_fraction * exposure / 2.0
+    half the noiseless reading (capture gain * exposure)."""
+    if not (math.isfinite(signal) and signal >= 0.0):
+        raise DomainError("threshold signal must be finite and nonnegative")
+    return signal / 2.0
 
 
 def decide(received, threshold):
@@ -181,21 +183,18 @@ def q_function(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def pmd_exact(exposure: float, sampler_efficiency: float, binding_fraction: float,
-              sigma: float) -> float:
+def pmd_exact(signal: float, sigma: float) -> float:
     """Missed-detection probability implied by the ML threshold itself:
-    Q(gain * exposure / (2 * sigma)).  This is the variant Monte Carlo matches."""
+    Q(signal / (2 * sigma)) for the noiseless reading ``signal``.  This is the
+    variant Monte Carlo matches."""
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
-    return q_function(sampler_efficiency * binding_fraction * exposure / (2.0 * sigma))
+    return q_function(signal / (2.0 * sigma))
 
 
-def pmd_conservative(exposure: float, sampler_efficiency: float, binding_fraction: float,
-                     sigma: float) -> float:
+def pmd_conservative(signal: float, sigma: float) -> float:
     """Missed-detection probability with a sqrt(8)*sigma noise margin:
-    Q(gain * exposure / sqrt(8 * sigma^2)), i.e. pmd_exact's argument / sqrt(2)."""
+    Q(signal / sqrt(8 * sigma^2)), i.e. pmd_exact's argument / sqrt(2)."""
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
-    return q_function(
-        sampler_efficiency * binding_fraction * exposure / math.sqrt(8.0 * sigma * sigma)
-    )
+    return q_function(signal / math.sqrt(8.0 * sigma * sigma))

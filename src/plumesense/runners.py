@@ -83,10 +83,11 @@ class ResultTable:
     """Rectangular numeric table; every column carries a unit annotation.
 
     ``rows`` is any rectangular sequence of numbers on input and an
-    ``(n_rows, n_columns)`` float64 array afterwards.  Tables compare by
-    identity; compare ``rows`` with ``np.array_equal``.  ``metadata`` holds
-    strings; only version, config_hash and seed are persisted, so files are
-    bit-stable for a fixed config and seed.
+    ``(n_rows, n_columns)`` float64 array afterwards; a float64 array handed
+    in is kept, not copied, so the table and its caller share it.  Tables
+    compare by identity; compare ``rows`` with ``np.array_equal``.
+    ``metadata`` holds strings; only version, config_hash and seed are
+    persisted, so files are bit-stable for a fixed config and seed.
     """
 
     columns: Tuple[str, ...]
@@ -100,7 +101,7 @@ class ResultTable:
         if len(self.columns) != len(self.units):
             raise DomainError("each column needs a unit annotation")
         try:
-            rows = np.array(self.rows, dtype=float)
+            rows = np.asarray(self.rows, dtype=float)
         except ValueError as exc:
             raise DomainError(f"table must be rectangular ({exc})") from exc
         if rows.ndim == 1 and rows.size == 0:
@@ -401,8 +402,6 @@ def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
         seed = _require_seed(config)
     field = steady_field(rate, config.channel_params(), config.source_height)
     orders = tuple(exp["quadrature_orders"])
-    recv0 = config.receiver_spec()
-    gain_args = (recv0.sampler_efficiency, recv0.binding_fraction)
 
     distances = np.asarray(exp["distances"])
     n = distances.size
@@ -413,10 +412,9 @@ def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
         exposure[i, 2] = receiver_exposure(config.receiver_spec(distance=d, volume_factor=0.5),
                                            field, 0.0, orders)
     exposure[:, 1] = 0.5 * exposure[:, 0]
-    exposure = exposure.ravel()
+    signal = config.receiver_spec().capture_gain * exposure.ravel()
     columns = [np.repeat(distances, 3), np.tile([0.0, 1.0, 2.0], n),
-               pmd_conservative(exposure, *gain_args, sigma),
-               pmd_exact(exposure, *gain_args, sigma)]
+               pmd_conservative(signal, sigma), pmd_exact(signal, sigma)]
     names = ["distance", "variant", "pmd_conservative", "pmd_exact"]
     units = ["cm", "0=base;1=half-rate;2=half-volume", "1", "1"]
     if trials > 0:
@@ -424,7 +422,7 @@ def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
         for row in range(3 * max(n - exp["empirical_count"], 0), 3 * n):
             i, variant = divmod(row, 3)
             est = empirical_pmd(
-                exposure[row], *gain_args, sigma, trials,
+                signal[row], sigma, trials,
                 np.random.SeedSequence(entropy=seed, spawn_key=(variant, i)),
             )
             empirical[row] = (est.estimate, est.lower, est.upper)
@@ -505,25 +503,22 @@ def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
 
 def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
     """Monte Carlo missed-detection estimates against the analytic value at
-    configured detection arguments gain*exposure/(2*sigma)."""
+    configured detection arguments signal/(2*sigma), each run at the
+    noiseless reading signal = 2 * sigma * argument."""
     exp = config.experiment
     seed = _require_seed(config)
-    recv = config.receiver_spec()
     sigma = config.noise_sigma(_primary_rate(config))
     trials = exp["trials"]
     arguments = np.asarray(exp["snr_arguments"])
     with np.errstate(over="ignore"):
-        exposures = 2.0 * sigma * arguments / recv.capture_gain
+        signals = 2.0 * sigma * arguments
     empirical = np.empty((arguments.size, 3))
-    for index, exposure in enumerate(exposures):
-        if not np.isfinite(exposure):
+    for index, signal in enumerate(signals):
+        if not np.isfinite(signal):
             raise ScenarioError(f"experiment.snr_arguments[{index}]",
-                                f"the exposure 2 sigma x argument / gain overflows at "
-                                f"sigma = {sigma}")
-        est = empirical_pmd(
-            exposure, recv.sampler_efficiency, recv.binding_fraction, sigma, trials,
-            np.random.SeedSequence(entropy=seed, spawn_key=(index,)),
-        )
+                                f"the reading 2 sigma x argument overflows at sigma = {sigma}")
+        est = empirical_pmd(signal, sigma, trials,
+                            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         empirical[index] = (est.estimate, est.lower, est.upper)
     return ResultTable(
         columns=("argument", "pmd_analytic", "pmd_empirical", "ci_lower", "ci_upper",
@@ -561,14 +556,19 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     except GridError as exc:
         raise ScenarioError("experiment.steady_resolution", str(exc)) from exc
 
-    # transient jet march at a mid-field probe
+    # transient jet march at a mid-field probe.  This box and the spectrum's
+    # sampling below are fixed, sized for the shipped channel: a wind or a
+    # diffusivity they cannot resolve is named at the channel
     if exp["transient"]:
         tgrid = TransientGrid(
             x_span=(4.0, 60.0), y_half=2.4, z_span=(height - 2.4, height + 2.4),
             step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
         )
-        tres = march_transient_jet(params, height, tgrid, probes=[(30.0, 0.0, height)])
-        values.update(transient_oracle_report(tres, params, height).checks)
+        try:
+            tres = march_transient_jet(params, height, tgrid, probes=[(30.0, 0.0, height)])
+            values.update(transient_oracle_report(tres, params, height).checks)
+        except GridError as exc:
+            raise ScenarioError("channel", str(exc)) from exc
 
     # breath response against the numeric step convolution
     rng = np.random.default_rng(seed)
@@ -586,25 +586,27 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     values["convolution"] = worst
 
     # frequency-domain shape against the DFT of the sampled pulse
-    spectrum = sampled_transfer_function(
-        (100.0, 0.0, height), params, height, sample_interval=5e-4, n_samples=4096
-    )
+    try:
+        spectrum = sampled_transfer_function(
+            (100.0, 0.0, height), params, height, sample_interval=5e-4, n_samples=4096
+        )
+    except GridError as exc:
+        raise ScenarioError("channel", str(exc)) from exc
     values.update(spectrum_oracle_report(spectrum, params, height).checks)
 
     # detection statistics against the closed form
-    recv = config.receiver_spec()
     sigma = config.noise_sigma(_primary_rate(config))
     hits = 0
     for i, argument in enumerate((0.5, 1.0, 2.0)):
-        exposure = 2.0 * sigma * argument / recv.capture_gain
         est = empirical_pmd(
-            exposure, recv.sampler_efficiency, recv.binding_fraction, sigma,
-            exp["trials"], np.random.SeedSequence(entropy=seed, spawn_key=(100 + i,)),
+            2.0 * sigma * argument, sigma, exp["trials"],
+            np.random.SeedSequence(entropy=seed, spawn_key=(100 + i,)),
         )
         hits += est.contains(q_function(argument))
     values["pmd_within_ci"] = hits
 
     # receiver integral: Monte Carlo against Gauss-Legendre
+    recv = config.receiver_spec()
     fld = steady_field(_primary_rate(config), params, height)
     mc = mc_receiver_exposure(recv, fld, exp["mc_samples"], seed + 1)
     values["mc_exposure_sigmas"] = mc.distance_sigmas(receiver_exposure(recv, fld))

@@ -538,12 +538,11 @@ class ScenarioConfig:
         noise = self.resolved["noise"]
         if noise["variance"] is not None:
             return math.sqrt(noise["variance"])
-        recv = self.resolved["receiver"]
-        gain = recv["sampler_efficiency"] * recv["binding_fraction"]
         if reference_rate <= 0.0:
             raise ScenarioError(
                 "noise.snr_calibration", "calibration needs a positive breath rate"
             )
+        gain = self.receiver_spec().capture_gain
         return math.sqrt(gain * reference_rate / (8.0 * noise["snr_calibration"]))
 
 

@@ -229,9 +229,7 @@ def test_criterion_6_detection_consistency(rng):
     start = time.perf_counter()
     for argument in (0.5, 1.0, 1.5, 2.0, 2.5):
         sigma = rng.uniform(0.2, 2.0)
-        gain = 0.85 * 0.5
-        exposure = 2.0 * sigma * argument / gain
-        estimate = empirical_pmd(exposure, 0.85, 0.5, sigma, trials=10**6,
+        estimate = empirical_pmd(2.0 * sigma * argument, sigma, trials=10**6,
                                  seed=int(argument * 1000))
         assert estimate.contains(q_function(argument))
 
@@ -241,10 +239,10 @@ def test_criterion_6_detection_consistency(rng):
         c = rng.uniform(0.1, 5.0)
         sigma = rng.uniform(0.05, 2.0)
         exact_arg = 0.85 * 0.5 * c / (2.0 * sigma)
-        assert pmd_exact(c, 0.85, 0.5, sigma) == pytest.approx(
+        assert pmd_exact(0.85 * 0.5 * c, sigma) == pytest.approx(
             q_function(exact_arg), rel=1e-12, abs=1e-300
         )
-        assert pmd_conservative(c, 0.85, 0.5, sigma) == pytest.approx(
+        assert pmd_conservative(0.85 * 0.5 * c, sigma) == pytest.approx(
             q_function(exact_arg / math.sqrt(2.0)), rel=1e-12, abs=1e-300
         )
     elapsed = time.perf_counter() - start

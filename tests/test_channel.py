@@ -543,10 +543,14 @@ class TestStochasticExpectedResponse:
         assert half == 0.5 * full
 
     def test_missing_grid_is_configuration_error(self, params):
+        # the channel layer names the scenario's field; the parser and CLI
+        # own the scenario paths
         scenario = MultiUserScenario(users=(SourceSpec((0.0, 0.0, HEIGHT),
                                                        breath_rate=1.0),))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(DomainError, match="no stochastic grid") as info:
             stochastic_expected_response(scenario, (100.0, 0.0, HEIGHT, 1.0), params)
+        assert info.value.field == "stochastic"
+        assert not isinstance(info.value, ScenarioError)
 
     def test_release_interval_shape_validated(self):
         with pytest.raises(DomainError):

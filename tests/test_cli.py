@@ -625,6 +625,22 @@ def test_vanishing_diffusivity_names_the_channel_in_validate_oracles(tmp_path, d
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diffusivity", [0.01, 1e-3])
+def test_unresolvable_channel_named_in_validate_oracles(tmp_path, diffusivity, capsys):
+    """validate-oracles' transient box and spectrum sampling are sized for
+    the shipped channel: at K = 0.01 cm^2/s the pulse spans too few spectrum
+    samples, at 1e-3 it never reaches the transient probe.  The run names
+    the channel and exits 2 without a file."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    code = cli.dispatch(["validate-oracles", "--scenario", str(scenarios / "validate.json"),
+                         "--out", str(out), "--set", f"channel.diffusivity={diffusivity}"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: channel: ")
+    assert not out.exists()
+
+
 def test_overflowing_phase_named_without_warnings(tmp_path):
     """omega x / u overflows at 1.7e308 rad/s: the run names experiment.omega
     and prints no numpy warning."""

@@ -104,7 +104,7 @@ def full_grid_march(result, params, source_height):
     scale_start, scale_end = diffusion_scale(np.array([result.x_start, result.x_end]), params)
     d = (scale_end - scale_start) / n_steps
     Y, Z = np.meshgrid(result.y, result.z)
-    C = oracles.steady_state_concentration(result.rate, (result.x_start, Y, Z), params,
+    C = oracles.steady_state_concentration(1.0, (result.x_start, Y, Z), params,
                                            source_height)
     C[:, 0] = 0.0
     C[:, -1] = 0.0
@@ -161,8 +161,12 @@ class TestSteadyMarchSupport:
         assert z_support(result.field)[-1] == result.z.size - 2
         assert_matches_full_grid(result, params, HEIGHT)
 
-    def test_bit_identical_from_all_zero_slice(self, params):
-        result = march_steady_plume(params, HEIGHT, 30.0, 230.0, resolution=0.2, rate=0.0)
+    def test_bit_identical_from_all_zero_slice(self, params, monkeypatch):
+        def zeros(rate, point, params, source_height):
+            return np.zeros(np.broadcast(*point).shape)
+
+        monkeypatch.setattr(oracles, "steady_state_concentration", zeros)
+        result = march_steady_plume(params, HEIGHT, 30.0, 230.0, resolution=0.2)
         assert not result.field.any() and not result.crosswind_integrals.any()
         assert_matches_full_grid(result, params, HEIGHT)
 
@@ -192,7 +196,7 @@ class TestSteadyMarch:
         assert not report.passed
 
     def test_crosswind_integrals_conserved(self, params, coarse_steady):
-        flux = coarse_steady.rate / WIND
+        flux = 1.0 / WIND
         dev = np.abs(coarse_steady.crosswind_integrals - flux) / flux
         assert ORACLE_CHECKS["steady_crosswind"].passes(dev.max())
 
@@ -258,8 +262,8 @@ def transient_result(params):
         x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
         step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
     )
-    return march_transient_jet(params, HEIGHT, grid, jet_mass=2.0,
-                               probes=[(30.0, 0.0, HEIGHT)], snapshot_times=(0.10, 0.35))
+    return march_transient_jet(params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)],
+                               snapshot_times=(0.10, 0.35))
 
 
 def whole_slab_diffusion(C, cx, cy, cz):
@@ -317,7 +321,7 @@ def assert_starts_from_closed_form(result, params):
     t_start, field = result.snapshots[0]
     assert t_start == result.grid.t_start
     box = (result.x[:, None, None], result.y[None, :, None], result.z[None, None, :], t_start)
-    assert np.array_equal(field, jet_concentration(result.jet_mass, 0.0, box, params, HEIGHT))
+    assert np.array_equal(field, jet_concentration(1.0, 0.0, box, params, HEIGHT))
 
 
 def sharp_band(x_lo):
@@ -461,7 +465,7 @@ class TestTransientMarch:
         assert grid == dataclasses.asdict(transient_result.grid)
 
     def test_mass_conserved(self, transient_result):
-        dev = np.abs(transient_result.mass - transient_result.jet_mass) / transient_result.jet_mass
+        dev = np.abs(transient_result.mass - 1.0)
         assert ORACLE_CHECKS["transient_mass"].passes(dev.max())
 
     def test_peak_arrives_at_advection_time(self, transient_result):
@@ -474,8 +478,7 @@ class TestTransientMarch:
             x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
             step_x=0.16, step_y=0.16, step_z=0.16, t_start=0.10, t_end=0.35,
         )
-        coarse = march_transient_jet(params, HEIGHT, coarse_grid, jet_mass=2.0,
-                                     probes=[(30.0, 0.0, HEIGHT)])
+        coarse = march_transient_jet(params, HEIGHT, coarse_grid, probes=[(30.0, 0.0, HEIGHT)])
         coarse_report = transient_oracle_report(coarse, params, HEIGHT)
         fine_report = transient_oracle_report(transient_result, params, HEIGHT)
         assert fine_report.max_rel_error < coarse_report.max_rel_error
@@ -720,10 +723,11 @@ class TestStepConvolution:
         assert len(calls) > 1 and all(shape[0] % 2 == 0 for shape in calls[1:])
         assert 6 + sum(shape[0] for shape in calls[1:]) // 2 <= _MAX_SUBINTERVALS_PER_GAP
 
-    def test_unreachable_tolerance_raises(self, params):
+    def test_unreachable_tolerance_raises(self, params, monkeypatch):
         # below the rounding of the sum, no number of bisections can certify it
+        monkeypatch.setattr(oracles, "_CONVOLUTION_RTOL", 1e-300)
         with pytest.raises(QuadratureError, match="within 200 subintervals per gap"):
-            step_convolution((100.0, 0.0, HEIGHT, 2.0), params, HEIGHT, rel_tol=1e-300)
+            step_convolution((100.0, 0.0, HEIGHT, 2.0), params, HEIGHT)
 
 
 @pytest.fixture(scope="module")
@@ -770,24 +774,22 @@ class TestSampledSpectrum:
                                       sample_interval=5e-4, n_samples=64)
 
 
-def reference_empirical_pmd(exposure, sampler_efficiency, binding_fraction, sigma, trials,
-                            seed):
-    """empirical_pmd with the threshold worked out by hand as mean / 2 and a
+def reference_empirical_pmd(signal, sigma, trials, seed):
+    """empirical_pmd with the threshold worked out by hand as signal / 2 and a
     miss counted as received < threshold."""
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials")
     if sigma < 0.0:
         raise DomainError("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
-    mean = sampler_efficiency * binding_fraction * exposure
-    threshold = mean / 2.0
+    threshold = signal / 2.0
     misses = 0
     remaining = int(trials)
     while remaining > 0:
         n = min(remaining, 1_000_000)
         received = rng.standard_normal(n)
         received *= sigma
-        received += mean
+        received += signal
         misses += int(np.count_nonzero(received < threshold))
         remaining -= n
     lower, upper = _wilson_interval(misses, trials, WILSON_Z)
@@ -819,7 +821,7 @@ class TestEmpiricalPmd:
     def test_equals_reference(self, exposure, sigma, trials, seed):
         """Counting misses through ml_threshold and decide changes no draw,
         chunk or count: the whole estimate is equal, chunk seams included."""
-        args = (exposure, 0.85, 0.5, sigma, trials)
+        args = (0.85 * 0.5 * exposure, sigma, trials)
         assert empirical_pmd(*args, seed) == reference_empirical_pmd(*args, seed)
 
     @pytest.mark.parametrize("exposure, efficiency, sigma", [
@@ -828,32 +830,32 @@ class TestEmpiricalPmd:
     ])
     def test_nan_or_negative_inputs_rejected(self, exposure, efficiency, sigma):
         with pytest.raises(DomainError):
-            empirical_pmd(exposure, efficiency, 0.5, sigma, 10_000, 0)
+            empirical_pmd(efficiency * 0.5 * exposure, sigma, 10_000, 0)
 
     def test_matches_closed_form_at_unit_argument(self):
-        est = empirical_pmd(2.0, 1.0, 1.0, 1.0, trials=10**6, seed=42)
+        est = empirical_pmd(2.0, 1.0, trials=10**6, seed=42)
         assert est.contains(q_function(1.0))
 
     def test_noiseless_never_misses(self):
-        est = empirical_pmd(2.0, 1.0, 1.0, 1e-150, trials=10**4, seed=0)
+        est = empirical_pmd(2.0, 1e-150, trials=10**4, seed=0)
         assert est.estimate == 0.0
 
     def test_seed_determinism(self):
-        a = empirical_pmd(2.0, 0.85, 0.5, 0.4, trials=10**5, seed=9)
-        b = empirical_pmd(2.0, 0.85, 0.5, 0.4, trials=10**5, seed=9)
+        a = empirical_pmd(0.85, 0.4, trials=10**5, seed=9)
+        b = empirical_pmd(0.85, 0.4, trials=10**5, seed=9)
         assert a == b
 
     def test_seed_robustness(self):
         analytic = q_function(1.0)
         hits = sum(
-            empirical_pmd(2.0, 1.0, 1.0, 1.0, trials=10**5, seed=s).contains(analytic)
+            empirical_pmd(2.0, 1.0, trials=10**5, seed=s).contains(analytic)
             for s in range(10)
         )
         assert hits == 10
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(DomainError):
-            empirical_pmd(1.0, 0.85, 0.5, 1.0, trials=100, seed=0)
+            empirical_pmd(0.425, 1.0, trials=100, seed=0)
 
 
 @pytest.fixture(scope="module")

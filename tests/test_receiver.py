@@ -153,10 +153,10 @@ class TestReceiverSpec:
             ReceiverSpec((100.0, 0.0, 2.0), 2.0, 3.0, 0.85, 0.5)
 
     def test_fraction_bounds(self):
-        for xi in (0.0, 1.1, -0.2):
+        for xi in (0.0, 1.1, -0.2, math.nan):
             with pytest.raises(DomainError):
                 ReceiverSpec((100.0, 0.0, HEIGHT), 2.0, 3.0, xi, 0.5)
-        for gamma in (0.0, 1.5):
+        for gamma in (0.0, 1.5, math.nan):
             with pytest.raises(DomainError):
                 ReceiverSpec((100.0, 0.0, HEIGHT), 2.0, 3.0, 0.85, gamma)
 
@@ -258,13 +258,13 @@ class TestReceiverExposure:
 
 class TestThresholdAndDecision:
     def test_threshold_direct_substitution(self):
-        assert ml_threshold(2.0, 1.0, 1.0) == 1.0
-        assert ml_threshold(5.0, 0.0, 0.7) == 0.0
+        assert ml_threshold(2.0) == 1.0
+        assert ml_threshold(0.0) == 0.0
 
     def test_threshold_from_independent_product(self, recv, params):
         exposure = receiver_exposure(recv, steady_field(1.0, params, HEIGHT),
                                      orders=(32, 16, 32, 4))
-        got = ml_threshold(exposure, 0.85, 0.5)
+        got = ml_threshold(0.85 * 0.5 * exposure)
         assert got == pytest.approx(0.85 * 0.5 * exposure / 2.0, rel=1e-15)
 
     def test_decision_rule_and_tie_break(self):
@@ -289,12 +289,12 @@ class TestThresholdAndDecision:
 
     def test_negative_threshold_inputs_rejected(self):
         with pytest.raises(DomainError):
-            ml_threshold(-1.0, 0.5, 0.5)
+            ml_threshold(-0.25)
 
     @pytest.mark.parametrize("exposure", [math.nan, math.inf])
     def test_nonfinite_exposure_rejected(self, exposure):
         with pytest.raises(DomainError, match="finite"):
-            ml_threshold(exposure, 0.85, 0.5)
+            ml_threshold(0.85 * 0.5 * exposure)
 
 
 class TestQFunction:
@@ -327,21 +327,20 @@ class TestQFunction:
 
 class TestMissedDetection:
     def test_zero_exposure_gives_half(self):
-        assert pmd_exact(0.0, 0.85, 0.5, 1.0) == 0.5
-        assert pmd_conservative(0.0, 0.85, 0.5, 1.0) == 0.5
+        assert pmd_exact(0.0, 1.0) == 0.5
+        assert pmd_conservative(0.0, 1.0) == 0.5
 
     def test_unit_argument_cases(self):
         # gain * exposure = 2 sigma -> exact variant at Q(1)
-        assert pmd_exact(2.0, 1.0, 1.0, 1.0) == pytest.approx(0.15865525393145705,
-                                                              abs=1e-12)
+        assert pmd_exact(2.0, 1.0) == pytest.approx(0.15865525393145705, abs=1e-12)
         # gain * exposure = sqrt(8) sigma -> conservative variant at Q(1)
-        assert pmd_conservative(math.sqrt(8.0), 1.0, 1.0, 1.0) == pytest.approx(
+        assert pmd_conservative(math.sqrt(8.0), 1.0) == pytest.approx(
             0.15865525393145705, abs=1e-12
         )
 
     def test_monotone_nonincreasing_in_exposure(self, rng):
         exposures = np.sort(rng.uniform(0.0, 10.0, 30))
-        values = [pmd_exact(c, 0.85, 0.5, 1.3) for c in exposures]
+        values = [pmd_exact(0.85 * 0.5 * c, 1.3) for c in exposures]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_scale_invariance(self, rng):
@@ -349,11 +348,11 @@ class TestMissedDetection:
             c = rng.uniform(0.1, 5.0)
             sigma = rng.uniform(0.1, 2.0)
             factor = rng.uniform(0.01, 100.0)
-            assert pmd_exact(c, 0.8, 0.6, sigma) == pytest.approx(
-                pmd_exact(c * factor, 0.8, 0.6, sigma * factor), rel=1e-12
+            assert pmd_exact(0.8 * 0.6 * c, sigma) == pytest.approx(
+                pmd_exact(0.8 * 0.6 * (c * factor), sigma * factor), rel=1e-12
             )
-            assert pmd_conservative(c, 0.8, 0.6, sigma) == pytest.approx(
-                pmd_conservative(c * factor, 0.8, 0.6, sigma * factor), rel=1e-12
+            assert pmd_conservative(0.8 * 0.6 * c, sigma) == pytest.approx(
+                pmd_conservative(0.8 * 0.6 * (c * factor), sigma * factor), rel=1e-12
             )
 
     def test_conservative_argument_is_exact_over_sqrt2(self, rng):
@@ -365,9 +364,9 @@ class TestMissedDetection:
         for _ in range(30):
             c = rng.uniform(0.1, 5.0)
             sigma = rng.uniform(0.05, 2.0)
-            arg_exact = math.sqrt(2.0) * erfcinv(2.0 * pmd_exact(c, 0.85, 0.5, sigma))
+            arg_exact = math.sqrt(2.0) * erfcinv(2.0 * pmd_exact(0.85 * 0.5 * c, sigma))
             arg_cons = math.sqrt(2.0) * erfcinv(
-                2.0 * pmd_conservative(c, 0.85, 0.5, sigma)
+                2.0 * pmd_conservative(0.85 * 0.5 * c, sigma)
             )
             assert arg_cons == pytest.approx(arg_exact / math.sqrt(2.0), rel=1e-9)
 
@@ -376,11 +375,11 @@ class TestMissedDetection:
             c = rng.uniform(0.0, 20.0)
             sigma = rng.uniform(0.01, 5.0)
             for fn in (pmd_exact, pmd_conservative):
-                p = fn(c, 0.85, 0.5, sigma)
+                p = fn(0.85 * 0.5 * c, sigma)
                 assert 0.0 <= p <= 0.5
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(DomainError):
-            pmd_exact(1.0, 0.85, 0.5, 0.0)
+            pmd_exact(0.425, 0.0)
         with pytest.raises(DomainError):
-            pmd_conservative(1.0, 0.85, 0.5, -1.0)
+            pmd_conservative(0.425, -1.0)

@@ -157,6 +157,17 @@ class TestResultTable:
         empty = ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[])
         assert empty.rows.shape == (0, 2)
 
+    def test_float_array_rows_kept_not_copied(self):
+        rows = np.column_stack([np.arange(3.0), np.ones(3)])
+        assert ResultTable(columns=("a", "b"), units=("cm", "s"), rows=rows).rows is rows
+        converted = ResultTable(columns=("a", "b"), units=("cm", "s"),
+                                rows=[(1, 2), (3, 4)]).rows
+        assert isinstance(converted, np.ndarray) and converted.dtype == np.float64
+        assert np.array_equal(converted, [[1.0, 2.0], [3.0, 4.0]])
+        ints = np.array([[1, 2]])
+        kept = ResultTable(columns=("a", "b"), units=("cm", "s"), rows=ints).rows
+        assert kept is not ints and kept.dtype == np.float64
+
     def test_column_lookup(self):
         table = self.make()
         assert np.array_equal(table.column("b"), [2.0, 4.5])
@@ -312,7 +323,6 @@ def reference_pmd_vs_distance(config):
     orders = tuple(exp["quadrature_orders"])
     trials = exp["empirical_trials"]
     recv0 = config.receiver_spec()
-    gain_args = (recv0.sampler_efficiency, recv0.binding_fraction)
     distances = exp["distances"]
     sampled = set(distances[-exp["empirical_count"]:]) if trials > 0 else set()
 
@@ -322,12 +332,12 @@ def reference_pmd_vs_distance(config):
         exposure = receiver_exposure(
             recv, steady_field(base_rate * rate_factor, params, height), orders=orders
         )
-        row = [d, float(variant), pmd_conservative(exposure, *gain_args, sigma),
-               pmd_exact(exposure, *gain_args, sigma)]
+        signal = recv0.sampler_efficiency * recv0.binding_fraction * exposure
+        row = [d, float(variant), pmd_conservative(signal, sigma), pmd_exact(signal, sigma)]
         if trials > 0:
             if d in sampled:
                 est = empirical_pmd(
-                    exposure, *gain_args, sigma, trials,
+                    signal, sigma, trials,
                     np.random.SeedSequence(entropy=config.seed,
                                            spawn_key=(variant, distances.index(d))),
                 )
@@ -683,6 +693,18 @@ class TestSmallRunners:
         before = text.replace(moved, "\n5.55000000e-01,0.00000000e+00\n")
         digest = hashlib.sha256(before.encode()).hexdigest()
         assert digest == "de7c25c5864b89f238e8b25b4cbca363fd9a6e728c5ebd6f171983dd0d98d7aa"
+
+    def test_shipped_detection_bytes_unchanged(self):
+        # digests of the published pmd and mc-pmd CSVs: README's commands on
+        # scenarios/pmd.json, the latter with --seed 1
+        pmd = run_pmd_vs_distance(load_scenario(SCENARIOS / "pmd.json")).to_csv_text()
+        assert hashlib.sha256(pmd.encode()).hexdigest() == (
+            "277abeb74aed2fcf98b267338275591144f63845c5402dbb0ad8fb90fbb787b4")
+        raw = json.loads((SCENARIOS / "pmd.json").read_text())
+        raw.update(experiment={"kind": "mc_pmd"}, seed=1)
+        mc = run_mc_pmd(parse_scenario(raw)).to_csv_text()
+        assert hashlib.sha256(mc.encode()).hexdigest() == (
+            "c82e01a5bb899e17f779ccbf7cdaf439bc3fb2433444bfedde4eddf5b8f8ee27")
 
     def test_frequency_sweep_shape(self):
         config = parse_scenario({"experiment": {"kind": "freq"}})
