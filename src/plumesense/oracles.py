@@ -1,18 +1,19 @@
 """Independent numerical ground truth for the closed forms and the detector.
 
 Five oracle families live here: a finite-difference march of the transformed
-heat equation validating the steady plume, an advection-diffusion march
-validating the jet response, adaptive time convolution validating the breath
-step response, a DFT of the sampled impulse response validating the
+heat equation validating the steady plume, the exact heat kernel in the wind
+frame validating the jet response, adaptive time convolution validating the
+breath step response, a DFT of the sampled impulse response validating the
 frequency-domain shape, and Monte Carlo estimators validating the receiver
-integral and the missed-detection probability.  Each march starts from its
-closed form and derives its own steps: the steady one runs between two
+integral and the missed-detection probability.  Each oracle starts from its
+closed form and derives its own grid: the steady march runs between two
 downwind distances from :func:`steady_state_concentration` at the first, in
-scale steps set by a single resolution; the jet one from
-:func:`jet_concentration` at its start time, in steps set by its box's
-spacing and the stability bound.  The time convolution runs on the same
-adaptive Gauss-Kronrod loop as the channel's :func:`diffusion_scale`, and
-fails under the same rule, with :class:`QuadratureError`.
+scale steps set by a single resolution; the jet oracle takes one FFT of
+:func:`jet_concentration` at its start time, on a box sized by the pulse's
+spread; the spectrum samples the pulse at a rate and over a window set by
+its width and delay.  The time convolution runs on the same adaptive
+Gauss-Kronrod loop as the channel's :func:`diffusion_scale`, and fails under
+the same rule, with :class:`QuadratureError`.
 
 Every oracle is deterministic given its full configuration (seeds included)
 and carries an explicit error budget; disagreement beyond budget is a hard
@@ -328,293 +329,128 @@ def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
 
 
 # ---------------------------------------------------------------------------
-# transient jet: advection-diffusion march
+# transient jet: the heat kernel in the wind frame
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TransientGrid:
-    """Box grid for the transient jet march.
-
-    The march starts from the closed form at t_start (> release time) and runs
-    to t_end; the box must contain the pulse over that whole window.  Each
-    time step is the most whole advection cells (exact upwind transport at
-    unit CFL, so numerical diffusion does not pollute the comparison) that
-    the explicit diffusion stability bound allows.
+    """Time window of the transient jet oracle: it starts from the closed
+    form at t_start (> release time) and follows the probes to t_end.  The
+    box and its step come from the pulse (see :func:`march_transient_jet`).
     """
 
-    x_span: Tuple[float, float]
-    y_half: float
-    z_span: Tuple[float, float]
-    step_x: float
-    step_y: float
-    step_z: float
     t_start: float
     t_end: float
 
     def __post_init__(self):
-        if not (0.0 < self.x_span[0] < self.x_span[1]):
-            raise GridError("need 0 < x_lo < x_hi")
-        if not (0.0 <= self.z_span[0] < self.z_span[1]):
-            raise GridError("need 0 <= z_lo < z_hi")
-        if not (self.y_half > 0.0):
-            raise GridError("y_half must be positive")
-        for name in ("step_x", "step_y", "step_z"):
-            if not (getattr(self, name) > 0.0):
-                raise GridError(f"{name} must be positive")
-        if not (0.0 < self.t_start < self.t_end):
-            raise GridError("need 0 < t_start < t_end")
+        if not (0.0 < self.t_start < self.t_end < math.inf):
+            raise GridError("need 0 < t_start < t_end < inf")
 
 
 @dataclass
 class TransientMarchResult:
     grid: TransientGrid
-    x: np.ndarray
+    x: np.ndarray  # the box's axes at t_start
     y: np.ndarray
     z: np.ndarray
     times: np.ndarray
-    mass: np.ndarray
+    mass: float
     probe_points: Tuple[Tuple[float, float, float], ...]
     probe_values: np.ndarray  # (n_probes, n_times)
-    snapshots: Tuple[Tuple[float, np.ndarray], ...]
     dt: float
     runtime_s: float
 
 
-# x-planes per block of the jet's diffusion step: a few planes of work
-# buffers stay in cache where slab-sized ones would not
-_DIFFUSION_BLOCK = 8
+# the box's reach about the pulse centre, in spreads sqrt(2 K t_end)
+_BOX_REACH = 6.0
 
-# numpy's pairwise float sum: runs of at most this many elements are summed
-# in one unrolled pass, longer ones split in two (``PW_BLOCKSIZE``)
-_PAIRWISE_BLOCK = 128
+# the box's steps per spread sqrt(2 K t_start)
+_STEPS_PER_SPREAD = 2.0
 
-
-def _diffuse_inplace(C, coef_x, coef_y, coef_z, acc, tmp):
-    """Add one explicit diffusion increment to the interior of C.
-
-    ``coef_*`` is K*dt/step^2 per axis.  C must be C-contiguous, so each of
-    its x-planes is one flat row of ``ny*nz`` values.  Every pass runs over
-    the contiguous run ``[nz, ny*nz - nz)`` of a row, which holds every
-    interior cell: its y-neighbours sit ``nz`` away, its z-neighbours 1 away,
-    and its x-neighbours in the rows before and after.  The run also covers
-    the z-shell cells (z index 0 and nz - 1); their increments are set to
-    -0.0 before the add, and x + (-0.0) is x for every x, signed zeros
-    included, so the shells never move.  Neither do the y-shell rows and the
-    first and last planes, which no pass writes (Dirichlet).
-
-    The planes run through in blocks of ``_DIFFUSION_BLOCK``: ``acc`` holds
-    two blocks (ping and pong) and ``tmp`` one, each ``(_DIFFUSION_BLOCK,
-    ny*nz - 2*nz)``.  A block's increment is added only after the next block
-    has read the old values of its last plane, and each interior element sees
-    the same operations in the same order as a whole-slab update, so the
-    result is bit-identical to it.
-    """
-    if not C.flags.c_contiguous:
-        raise ValueError("the diffusion slab must be C-contiguous")
-    nz = C.shape[2]
-    rows = C.reshape(C.shape[0], -1)
-    width = rows.shape[1]
-    run = slice(nz, width - nz)
-    centre = -2.0 * (coef_x + coef_y + coef_z)
-    end = rows.shape[0] - 1
-    pending = None
-    for block, s in enumerate(range(1, end, _DIFFUSION_BLOCK)):
-        e = min(s + _DIFFUSION_BLOCK, end)
-        a, t = acc[block % 2, :e - s], tmp[:e - s]
-        np.multiply(rows[s:e, run], centre, out=a)
-        np.add(rows[s + 1:e + 1, run], rows[s - 1:e - 1, run], out=t)
-        t *= coef_x
-        a += t
-        np.add(rows[s:e, 2 * nz:], rows[s:e, :width - 2 * nz], out=t)
-        t *= coef_y
-        a += t
-        np.add(rows[s:e, nz + 1:width - nz + 1], rows[s:e, nz - 1:width - nz - 1], out=t)
-        t *= coef_z
-        a += t
-        shells = a.reshape(e - s, -1, nz)
-        shells[:, :, 0] = -0.0
-        shells[:, :, -1] = -0.0
-        # the block before may move now: this one has read its last plane
-        if pending is not None:
-            rows[pending[0], run] += pending[1]
-        pending = (slice(s, e), a)
-    if pending is not None:
-        rows[pending[0], run] += pending[1]
-
-
-def _support_sum(flat, start, stop, lo, hi):
-    """``flat[start:stop].sum()`` for a contiguous float64 ``flat`` that is
-    +0.0 outside ``[lo, hi)``, bit for bit, touching little more than that
-    support.
-
-    numpy sums a contiguous float64 run as 0.0 plus its pairwise sum: a run
-    of at most ``_PAIRWISE_BLOCK`` values in one fixed order, a longer one as
-    the sum of its two halves, the first rounded down to a multiple of 8.
-    This follows the same splits.  A part inside the support, and a short run,
-    is summed by numpy itself in the same order; a part outside is all +0.0,
-    whose pairwise sum is exactly +0.0.  The two can differ only in the sign
-    of a zero, and adding a signed zero to a nonzero value, or 0.0 to a zero,
-    gives the same result either way.
-    """
-    if stop <= lo or hi <= start:
-        return 0.0
-    size = stop - start
-    if size <= _PAIRWISE_BLOCK or (lo <= start and stop <= hi):
-        return flat[start:stop].sum()
-    half = size // 2
-    half -= half % 8
-    return (_support_sum(flat, start, start + half, lo, hi)
-            + _support_sum(flat, start + half, stop, lo, hi))
+# the most box points per axis, and the most probe times
+_MAX_BOX_POINTS = 128
+_MAX_PROBE_TIMES = 2**20
 
 
 def march_transient_jet(params: ChannelParams, source_height: float, grid: TransientGrid,
-                        probes: Sequence[Tuple[float, float, float]] = (),
-                        snapshot_times: Sequence[float] = ()) -> TransientMarchResult:
-    """March the full advection-diffusion equation for a unit-mass jet released
-    at t = 0.
+                        probes: Sequence[Tuple[float, float, float]] = ()
+                        ) -> TransientMarchResult:
+    """Evolve a unit-mass jet released at t = 0 from its closed form at
+    t_start by the exact heat kernel, and read it at the probes.
 
-    Scope: constant diffusivity only, so scheme error is not conflated with
-    the coordinate transform.  Advection advances ``cells``, an exact integer
-    number of cells per step: the most that keep the centered, explicit
-    diffusion step within its 3D stability bound.
+    Scope: constant diffusivity K only.  In the frame that moves with the
+    wind, x - u t, the advection-diffusion equation is the heat equation
+    with a reflecting ground.  The closed form at t_start is sampled once on
+    a box in that frame, centred on the pulse (u t_start, 0, source height):
+    its half-width is ``_BOX_REACH`` spreads sqrt(2 K t) at t_end, and its
+    step 1/``_STEPS_PER_SPREAD`` of the spread at t_start.  A box that would
+    reach below the ground is made symmetric about z = 0 and sampled at |z|:
+    the even extension, whose heat flow is the reflecting ground's.
 
-    The initial condition is the closed form at t_start, evaluated only on
-    the x-planes between the first and last nonzero value on the source line
-    (x, 0, source_height); every other plane is exactly 0.0.  That is exact:
-    each value is the along-wind term at x times the crosswind factor, and on
-    the source line that factor is at least 1, so the line value is 0 only
-    where the along-wind term is, and then so is the whole plane.
+    One FFT of the box gives its trigonometric interpolant, and after an
+    elapsed time tau the heat kernel damps each mode k by exp(-K |k|^2 tau),
+    exactly.  The probe times are one box step apart in the wind frame.  At
+    each, the interpolant is evaluated at the probe's place in the frame; the
+    sum factors per axis, so it is one contraction of the box.  A probe
+    outside the box reads 0, never a periodic image.
 
-    The field lives in a frame that moves with the wind: a buffer of two
-    boxes of x-planes, whose box is the view ``frame[off:off + n]``.  Each
-    step advects by lowering ``off`` by ``cells``, so no value moves: the
-    planes that enter at the near end hold 0.0, as nothing has written them
-    since the buffer was zeroed, and those that leave at the far end drop out
-    of the view.  When ``off``
-    would go below 0, the live planes are copied back to the top of the
-    buffer and the rest of it is zeroed, once per about n/cells steps, so the
-    buffer stays two boxes whatever t_end is.
-
-    Each step touches only the x-planes of the exact nonzero support.  The
-    stencil maps an all-zero neighbourhood to exactly 0.0, so the support
-    moves by ``cells`` planes and widens by one plane per side per step.  The
-    diffusion step runs over the support a few planes at a time, each plane
-    as one flat row (see ``_diffuse_inplace``), and the mass sums the support
-    in numpy's own pairwise order (see ``_support_sum``), so every result is
-    bit-identical to advecting, diffusing and summing the whole box.
+    ``mass`` is the box sum times the cell volume (half of it on a mirrored
+    box): the zero mode, which the kernel keeps, so it tests the closed
+    form's normalisation on the box.  Raises :class:`DomainError` for a
+    varying K, and :class:`GridError` where the box reaches inside x_min or
+    the window needs more than ``_MAX_BOX_POINTS`` per axis or
+    ``_MAX_PROBE_TIMES`` times.
     """
     if not params.diffusivity.is_constant:
         raise DomainError("transient oracle is scoped to constant diffusivity profiles")
-    if grid.x_span[0] < params.x_min:
-        raise GridError("x_lo must be at least params.x_min")
     start = time.perf_counter()
     K = params.diffusivity.k0
     u = params.wind_speed
-    dx, dy, dz = grid.step_x, grid.step_y, grid.step_z
+    step = math.sqrt(2.0 * K * grid.t_start) / _STEPS_PER_SPREAD
+    reach = _BOX_REACH * math.sqrt(2.0 * K * grid.t_end)
+    if not 0.0 < reach <= step * _MAX_BOX_POINTS / 2 < math.inf:
+        raise GridError(f"no box of at most {_MAX_BOX_POINTS} points per axis resolves the "
+                        f"pulse from t = {grid.t_start:g} to {grid.t_end:g} s")
+    n = math.ceil(reach / step)
+    offsets = step * np.arange(-n, n)
+    x = u * grid.t_start + offsets
+    if x[0] < params.x_min:
+        raise GridError(f"the box reaches x = {x[0]:g} cm, inside x_min = {params.x_min:g} cm")
+    y = offsets
+    mirrored = source_height < n * step
+    if mirrored:
+        m = n + math.ceil(source_height / step)
+        z = step * np.arange(-m, m)
+    else:
+        z = source_height + offsets
+    box = jet_concentration(1.0, 0.0, (x[:, None, None], y[None, :, None],
+                                       np.abs(z)[None, None, :], grid.t_start),
+                            params, source_height)
+    # the closed form's own domain errors come before the grid's: the probe
+    # times are one box step apart in the wind frame
+    span = (grid.t_end - grid.t_start) * u / step
+    if not span < _MAX_PROBE_TIMES:
+        raise GridError(f"the pulse is too narrow to follow from t = {grid.t_start:g} to "
+                        f"{grid.t_end:g} s in {_MAX_PROBE_TIMES} probe times")
+    mass = float(box.sum()) * step**3 / (2.0 if mirrored else 1.0)
+    modes = np.fft.fftn(box)
+    waves = [2.0 * np.pi * np.fft.fftfreq(axis.size, step) for axis in (x, y, z)]
 
-    diffusion_cap = 0.5 / (K * (1.0 / dx**2 + 1.0 / dy**2 + 1.0 / dz**2))
-    cells = int(math.floor(diffusion_cap * u / dx))
-    if cells < 1:
-        raise GridError(
-            "no stable integer-CFL step exists: refine step_x or coarsen the crosswind steps"
-        )
-    dt = cells * dx / u
-
-    x = grid.x_span[0] + dx * np.arange(int(math.ceil((grid.x_span[1] - grid.x_span[0]) / dx)) + 1)
-    n_yh = int(math.ceil(grid.y_half / dy))
-    y = dy * np.arange(-n_yh, n_yh + 1)
-    z = grid.z_span[0] + dz * np.arange(
-        int(math.ceil((grid.z_span[1] - grid.z_span[0]) / dz)) + 1
-    )
-    if np.any(z < 0.0):
-        raise GridError("z grid reaches below the ground")
-
-    # the box starts at the top of the frame: n planes of room below it
-    n = x.size
-    plane = y.size * z.size
-    frame = np.zeros((2 * n, y.size, z.size))
-    flat = frame.reshape(-1)
-    off = n
-    C = frame[off:off + n]
-    # the closed form at t_start, evaluated only on the planes where the
-    # source line is nonzero: see the docstring for why that is exact
-    line = np.asarray(jet_concentration(1.0, 0.0, (x, 0.0, source_height, grid.t_start),
-                                        params, source_height))
-    nonzero = np.flatnonzero(line)
-    # [lo, hi): the x-planes that may hold a nonzero value; all others are 0.0
-    lo, hi = n, n
-    if nonzero.size:
-        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-        C[lo:hi] = jet_concentration(
-            1.0,
-            0.0,
-            (x[lo:hi, None, None], y[None, :, None], z[None, None, :], grid.t_start),
-            params,
-            source_height,
-        )
-        support = lo + np.flatnonzero(C[lo:hi].any(axis=(1, 2)))
-        lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (n, n)
-    cell_volume = dx * dy * dz
-
-    def box_mass():
-        return _support_sum(flat, off * plane, (off + n) * plane,
-                            (off + lo) * plane, (off + hi) * plane) * cell_volume
-
-    n_steps = int(math.ceil((grid.t_end - grid.t_start) / dt))
-    times = grid.t_start + dt * np.arange(n_steps + 1)
-
-    probe_idx = []
-    probe_points = []
-    for px, py, pz in probes:
-        i = int(round((px - x[0]) / dx))
-        j = int(round((py - y[0]) / dy))
-        k = int(round((pz - z[0]) / dz))
-        if not (0 < i < x.size - 1 and 0 < j < y.size - 1 and 0 < k < z.size - 1):
-            raise GridError(f"probe {(px, py, pz)} falls outside the interior of the box")
-        probe_idx.append((i, j, k))
-        probe_points.append((float(x[i]), float(y[j]), float(z[k])))
-
-    snap_steps = {int(round((ts - grid.t_start) / dt)): ts for ts in snapshot_times}
-    snapshots = []
-
-    mass = np.empty(n_steps + 1)
-    mass[0] = box_mass()
-    probe_values = np.empty((len(probe_idx), n_steps + 1))
-    for p, (i, j, k) in enumerate(probe_idx):
-        probe_values[p, 0] = C[i, j, k]
-    if 0 in snap_steps:
-        snapshots.append((float(times[0]), C.copy()))
-
-    block = (_DIFFUSION_BLOCK, plane - 2 * z.size)
-    acc = np.empty((2, *block))
-    tmp = np.empty(block)
-    coef = (K * dt / dx**2, K * dt / dy**2, K * dt / dz**2)
-    for step in range(1, n_steps + 1):
-        # exact advection: the box moves `cells` planes down the frame, so
-        # box plane i + cells is the old plane i, and the inflow planes are 0.0
-        new_lo, new_hi = min(lo + cells, n), min(hi + cells, n)
-        if off >= cells:
-            off -= cells
-        else:
-            # re-home: the live planes go back to the top and all below them
-            # is zeroed.  Above them is 0.0 already: a plane past the support
-            # is written only once the support reaches the box's far end, and
-            # from then on the live planes end there too.
-            frame[n + new_lo:n + new_hi] = frame[off + lo:off + lo + new_hi - new_lo]
-            frame[:n + new_lo] = 0.0
-            off = n
-        lo, hi = new_lo, new_hi
-        C = frame[off:off + n]
-        if lo < hi:
-            # the slab keeps one zero ghost plane beyond each updated plane
-            _diffuse_inplace(C[max(lo - 2, 0):min(hi + 2, n)], *coef, acc, tmp)
-            lo, hi = max(lo - 1, 0), min(hi + 1, n)
-        mass[step] = box_mass()
-        for p, (i, j, k) in enumerate(probe_idx):
-            probe_values[p, step] = C[i, j, k]
-        if step in snap_steps:
-            snapshots.append((float(times[step]), C.copy()))
+    dt = step / u
+    times = grid.t_start + dt * np.arange(math.ceil(span) + 1)
+    probe_values = np.zeros((len(probes), times.size))
+    probe_points = tuple(tuple(float(c) for c in point) for point in probes)
+    for p, (px, py, pz) in enumerate(probe_points):
+        if not (y[0] <= py <= y[-1] and z[0] <= pz <= z[-1]):
+            continue
+        # the probe's place along the box as the box drifts downwind
+        along = px - u * (times - grid.t_start)
+        for i in np.flatnonzero((x[0] <= along) & (along <= x[-1])):
+            tau = times[i] - grid.t_start
+            fx, fy, fz = (np.exp(1j * k * (c - axis[0]) - K * k * k * tau)
+                          for k, c, axis in zip(waves, (along[i], py, pz), (x, y, z)))
+            probe_values[p, i] = (modes @ fz @ fy @ fx).real / modes.size
 
     return TransientMarchResult(
         grid=grid,
@@ -623,9 +459,8 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
         z=z,
         times=times,
         mass=mass,
-        probe_points=tuple(probe_points),
+        probe_points=probe_points,
         probe_values=probe_values,
-        snapshots=tuple(snapshots),
         dt=dt,
         runtime_s=time.perf_counter() - start,
     )
@@ -634,8 +469,9 @@ def march_transient_jet(params: ChannelParams, source_height: float, grid: Trans
 def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
                             source_height: float) -> OracleReport:
     """Compare probe time series against the closed form where the pulse is
-    significant (``_PROBE_SIGNIFICANCE`` of the per-probe peak or more) and the
-    marched mass, under the ``transient_probe`` and ``transient_mass`` checks."""
+    significant (``_PROBE_SIGNIFICANCE`` of the per-probe peak or more), and
+    the box's mass with 1, under the ``transient_probe`` and
+    ``transient_mass`` checks."""
     if not result.probe_points:
         raise GridError("the transient oracle has nothing to compare: the march's probe "
                         "list is empty")
@@ -664,9 +500,10 @@ def transient_oracle_report(result: TransientMarchResult, params: ChannelParams,
         l2_rel_error=math.sqrt(sq_num / sq_ref),
         checks={
             "transient_probe": worst,
-            "transient_mass": float(np.max(np.abs(result.mass - 1.0))),
+            "transient_mass": abs(result.mass - 1.0),
         },
-        grid=asdict(result.grid),
+        grid={**asdict(result.grid), "step": float(result.x[1] - result.x[0]),
+              "shape": (result.x.size, result.y.size, result.z.size)},
         runtime_s=result.runtime_s,
         extras={"dt": result.dt, **peak_offsets},
     )
@@ -742,36 +579,51 @@ class SampledSpectrum:
         return float(np.polyfit(self.omega[mask], unwrapped, 1)[0])
 
 
-def sampled_transfer_function(point, params: ChannelParams, source_height: float,
-                              sample_interval: float, n_samples: int) -> SampledSpectrum:
+# the spectrum's samples across the pulse's 12 sigma, and its fewest and
+# most samples
+_SAMPLES_PER_PULSE = 64
+_MIN_SPECTRUM_SAMPLES = 4096
+_MAX_SPECTRUM_SAMPLES = 2**20
+
+
+def sampled_transfer_function(point, params: ChannelParams,
+                              source_height: float) -> SampledSpectrum:
     """Sample the impulse response on a uniform time grid from t = 0 and DFT
     it.
 
-    Guards: the Gaussian pulse (12 sigma wide) must span at least 32 samples,
-    and the window must cover the pulse center +- 6 sigma.
+    The grid comes from the pulse at the point, of width sigma_t =
+    sqrt(2 s(x)) / u about x / u: the interval puts ``_SAMPLES_PER_PULSE``
+    samples across 12 sigma_t, and the length is the smallest power of two,
+    at least ``_MIN_SPECTRUM_SAMPLES``, whose window covers the pulse centre
+    +- 6 sigma_t and spans at least 2 x / u.  A shorter window spaces the DFT
+    bins so far apart that the phase x / u per unit omega moves by more than
+    pi from one bin to the next, and the phase cannot be unwrapped.  Raises
+    :class:`GridError` where the pulse begins before t = 0 or needs more
+    than ``_MAX_SPECTRUM_SAMPLES`` samples.
     """
     px, py, pz = (float(c) for c in point)
-    if sample_interval <= 0.0 or n_samples < 2:
-        raise GridError("need a positive sample interval and at least 2 samples")
     u = params.wind_speed
     sigma_t = math.sqrt(2.0 * diffusion_scale(px, params)) / u
-    if 12.0 * sigma_t / sample_interval < 32.0:
-        raise GridError(
-            f"pulse spans {12.0 * sigma_t / sample_interval:.1f} samples; need >= 32 "
-            "(aliasing guard)"
-        )
     t_peak = px / u
-    t_hi = (n_samples - 1) * sample_interval
-    if t_peak - 6.0 * sigma_t < 0.0 or t_hi < t_peak + 6.0 * sigma_t:
-        raise GridError("sampling window must cover the pulse center +- 6 sigma")
-    times = sample_interval * np.arange(n_samples)
+    if t_peak - 6.0 * sigma_t < 0.0:
+        raise GridError(f"the pulse at x = {px:g} cm begins before t = 0: its centre "
+                        "+- 6 sigma must follow the release")
+    interval = 12.0 * sigma_t / _SAMPLES_PER_PULSE
+    reach = max(t_peak + 6.0 * sigma_t + interval, 2.0 * t_peak)
+    n_samples = _MIN_SPECTRUM_SAMPLES
+    while n_samples <= _MAX_SPECTRUM_SAMPLES and n_samples * interval < reach:
+        n_samples *= 2
+    if n_samples > _MAX_SPECTRUM_SAMPLES:
+        raise GridError(f"the pulse at x = {px:g} cm is too narrow for its delay: a window "
+                        f"of {_MAX_SPECTRUM_SAMPLES} samples cannot span 2 x / u")
+    times = interval * np.arange(n_samples)
     samples = np.asarray(impulse_response((px, py, pz, times), params, source_height))
-    values = np.fft.rfft(samples) * sample_interval
-    omega = 2.0 * np.pi * np.fft.rfftfreq(n_samples, d=sample_interval)
+    values = np.fft.rfft(samples) * interval
+    omega = 2.0 * np.pi * np.fft.rfftfreq(n_samples, d=interval)
     return SampledSpectrum(
         omega=omega,
         values=values,
-        sample_interval=sample_interval,
+        sample_interval=interval,
         n_samples=n_samples,
         point=(px, py, pz),
     )

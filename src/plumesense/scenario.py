@@ -373,7 +373,6 @@ _EXPERIMENT_FIELDS = {
             partial(_expect_number, minimum=0.1), 0.2, "number >= 0.1", "cm",
             "steady march grid step; a second march runs at half of it, and the work grows "
             "as its inverse fourth power"),
-        "transient": _Field(_expect_bool, True, "bool"),
         "trials": _count(200_000, 10_000, "Monte Carlo detection trials", _MAX_TRIALS),
         "mc_samples": _count(200_000, 100_000, "volume-integral samples", _MAX_SAMPLES),
     },

@@ -196,8 +196,7 @@ def test_criterion_5_frequency_response(params):
     0.5%; under 10 s."""
     start = time.perf_counter()
     point = (100.0, 0.0, HEIGHT)
-    spectrum = sampled_transfer_function(point, params, HEIGHT,
-                                         sample_interval=5e-4, n_samples=4096)
+    spectrum = sampled_transfer_function(point, params, HEIGHT)
     scale = diffusion_scale(100.0, params)
     omega_max = WIND / math.sqrt(scale)
     mask = spectrum.omega <= omega_max

@@ -364,7 +364,7 @@ class TestValidateOraclesExit:
         code = cli.dispatch([
             "validate-oracles", "--scenario", str(scenario_file), "--out", str(out),
             "--set", "experiment={\"kind\": \"validate_oracles\", \"steady_resolution\": 0.5, "
-                     "\"transient\": false, \"trials\": 10000, \"mc_samples\": 100000}"])
+                     "\"trials\": 10000, \"mc_samples\": 100000}"])
         assert code == cli.EXIT_NUMERIC
         names = list(ORACLE_CHECKS)
         rows = read_results(out).rows
@@ -626,18 +626,31 @@ def test_vanishing_diffusivity_names_the_channel_in_validate_oracles(tmp_path, d
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("diffusivity", [0.01, 1e-3])
+@pytest.mark.parametrize("diffusivity", [1e-7, 1e-9])
 def test_unresolvable_channel_named_in_validate_oracles(tmp_path, diffusivity, capsys):
-    """validate-oracles' transient box and spectrum sampling are sized for
-    the shipped channel: at K = 0.01 cm^2/s the pulse spans too few spectrum
-    samples, at 1e-3 it never reaches the transient probe.  The run names
-    the channel and exits 2 without a file."""
+    """validate-oracles takes its grids from the channel, up to stated caps:
+    at K = 1e-7 cm^2/s no spectrum window of 2^20 samples spans twice the
+    pulse's delay, and at 1e-9 the transient oracle would need more than 2^20
+    probe times.  The run names the channel and exits 2 without a file."""
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     out = tmp_path / "out.csv"
     code = cli.dispatch(["validate-oracles", "--scenario", str(scenarios / "validate.json"),
                          "--out", str(out), "--set", f"channel.diffusivity={diffusivity}"])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: channel: ")
+    assert not out.exists()
+
+
+def test_retired_transient_key_named(tmp_path, capsys):
+    """experiment.transient, which once skipped the jet oracle, is an
+    unknown key: the run names it and exits 2 without a file."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    code = cli.dispatch(["validate-oracles", "--scenario", str(scenarios / "validate.json"),
+                         "--out", str(out), "--set", "experiment.transient=false"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: experiment: unknown key(s): "
+                                       "transient\n")
     assert not out.exists()
 
 
@@ -685,7 +698,7 @@ def test_tiny_steady_resolution_named(tmp_path):
         result = _fresh_process("from plumesense.cli import main; main()", "validate-oracles",
                                 "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
                                 "--seed", "1", "--set",
-                                'experiment={"kind":"validate_oracles","transient":false,'
+                                'experiment={"kind":"validate_oracles",'
                                 f'"steady_resolution":{resolution}}}')
         assert result.returncode == cli.EXIT_CONFIG, result.stderr
         assert result.stderr.startswith("configuration error: experiment.steady_resolution: ")

@@ -19,15 +19,11 @@ from plumesense.channel import (
 from plumesense import oracles
 from plumesense.errors import DomainError, EvaluationDomainError, GridError, QuadratureError
 from plumesense.oracles import (
-    _DIFFUSION_BLOCK,
-    _PAIRWISE_BLOCK,
     ORACLE_CHECKS,
     WILSON_Z,
     McExposureEstimate,
     PmdEstimate,
     TransientGrid,
-    _diffuse_inplace,
-    _support_sum,
     _wilson_interval,
     empirical_pmd,
     march_steady_plume,
@@ -258,200 +254,28 @@ class TestSteadyMarch:
 
 @pytest.fixture(scope="module")
 def transient_result(params):
-    grid = TransientGrid(
-        x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
-        step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
-    )
-    return march_transient_jet(params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)],
-                               snapshot_times=(0.10, 0.35))
+    # validate-oracles' window and probe at the shipped channel
+    return march_transient_jet(params, HEIGHT, TransientGrid(0.10, 0.35),
+                               probes=[(30.0, 0.0, HEIGHT)])
 
 
-def whole_slab_diffusion(C, cx, cy, cz):
-    """Reference: one explicit diffusion increment over the whole interior
-    of C at once."""
-    core = slice(1, -1)
-    acc = np.empty_like(C[core, core, core])
-    np.multiply(C[core, core, core], -2.0 * (cx + cy + cz), out=acc)
-    acc += (C[2:, core, core] + C[:-2, core, core]) * cx
-    acc += (C[core, 2:, core] + C[core, :-2, core]) * cy
-    acc += (C[core, core, 2:] + C[core, core, :-2]) * cz
-    C[core, core, core] += acc
-
-
-def full_box_march(result, params):
-    """Reference: the march from the t_start snapshot with every step
-    advecting and diffusing the whole box.  Returns probes, mass, snapshots."""
-    g = result.grid
-    K, dt = params.diffusivity.k0, result.dt
-    cells = int(round(dt * params.wind_speed / g.step_x))
-    cx, cy, cz = K * dt / g.step_x**2, K * dt / g.step_y**2, K * dt / g.step_z**2
-    snap_times = {t for t, _ in result.snapshots}
-    C = result.snapshots[0][1].copy()
-    idx = [tuple(int(np.argmin(np.abs(axis - c))) for axis, c in
-                 zip((result.x, result.y, result.z), point)) for point in result.probe_points]
-    probes, mass, snaps = [], [], []
-    for step, t in enumerate(result.times):
-        if step:
-            C[cells:] = C[:-cells]
-            C[:cells] = 0.0
-            whole_slab_diffusion(C, cx, cy, cz)
-        probes.append([C[i] for i in idx])
-        mass.append(C.sum() * (g.step_x * g.step_y * g.step_z))
-        if float(t) in snap_times:
-            snaps.append((float(t), C.copy()))
-    return np.array(probes).T, np.array(mass), snaps
-
-
-def assert_matches_full_box(result, params):
-    probes, mass, snaps = full_box_march(result, params)
-    assert np.array_equal(result.probe_values, probes)
-    assert np.array_equal(result.mass, mass)
-    assert [t for t, _ in result.snapshots] == [t for t, _ in snaps]
-    for (_, marched), (_, reference) in zip(result.snapshots, snaps):
-        assert np.array_equal(marched, reference)
-
-
-def x_support(field):
-    return np.flatnonzero(field.any(axis=(1, 2)))
-
-
-def assert_starts_from_closed_form(result, params):
-    # the march evaluates the closed form only on the source line's nonzero
-    # planes; over the whole box it must give the same field bit for bit
-    t_start, field = result.snapshots[0]
-    assert t_start == result.grid.t_start
-    box = (result.x[:, None, None], result.y[None, :, None], result.z[None, None, :], t_start)
-    assert np.array_equal(field, jet_concentration(1.0, 0.0, box, params, HEIGHT))
-
-
-def sharp_band(x_lo):
-    """A stand-in for the jet's closed form: a band 1 cm long from x_lo,
-    cut off at full strength on every side."""
+def unit_gaussian(sigma0):
+    """A stand-in for the jet's closed form: an isotropic unit Gaussian of
+    standard deviation ``sigma0`` about (u t, 0, HEIGHT), whatever t is."""
     def field(jet_mass, release_time, point, params, source_height):
-        x, y, z, _ = point
-        band = (x >= x_lo) & (x < x_lo + 1.0) & (np.abs(y) < 0.5) & (z > HEIGHT - 0.5)
-        return np.where(band, 1.0 + np.cos(7.0 * x + 3.0 * y + z), 0.0)
+        x, y, z, t = point
+        r2 = (x - params.wind_speed * t) ** 2 + y * y + (z - HEIGHT) ** 2
+        return np.exp(-r2 / (2.0 * sigma0**2)) / (2.0 * np.pi * sigma0**2) ** 1.5
     return field
 
 
-def same_bits(a, b):
-    """Equal bit for bit: signed zeros differ, as do NaN payloads."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def awkward_field(rng, shape):
-    """Random values with exact and signed zeros and subnormals."""
-    C = rng.standard_normal(shape)
-    C[rng.random(shape) < 0.2] = 0.0
-    C[rng.random(shape) < 0.05] = -0.0
-    tiny = rng.random(shape) < 0.2
-    C[tiny] = 5e-324 * rng.integers(-2**20, 2**20, size=tiny.sum())
-    return C
-
-
-def row_diffusion(C, coef):
-    """The kernel on C in place, with work buffers of its row shape."""
-    run = (C.shape[1] - 2) * C.shape[2]
-    _diffuse_inplace(C, *coef, np.empty((2, _DIFFUSION_BLOCK, run)),
-                     np.empty((_DIFFUSION_BLOCK, run)))
-
-
-class TestBlockedDiffusion:
-    # stencil weights at the stability bound
-    COEF = (0.1, 0.15, 0.25)
-
-    # short slabs that fill part of one block, then slabs on either side of
-    # each block boundary
-    @pytest.mark.parametrize("planes", sorted({1, 3, 4, 5, 9, _DIFFUSION_BLOCK - 1,
-                                               _DIFFUSION_BLOCK, _DIFFUSION_BLOCK + 1,
-                                               2 * _DIFFUSION_BLOCK + 1}))
-    def test_bit_identical_to_whole_slab(self, rng, planes):
-        # random values with exact zeros and subnormals, and stencil weights
-        # at the stability bound
-        C = rng.standard_normal((planes + 2, 7, 6))
-        C[rng.random(C.shape) < 0.2] = 0.0
-        tiny = rng.random(C.shape) < 0.2
-        C[tiny] = 5e-324 * rng.integers(-2**20, 2**20, size=tiny.sum())
-        assert (C == 0.0).any() and (np.abs(C[C != 0.0]) < np.finfo(float).tiny).any()
-        coef = (0.1, 0.15, 0.25)
-        expected = C.copy()
-        whole_slab_diffusion(expected, *coef)
-        # each x-plane is one row: the work buffers span its interior y rows
-        acc = np.empty((2, _DIFFUSION_BLOCK, 5 * 6))
-        tmp = np.empty((_DIFFUSION_BLOCK, 5 * 6))
-        _diffuse_inplace(C, *coef, acc, tmp)
-        assert np.array_equal(C, expected)
-
-    @pytest.mark.parametrize("nz", [2, 3])
-    @pytest.mark.parametrize("planes", [1, _DIFFUSION_BLOCK + 1])
-    def test_bit_identical_on_the_smallest_crosswind_boxes(self, rng, planes, nz):
-        # one interior y row; at nz = 2 every cell of it is z shell, and the
-        # shells hold nonzero values, signed zeros and subnormals
-        C = awkward_field(rng, (planes + 2, 3, nz))
-        C[:, :, [0, -1]] = rng.choice([-0.0, 5e-324, -1.5, 2.0], size=(planes + 2, 3, 2))
-        assert np.signbit(C[C == 0.0]).any() and (np.abs(C[C != 0.0]) < 1e-300).any()
-        expected = C.copy()
-        whole_slab_diffusion(expected, *self.COEF)
-        shells = C.copy()
-        row_diffusion(C, self.COEF)
-        assert same_bits(C, expected)
-        # the shells keep their very bits, -0.0 included
-        for edge in (np.s_[:, :, 0], np.s_[:, :, -1], np.s_[:, 0, :], np.s_[:, -1, :],
-                     np.s_[0], np.s_[-1]):
-            assert same_bits(C[edge], shells[edge])
-        if nz == 3:
-            assert not same_bits(C[1:-1, 1, 1], shells[1:-1, 1, 1])
-
-    def test_slab_must_be_contiguous(self, rng):
-        C = rng.standard_normal((4, 5, 8))[:, :, ::2]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            row_diffusion(C, self.COEF)
-
-
-class TestSupportSum:
-    """``_support_sum`` against numpy's own sum of the whole box."""
-
-    @pytest.mark.parametrize("shape, branch", [
-        ((1, 2, 3), "under-8"), ((3, 5, 6), "one-block"), ((40, 7, 6), "split"),
-        ((300, 13, 11), "split")])
-    def test_bit_identical_to_box_sum(self, rng, shape, branch):
-        n, plane = shape[0], shape[1] * shape[2]
-        # the box's size picks numpy's branch: a short loop, one unrolled
-        # block, or a split in two
-        assert branch == ("under-8" if n * plane < 8 else
-                          "one-block" if n * plane <= _PAIRWISE_BLOCK else "split")
-        # the slab at either end, one plane, a middle slab, the whole box and
-        # an empty slab
-        slabs = {(0, 1), (n - 1, n), (0, n), (n // 3, n // 3 + max(1, n // 4)), (n, n),
-                 (0, 0), (n // 2, n // 2)}
-        for lo, hi in slabs:
-            for _ in range(3):
-                # the box is a window of a larger buffer, as the march's frame,
-                # and nonzero outside the window
-                frame = rng.standard_normal((n + 5, *shape[1:])) * 1e6
-                box = frame[2:2 + n]
-                box[:] = 0.0
-                box[lo:hi] = awkward_field(rng, (hi - lo, *shape[1:])) * np.exp(
-                    rng.uniform(-30, 30, size=(hi - lo, *shape[1:])))
-                total = _support_sum(frame.reshape(-1), 2 * plane, (2 + n) * plane,
-                                     (2 + lo) * plane, (2 + hi) * plane)
-                assert same_bits(np.float64(total), box.sum())
-
-    def test_order_matters_on_these_values(self, rng):
-        # the check above can fail: summing the slab alone rounds differently
-        # for most of these slabs
-        box = np.zeros((300, 13, 11))
-        moved = 0
-        for lo in range(0, 280, 20):
-            box[:] = 0.0
-            box[lo:lo + 17] = rng.standard_normal((17, 13, 11)) * np.exp(
-                rng.uniform(-30, 30, size=(17, 13, 11)))
-            plane = 13 * 11
-            assert same_bits(np.float64(_support_sum(box.reshape(-1), 0, box.size,
-                                                     lo * plane, (lo + 17) * plane)),
-                             box.sum())
-            moved += not same_bits(box[lo:lo + 17].sum(), box.sum())
-        assert moved >= 7
+def advected_gaussian(sigma0, params, point, times, t_start):
+    """The heat equation's exact evolution of ``unit_gaussian(sigma0)`` from
+    t_start, carried by the wind: variance sigma0^2 + 2 K tau."""
+    x, y, z = point
+    variance = sigma0**2 + 2.0 * params.diffusivity.k0 * (times - t_start)
+    r2 = (x - params.wind_speed * times) ** 2 + y * y + (z - HEIGHT) ** 2
+    return np.exp(-r2 / (2.0 * variance)) / (2.0 * np.pi * variance) ** 1.5
 
 
 class TestTransientMarch:
@@ -462,191 +286,146 @@ class TestTransientMarch:
 
     def test_report_grid_lists_every_grid_field(self, params, transient_result):
         grid = transient_oracle_report(transient_result, params, HEIGHT).grid
-        assert grid == dataclasses.asdict(transient_result.grid)
+        step = transient_result.x[1] - transient_result.x[0]
+        assert grid == {**dataclasses.asdict(transient_result.grid), "step": step,
+                        "shape": (46, 46, 46)}
 
     def test_mass_conserved(self, transient_result):
-        dev = np.abs(transient_result.mass - 1.0)
-        assert ORACLE_CHECKS["transient_mass"].passes(dev.max())
+        # the closed form is normalised exactly, and the box's sum is
+        # spectrally accurate
+        dev = abs(transient_result.mass - 1.0)
+        assert ORACLE_CHECKS["transient_mass"].passes(dev)
+        assert dev < 1e-12
 
     def test_peak_arrives_at_advection_time(self, transient_result):
         series = transient_result.probe_values[0]
         t_peak = transient_result.times[int(np.argmax(series))]
         assert abs(t_peak - 30.0 / WIND) <= transient_result.dt
 
-    def test_refinement_improves_probe_error(self, params, transient_result):
-        coarse_grid = TransientGrid(
-            x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
-            step_x=0.16, step_y=0.16, step_z=0.16, t_start=0.10, t_end=0.35,
-        )
-        coarse = march_transient_jet(params, HEIGHT, coarse_grid, probes=[(30.0, 0.0, HEIGHT)])
-        coarse_report = transient_oracle_report(coarse, params, HEIGHT)
-        fine_report = transient_oracle_report(transient_result, params, HEIGHT)
-        assert fine_report.max_rel_error < coarse_report.max_rel_error
+    def test_box_follows_the_pulse(self, params, transient_result):
+        # centred on the pulse at t_start, 6 spreads wide at t_end, and
+        # stepped at half the spread at t_start
+        step = transient_result.x[1] - transient_result.x[0]
+        assert step == pytest.approx(math.sqrt(2.0 * DIFFUSIVITY * 0.10) / 2.0, rel=1e-15)
+        for axis, centre in ((transient_result.x, WIND * 0.10), (transient_result.y, 0.0),
+                             (transient_result.z, HEIGHT)):
+            assert np.allclose(np.diff(axis), step, rtol=1e-12)
+            assert axis[axis.size // 2] == pytest.approx(centre, abs=1e-12)
+            assert -axis[0] + centre >= 6.0 * math.sqrt(2.0 * DIFFUSIVITY * 0.35)
+        assert transient_result.dt == pytest.approx(step / WIND, rel=1e-15)
 
-    def test_bit_identical_to_full_box_on_validation_grid(self, params, transient_result):
-        # the support starts inside the box and is clipped at its far end
-        assert x_support(transient_result.snapshots[0][1]).size < transient_result.x.size
-        assert x_support(transient_result.snapshots[-1][1])[-1] == transient_result.x.size - 1
-        assert_starts_from_closed_form(transient_result, params)
-        assert_matches_full_box(transient_result, params)
+    @pytest.mark.parametrize("wind, diffusivity", [(70.0, 0.05), (140.0, 0.242), (280.0, 1.0)])
+    def test_matches_advected_gaussian(self, monkeypatch, wind, diffusivity):
+        # a Gaussian of the box's start spread evolves in closed form; the
+        # heat kernel must follow it to rounding wherever it is significant
+        params = ChannelParams.with_constant(wind, diffusivity)
+        grid = TransientGrid(14.0 / wind, 49.0 / wind)
+        sigma0 = math.sqrt(2.0 * diffusivity * grid.t_start)
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", unit_gaussian(sigma0))
+        probe = (30.0, 0.3 * sigma0, HEIGHT - 0.5 * sigma0)
+        result = march_transient_jet(params, HEIGHT, grid, probes=[probe])
+        exact = advected_gaussian(sigma0, params, probe, result.times, grid.t_start)
+        series = result.probe_values[0]
+        significant = exact >= 1e-3 * exact.max()
+        assert significant.sum() > 10
+        assert np.allclose(series[significant], exact[significant], rtol=1e-10, atol=0.0)
+        assert np.max(np.abs(series - exact)) <= 1e-10 * exact.max()
+        assert abs(result.mass - 1.0) < 1e-12
 
-    def test_bit_identical_when_pulse_leaves_box(self, params):
-        grid = TransientGrid(
-            x_span=(4.0, 12.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.04, t_end=0.12,
-        )
-        # the mid-march snapshot holds the diffused trailing edge of the
-        # initial field, which the box cut off at a nonzero plane
-        result = march_transient_jet(params, HEIGHT, grid, probes=[(8.0, 0.0, HEIGHT)],
-                                     snapshot_times=(0.04, 0.06, 0.12))
-        assert result.mass[-1] == 0.0
-        assert x_support(result.snapshots[-1][1]).size == 0
-        assert_starts_from_closed_form(result, params)
-        assert_matches_full_box(result, params)
+    def test_mirrored_box_reflects_at_the_ground(self, monkeypatch):
+        # a source 0.5 cm up: the box takes in the ground, and the even
+        # extension is the reflecting ground exactly, image included
+        params = ChannelParams.with_constant(WIND, DIFFUSIVITY)
+        grid = TransientGrid(0.10, 0.35)
+        sigma0 = math.sqrt(2.0 * DIFFUSIVITY * grid.t_start)
+        height = 0.5
+        direct = unit_gaussian(sigma0)
 
-    def test_bit_identical_when_support_outgrows_shift(self):
-        # at 15 cm/s the 0.12 cm steps give one cell per step: the support
-        # widens by two planes and moves by one
-        slow = ChannelParams.with_constant(15.0, DIFFUSIVITY)
-        grid = TransientGrid(
-            x_span=(4.0, 104.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=2.0, t_end=2.01,
-        )
-        result = march_transient_jet(slow, HEIGHT, grid, probes=[(50.0, 0.0, HEIGHT)],
-                                     snapshot_times=(2.0, 2.01))
-        assert result.dt == grid.step_x / 15.0
-        first, last = x_support(result.snapshots[0][1]), x_support(result.snapshots[-1][1])
-        assert 0 < first[0] and last[-1] < result.x.size - 1
-        assert last.size > first.size
-        assert_starts_from_closed_form(result, slow)
-        assert_matches_full_box(result, slow)
+        def reflected(jet_mass, release_time, point, params, source_height):
+            x, y, z, t = point
+            return (direct(jet_mass, release_time, (x, y, z + HEIGHT - height, t), params, 0)
+                    + direct(jet_mass, release_time, (x, y, z + HEIGHT + height, t), params, 0))
 
-    def test_bit_identical_from_all_zero_initial_condition(self, params):
-        # by t_start the pulse has passed the box's far end (x = 12 cm) by
-        # 9 cm, so every plane underflows to 0.0 and no step has work to do
-        grid = TransientGrid(
-            x_span=(4.0, 12.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.15, t_end=0.2,
-        )
-        result = march_transient_jet(params, HEIGHT, grid, probes=[(8.0, 0.0, HEIGHT)],
-                                     snapshot_times=(0.15,))
-        assert not result.snapshots[0][1].any()
-        assert not result.mass.any()
-        assert_starts_from_closed_form(result, params)
-        assert_matches_full_box(result, params)
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", reflected)
+        probes = [(30.0, 0.0, 0.0), (30.0, 0.2, 0.7)]
+        result = march_transient_jet(params, height, grid, probes=probes)
+        assert result.z[0] < -height and result.z[-1] > height
+        for (px, py, pz), series in zip(probes, result.probe_values):
+            exact = (advected_gaussian(sigma0, params, (px, py, pz + HEIGHT - height),
+                                       result.times, grid.t_start)
+                     + advected_gaussian(sigma0, params, (px, py, pz + HEIGHT + height),
+                                         result.times, grid.t_start))
+            assert np.max(np.abs(series - exact)) <= 1e-10 * exact.max()
+        assert abs(result.mass - 1.0) < 1e-12
 
-    def test_march_peak_memory_within_six_boxes(self, params):
-        # validate-oracles' grid and probe, without snapshots: the box, the
-        # two diffusion work buffers and small change
-        grid = TransientGrid(
-            x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
-            step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
-        )
-        result, peak = traced_peak(lambda: march_transient_jet(
-            params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)]))
-        box_bytes = 8 * result.x.size * result.y.size * result.z.size
-        assert peak <= 6 * box_bytes
+    def test_probe_outside_the_box_reads_exactly_zero(self, params, transient_result):
+        # above the box, and beside it; and on the axis at every time the
+        # drifting box has not reached or has passed the probe
+        grid = transient_result.grid
+        above = (30.0, 0.0, transient_result.z[-1] + 0.01)
+        beside = (30.0, transient_result.y[0] - 0.01, HEIGHT)
+        result = march_transient_jet(params, HEIGHT, grid,
+                                     probes=[above, beside, (30.0, 0.0, HEIGHT)])
+        assert not result.probe_values[:2].any()
+        along = 30.0 - WIND * (result.times - grid.t_start)
+        outside = (along < result.x[0]) | (along > result.x[-1])
+        assert outside.any() and not outside.all()
+        assert not result.probe_values[2, outside].any()
+        assert np.array_equal(result.probe_values[2], transient_result.probe_values[0])
+
+    def test_refinement_leaves_probe_values(self, params, transient_result, monkeypatch):
+        # the interpolant is spectrally accurate: at half the step, the
+        # probe series agrees at the shared times to far below the budget
+        monkeypatch.setattr(oracles, "_STEPS_PER_SPREAD", 4.0)
+        fine = march_transient_jet(params, HEIGHT, transient_result.grid,
+                                   probes=transient_result.probe_points)
+        coarse = transient_result.probe_values[0]
+        shared = min(fine.times[::2].size, coarse.size)
+        assert shared >= coarse.size - 1
+        assert np.allclose(fine.times[::2][:shared], transient_result.times[:shared],
+                           rtol=1e-14, atol=0.0)
+        assert (np.max(np.abs(fine.probe_values[0, ::2][:shared] - coarse[:shared]))
+                <= 1e-9 * coarse.max())
 
     def test_march_peak_memory_within_three_boxes(self, params):
-        # the same march: the frame is two boxes, and the closed-form start
-        # holds at most two arrays of its planes' size (222 of 701 planes),
-        # since the kernel computes each factor on its coordinates' own shape
-        grid = TransientGrid(
-            x_span=(4.0, 60.0), y_half=2.4, z_span=(HEIGHT - 2.4, HEIGHT + 2.4),
-            step_x=0.08, step_y=0.08, step_z=0.08, t_start=0.10, t_end=0.35,
-        )
+        # the box, its complex transform, the FFT's work copy and small
+        # change, in units of the complex box
         result, peak = traced_peak(lambda: march_transient_jet(
-            params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)]))
-        assert peak <= 3 * 8 * result.x.size * result.y.size * result.z.size
-
-    @pytest.mark.parametrize("wind, cells", [(15.0, 1), (50.0, 4)], ids=["1", "4"])
-    def test_long_march_rehomes_the_frame(self, monkeypatch, wind, cells):
-        # t_end lies past three transits of the box, so the frame re-homes
-        # at least three times.  The band starts near the inflow end, so the
-        # support is live at the first re-home; at one cell per step its
-        # upwind edge stays in the box, and it is live at every re-home
-        monkeypatch.setattr("plumesense.oracles.jet_concentration", sharp_band(5.0))
-        params = ChannelParams.with_constant(wind, DIFFUSIVITY)
-        transits = 3.5 * 12.0 / wind
-        grid = TransientGrid(
-            x_span=(4.0, 16.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.05, t_end=0.05 + transits,
-        )
-        result = march_transient_jet(params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)],
-                                     snapshot_times=(grid.t_start, grid.t_end))
-        assert result.dt == cells * grid.step_x / wind
-        assert (result.times.size - 1) * cells > 3 * result.x.size
-        if cells == 1:
-            assert x_support(result.snapshots[-1][1]).size
-        assert_matches_full_box(result, params)
-        # the frame is two boxes, the diffusion buffers and small change
-        _, peak = traced_peak(lambda: march_transient_jet(
-            params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)]))
-        box_bytes = 8 * result.x.size * result.y.size * result.z.size
-        assert peak < 3 * box_bytes
+            params, HEIGHT, TransientGrid(0.10, 0.35), probes=[(30.0, 0.0, HEIGHT)]))
+        assert peak <= 3 * 16 * result.x.size * result.y.size * result.z.size
 
     @pytest.mark.filterwarnings("error")
     def test_probe_the_pulse_never_reaches_raises(self, params):
         # the pulse passes x = 29 only after t = 0.2 s; the window ends at 0.08 s
-        grid = TransientGrid(
-            x_span=(4.0, 30.0), y_half=1.0, z_span=(HEIGHT - 1.0, HEIGHT + 1.0),
-            step_x=0.1, step_y=0.1, step_z=0.1, t_start=0.05, t_end=0.08,
-        )
-        result = march_transient_jet(params, HEIGHT, grid, probes=[(29.0, 0.0, HEIGHT)])
+        result = march_transient_jet(params, HEIGHT, TransientGrid(0.05, 0.08),
+                                     probes=[(29.0, 0.0, HEIGHT)])
         with pytest.raises(GridError, match=r"probe \(29\.0, 0\.0, 180\.0\)"):
             transient_oracle_report(result, params, HEIGHT)
 
     def test_empty_probe_list_raises(self, params):
         # with nothing compared, a 0.0 error would read as a perfect match
-        grid = TransientGrid(
-            x_span=(4.0, 12.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.04, t_end=0.06,
-        )
-        result = march_transient_jet(params, HEIGHT, grid, probes=())
+        result = march_transient_jet(params, HEIGHT, TransientGrid(0.04, 0.06), probes=())
         with pytest.raises(GridError, match="probe list is empty"):
             transient_oracle_report(result, params, HEIGHT)
-
-    @pytest.mark.parametrize("wind, cells", [(15.0, 1), (50.0, 4)], ids=["1", "4"])
-    def test_bit_identical_from_sharp_edged_field(self, monkeypatch, wind, cells):
-        # a closed-form pulse fades into underflowed zeros at the support's
-        # edges; a field cut off at full strength also checks the edge planes
-        monkeypatch.setattr("plumesense.oracles.jet_concentration", sharp_band(10.0))
-        # the wind sets the cells per step at these 0.12 cm steps
-        params = ChannelParams.with_constant(wind, DIFFUSIVITY)
-        grid = TransientGrid(
-            x_span=(4.0, 16.0), y_half=1.2, z_span=(HEIGHT - 1.2, HEIGHT + 1.2),
-            step_x=0.12, step_y=0.12, step_z=0.12, t_start=0.05, t_end=0.09,
-        )
-        dt = cells * grid.step_x / wind
-        times = grid.t_start + dt * np.arange(int(np.ceil(0.04 / dt)) + 1)
-        result = march_transient_jet(params, HEIGHT, grid, probes=[(12.0, 0.0, HEIGHT)],
-                                     snapshot_times=times)
-        assert result.dt == dt
-        assert len(result.snapshots) == result.times.size
-        assert_matches_full_box(result, params)
-
-    def test_no_stable_integer_cfl_step_raises(self, params):
-        # crosswind steps of 0.01 cm cap the stable time step below the
-        # 3.6 ms one 0.5 cm cell takes at 140 cm/s
-        grid = TransientGrid(
-            x_span=(4.0, 30.0), y_half=0.1, z_span=(HEIGHT - 0.1, HEIGHT + 0.1),
-            step_x=0.5, step_y=0.01, step_z=0.01, t_start=0.05, t_end=0.2,
-        )
-        with pytest.raises(GridError, match="no stable integer-CFL step exists"):
-            march_transient_jet(params, HEIGHT, grid)
 
     def test_configuration_errors(self, params):
         from plumesense.channel import DiffusivityProfile
 
         varying = ChannelParams(WIND, DiffusivityProfile.from_function(lambda x: 0.2))
-        ok = TransientGrid(
-            x_span=(4.0, 30.0), y_half=2.0, z_span=(HEIGHT - 2.0, HEIGHT + 2.0),
-            step_x=0.1, step_y=0.1, step_z=0.1, t_start=0.05, t_end=0.2,
-        )
         with pytest.raises(DomainError):
-            march_transient_jet(varying, HEIGHT, ok)
-        with pytest.raises(GridError):
-            march_transient_jet(params, HEIGHT, ok, probes=[(100.0, 0.0, HEIGHT)])
+            march_transient_jet(varying, HEIGHT, TransientGrid(0.05, 0.2))
+        for t_start, t_end in ((0.2, 0.05), (0.0, 0.2), (0.05, math.inf)):
+            with pytest.raises(GridError, match="need 0 < t_start < t_end < inf"):
+                TransientGrid(t_start, t_end)
+        # the box would reach inside x_min, or outgrow its points per axis,
+        # or the pulse would need more probe times than allowed
+        with pytest.raises(GridError, match="inside x_min"):
+            march_transient_jet(params, HEIGHT, TransientGrid(0.005, 0.01))
+        with pytest.raises(GridError, match="points per axis"):
+            march_transient_jet(params, HEIGHT, TransientGrid(0.05, 10.0))
+        narrow = ChannelParams.with_constant(WIND, 1e-9)
+        with pytest.raises(GridError, match="probe times"):
+            march_transient_jet(narrow, HEIGHT, TransientGrid(0.1, 0.35))
 
 
 class TestStepConvolution:
@@ -732,8 +511,7 @@ class TestStepConvolution:
 
 @pytest.fixture(scope="module")
 def spectrum(params):
-    return sampled_transfer_function((100.0, 0.0, HEIGHT), params, HEIGHT,
-                                     sample_interval=5e-4, n_samples=4096)
+    return sampled_transfer_function((100.0, 0.0, HEIGHT), params, HEIGHT)
 
 
 class TestSampledSpectrum:
@@ -766,12 +544,29 @@ class TestSampledSpectrum:
         )
 
     def test_aliasing_guards(self, params):
-        with pytest.raises(GridError):
-            sampled_transfer_function((100.0, 0.0, HEIGHT), params, HEIGHT,
-                                      sample_interval=5e-2, n_samples=4096)
-        with pytest.raises(GridError):
-            sampled_transfer_function((100.0, 0.0, HEIGHT), params, HEIGHT,
-                                      sample_interval=5e-4, n_samples=64)
+        # a pulse that begins before the release, and one too narrow for its
+        # delay: no window of the most samples spans 2 x / u
+        with pytest.raises(GridError, match="begins before t = 0"):
+            sampled_transfer_function((10.0, 0.0, HEIGHT),
+                                      ChannelParams.with_constant(WIND, 100.0), HEIGHT)
+        with pytest.raises(GridError, match="too narrow for its delay"):
+            sampled_transfer_function((100.0, 0.0, HEIGHT),
+                                      ChannelParams.with_constant(WIND, 1e-7), HEIGHT)
+
+    @pytest.mark.parametrize("wind, diffusivity, n_samples", [
+        (140.0, 0.242, 4096), (70.0, 0.242, 4096), (280.0, 0.05, 8192), (140.0, 0.01, 16384)])
+    def test_grid_from_the_pulse(self, wind, diffusivity, n_samples):
+        # 64 samples across the pulse's 12 sigma, and the fewest, a power of
+        # two from 4096, whose window spans twice the delay: at the fixed
+        # 5e-4 s and 4096 samples the phase slope failed at 70 cm/s, and
+        # (280, 0.05) did not pass the sampling guard
+        params = ChannelParams.with_constant(wind, diffusivity)
+        spectrum = sampled_transfer_function((100.0, 0.0, HEIGHT), params, HEIGHT)
+        sigma_t = math.sqrt(2.0 * diffusion_scale(100.0, params)) / wind
+        assert spectrum.sample_interval == 12.0 * sigma_t / 64
+        assert spectrum.n_samples == n_samples
+        assert spectrum.n_samples * spectrum.sample_interval >= 2.0 * 100.0 / wind
+        assert spectrum_oracle_report(spectrum, params, HEIGHT).passed
 
 
 def reference_empirical_pmd(signal, sigma, trials, seed):

@@ -724,12 +724,12 @@ class TestSmallRunners:
         assert np.all((analytic >= lo) & (analytic <= hi))
 
 
-def tiny_validate_config(seed, resolution=0.5):
-    """validate-oracles without the transient march, at the minimum trials
-    and samples."""
+def tiny_validate_config(seed, resolution=0.5, channel=None):
+    """validate-oracles at the minimum trials and samples."""
     return parse_scenario(
-        {"experiment": {"kind": "validate_oracles", "steady_resolution": resolution,
-                        "transient": False, "trials": 10_000, "mc_samples": 100_000},
+        {"channel": channel or {},
+         "experiment": {"kind": "validate_oracles", "steady_resolution": resolution,
+                        "trials": 10_000, "mc_samples": 100_000},
          "seed": seed}
     )
 
@@ -737,10 +737,21 @@ def tiny_validate_config(seed, resolution=0.5):
 class TestValidateOracles:
     def test_full_suite_passes(self):
         config = parse_scenario(
-            {"experiment": {"kind": "validate_oracles", "steady_resolution": 0.3,
-                            "transient": False}, "seed": 17}
+            {"experiment": {"kind": "validate_oracles", "steady_resolution": 0.3},
+             "seed": 17}
         )
         table = run_validate_oracles(config)
+        assert np.all(table.column("passed") == 1.0)
+
+    @pytest.mark.parametrize("wind", [70.0, 140.0, 280.0])
+    @pytest.mark.parametrize("diffusivity", [0.05, 0.242, 1.0])
+    def test_paper_channels_pass(self, wind, diffusivity):
+        # the oracles take their grids from the channel: over the paper's
+        # winds and a twentyfold range of K every check holds, at the shipped
+        # steady resolution
+        table = run_validate_oracles(tiny_validate_config(
+            3, 0.2, {"wind_speed": wind, "diffusivity": diffusivity}))
+        assert table.column("check").tolist() == [float(i) for i in range(len(ORACLE_CHECKS))]
         assert np.all(table.column("passed") == 1.0)
 
     @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -756,12 +767,12 @@ class TestValidateOracles:
             return record
 
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("steady_oracle_report", "spectrum_oracle_report"):
+            for name in ("steady_oracle_report", "transient_oracle_report",
+                         "spectrum_oracle_report"):
                 mp.setattr(runners, name, recording(getattr(runners, name)))
             table = run_validate_oracles(tiny_validate_config(seed, resolution))
         names = list(ORACLE_CHECKS)
-        assert table.column("check").tolist() == [
-            float(i) for i, name in enumerate(names) if not name.startswith("transient_")]
+        assert table.column("check").tolist() == [float(i) for i in range(len(names))]
         rows = {names[int(row[0])]: row for row in table.rows.tolist()}
         for report in reports:
             assert report.passed == all(ORACLE_CHECKS[name].passes(value)
@@ -769,8 +780,9 @@ class TestValidateOracles:
             for name, value in report.checks.items():
                 assert rows[name][1] == value
         assert {name for report in reports for name in report.checks} == {
-            "steady_l2", "steady_crosswind", "steady_refinement_factor",
-            "spectrum_magnitude", "spectrum_phase_slope", "spectrum_constant_variation"}
+            "steady_l2", "steady_crosswind", "steady_refinement_factor", "transient_probe",
+            "transient_mass", "spectrum_magnitude", "spectrum_phase_slope",
+            "spectrum_constant_variation"}
         for check, value, budget, passed in table.rows.tolist():
             entry = ORACLE_CHECKS[names[int(check)]]
             assert budget == entry.budget

@@ -376,7 +376,7 @@ _EXPERIMENTS = {
             "empirical_count": st.integers(1, 5)},
     "mc_pmd": {"snr_arguments": _sweeps(0.0, 3.0), "trials": st.integers(10_000, 10**6)},
     "validate_oracles": {"steady_resolution": st.floats(0.1, 1.0),
-                         "transient": st.booleans(), "trials": st.integers(10_000, 10**6),
+                         "trials": st.integers(10_000, 10**6),
                          "mc_samples": st.integers(100_000, 10**6)},
 }
 
@@ -934,15 +934,12 @@ def _resolve_experiment(raw):
         out["trials"] = _expect_int(raw.get("trials", 1_000_000), f"{path}.trials",
                                     minimum=10_000)
     elif kind == "validate_oracles":
-        _reject_unknown(
-            raw, ("kind", "steady_resolution", "transient", "trials", "mc_samples"), path
-        )
+        _reject_unknown(raw, ("kind", "steady_resolution", "trials", "mc_samples"), path)
         out["steady_resolution"] = _expect_number(
             raw.get("steady_resolution", 0.2), f"{path}.steady_resolution", positive=True
         )
         if out["steady_resolution"] < 0.1:
             raise ScenarioError(f"{path}.steady_resolution", "must be >= 0.1")
-        out["transient"] = _expect_bool(raw.get("transient", True), f"{path}.transient")
         out["trials"] = _expect_int(raw.get("trials", 200_000), f"{path}.trials",
                                     minimum=10_000)
         out["mc_samples"] = _expect_int(raw.get("mc_samples", 200_000), f"{path}.mc_samples",
