@@ -278,6 +278,185 @@ def advected_gaussian(sigma0, params, point, times, t_start):
     return np.exp(-r2 / (2.0 * variance)) / (2.0 * np.pi * variance) ** 1.5
 
 
+def sharp_band(x_lo):
+    """A stand-in for the jet's closed form: a band 1 cm long from x_lo,
+    cut off at full strength on every side."""
+    def field(jet_mass, release_time, point, params, source_height):
+        x, y, z, _ = point
+        band = (x >= x_lo) & (x < x_lo + 1.0) & (np.abs(y) < 0.5) & (z > HEIGHT - 0.5)
+        return np.where(band, 1.0 + np.cos(7.0 * x + 3.0 * y + z), 0.0)
+    return field
+
+
+def same_bits(a, b):
+    """Equal bit for bit: signed zeros differ, as do NaN payloads."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def awkward_field(rng, shape):
+    """Random values with exact and signed zeros and subnormals."""
+    C = rng.standard_normal(shape)
+    C[rng.random(shape) < 0.2] = 0.0
+    C[rng.random(shape) < 0.05] = -0.0
+    tiny = rng.random(shape) < 0.2
+    C[tiny] = 5e-324 * rng.integers(-2**20, 2**20, size=tiny.sum())
+    return C
+
+
+# ---------------------------------------------------------------------------
+# an explicit finite-difference march of the heat equation: a scheme
+# independent of the heat kernel, which it must converge on
+# ---------------------------------------------------------------------------
+
+
+# x-planes per block of the explicit diffusion step: a few planes of work
+# buffers stay in cache where slab-sized ones would not
+DIFFUSION_BLOCK = 8
+
+
+def whole_slab_diffusion(C, cx, cy, cz):
+    """One explicit diffusion increment over the whole interior of C at once."""
+    core = slice(1, -1)
+    acc = np.empty_like(C[core, core, core])
+    np.multiply(C[core, core, core], -2.0 * (cx + cy + cz), out=acc)
+    acc += (C[2:, core, core] + C[:-2, core, core]) * cx
+    acc += (C[core, 2:, core] + C[core, :-2, core]) * cy
+    acc += (C[core, core, 2:] + C[core, core, :-2]) * cz
+    C[core, core, core] += acc
+
+
+def diffuse_inplace(C, coef_x, coef_y, coef_z, acc, tmp):
+    """Add one explicit diffusion increment to the interior of C, bit for bit
+    as :func:`whole_slab_diffusion`, with work buffers of a few planes.
+
+    ``coef_*`` is K*dt/step^2 per axis.  C must be C-contiguous, so each of
+    its x-planes is one flat row of ``ny*nz`` values.  Every pass runs over
+    the contiguous run ``[nz, ny*nz - nz)`` of a row, which holds every
+    interior cell: its y-neighbours sit ``nz`` away, its z-neighbours 1 away,
+    and its x-neighbours in the rows before and after.  The run also covers
+    the z-shell cells (z index 0 and nz - 1); their increments are set to
+    -0.0 before the add, and x + (-0.0) is x for every x, signed zeros
+    included, so the shells never move.  Neither do the y-shell rows and the
+    first and last planes, which no pass writes (Dirichlet).
+
+    The planes run through in blocks of ``DIFFUSION_BLOCK``: ``acc`` holds
+    two blocks (ping and pong) and ``tmp`` one, each ``(DIFFUSION_BLOCK,
+    ny*nz - 2*nz)``.  A block's increment is added only after the next block
+    has read the old values of its last plane, and each interior element sees
+    the same operations in the same order as a whole-slab update.
+    """
+    if not C.flags.c_contiguous:
+        raise ValueError("the diffusion slab must be C-contiguous")
+    nz = C.shape[2]
+    rows = C.reshape(C.shape[0], -1)
+    width = rows.shape[1]
+    run = slice(nz, width - nz)
+    centre = -2.0 * (coef_x + coef_y + coef_z)
+    end = rows.shape[0] - 1
+    pending = None
+    for block, s in enumerate(range(1, end, DIFFUSION_BLOCK)):
+        e = min(s + DIFFUSION_BLOCK, end)
+        a, t = acc[block % 2, :e - s], tmp[:e - s]
+        np.multiply(rows[s:e, run], centre, out=a)
+        np.add(rows[s + 1:e + 1, run], rows[s - 1:e - 1, run], out=t)
+        t *= coef_x
+        a += t
+        np.add(rows[s:e, 2 * nz:], rows[s:e, :width - 2 * nz], out=t)
+        t *= coef_y
+        a += t
+        np.add(rows[s:e, nz + 1:width - nz + 1], rows[s:e, nz - 1:width - nz - 1], out=t)
+        t *= coef_z
+        a += t
+        shells = a.reshape(e - s, -1, nz)
+        shells[:, :, 0] = -0.0
+        shells[:, :, -1] = -0.0
+        # the block before may move now: this one has read its last plane
+        if pending is not None:
+            rows[pending[0], run] += pending[1]
+        pending = (slice(s, e), a)
+    if pending is not None:
+        rows[pending[0], run] += pending[1]
+
+
+def row_diffusion(C, coef):
+    """The kernel on C in place, with work buffers of its row shape."""
+    run = (C.shape[1] - 2) * C.shape[2]
+    diffuse_inplace(C, *coef, np.empty((2, DIFFUSION_BLOCK, run)),
+                    np.empty((DIFFUSION_BLOCK, run)))
+
+
+def explicit_march(params, point, t_start, t_end, steps_per_spread):
+    """The jet's closed form at t_start, marched by explicit diffusion steps
+    in the wind frame to t_end on a cube of steps sqrt(2 K t_start) /
+    ``steps_per_spread`` and of half-width five spreads at t_end, centred on
+    where the point sits in the frame.  Returns the value there at t_end."""
+    K = params.diffusivity.k0
+    step = math.sqrt(2.0 * K * t_start) / steps_per_spread
+    n = math.ceil(5.0 * math.sqrt(2.0 * K * t_end) / step)
+    offsets = step * np.arange(-n, n + 1)
+    x, y, z = point
+    along = x - params.wind_speed * (t_end - t_start)
+    C = jet_concentration(1.0, 0.0, (along + offsets[:, None, None], y + offsets[None, :, None],
+                                     z + offsets[None, None, :], t_start), params, HEIGHT)
+    # the most stable steps that land on t_end
+    steps = math.ceil((t_end - t_start) / (step * step / (6.0 * K)))
+    coef = K * (t_end - t_start) / steps / step**2
+    for _ in range(steps):
+        row_diffusion(C, (coef, coef, coef))
+    return C[n, n, n]
+
+
+class TestBlockedDiffusion:
+    # stencil weights at the stability bound
+    COEF = (0.1, 0.15, 0.25)
+
+    # short slabs that fill part of one block, then slabs on either side of
+    # each block boundary
+    @pytest.mark.parametrize("planes", sorted({1, 3, 4, 5, 9, DIFFUSION_BLOCK - 1,
+                                               DIFFUSION_BLOCK, DIFFUSION_BLOCK + 1,
+                                               2 * DIFFUSION_BLOCK + 1}))
+    def test_bit_identical_to_whole_slab(self, rng, planes):
+        # random values with exact zeros and subnormals
+        C = rng.standard_normal((planes + 2, 7, 6))
+        C[rng.random(C.shape) < 0.2] = 0.0
+        tiny = rng.random(C.shape) < 0.2
+        C[tiny] = 5e-324 * rng.integers(-2**20, 2**20, size=tiny.sum())
+        assert (C == 0.0).any() and (np.abs(C[C != 0.0]) < np.finfo(float).tiny).any()
+        expected = C.copy()
+        whole_slab_diffusion(expected, *self.COEF)
+        # each x-plane is one row: the work buffers span its interior y rows
+        acc = np.empty((2, DIFFUSION_BLOCK, 5 * 6))
+        tmp = np.empty((DIFFUSION_BLOCK, 5 * 6))
+        diffuse_inplace(C, *self.COEF, acc, tmp)
+        assert np.array_equal(C, expected)
+
+    @pytest.mark.parametrize("nz", [2, 3])
+    @pytest.mark.parametrize("planes", [1, DIFFUSION_BLOCK + 1])
+    def test_bit_identical_on_the_smallest_crosswind_boxes(self, rng, planes, nz):
+        # one interior y row; at nz = 2 every cell of it is z shell, and the
+        # shells hold nonzero values, signed zeros and subnormals
+        C = awkward_field(rng, (planes + 2, 3, nz))
+        C[:, :, [0, -1]] = rng.choice([-0.0, 5e-324, -1.5, 2.0], size=(planes + 2, 3, 2))
+        assert np.signbit(C[C == 0.0]).any() and (np.abs(C[C != 0.0]) < 1e-300).any()
+        expected = C.copy()
+        whole_slab_diffusion(expected, *self.COEF)
+        shells = C.copy()
+        row_diffusion(C, self.COEF)
+        assert same_bits(C, expected)
+        # the shells keep their very bits, -0.0 included
+        for edge in (np.s_[:, :, 0], np.s_[:, :, -1], np.s_[:, 0, :], np.s_[:, -1, :],
+                     np.s_[0], np.s_[-1]):
+            assert same_bits(C[edge], shells[edge])
+        if nz == 3:
+            assert not same_bits(C[1:-1, 1, 1], shells[1:-1, 1, 1])
+
+    def test_slab_must_be_contiguous(self, rng):
+        C = rng.standard_normal((4, 5, 8))[:, :, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            row_diffusion(C, self.COEF)
+
+
 class TestTransientMarch:
     def test_probes_match_closed_form_within_budget(self, params, transient_result):
         report = transient_oracle_report(transient_result, params, HEIGHT)
@@ -393,6 +572,87 @@ class TestTransientMarch:
         result, peak = traced_peak(lambda: march_transient_jet(
             params, HEIGHT, TransientGrid(0.10, 0.35), probes=[(30.0, 0.0, HEIGHT)]))
         assert peak <= 3 * 16 * result.x.size * result.y.size * result.z.size
+
+    def test_march_peak_memory_within_six_boxes(self, params):
+        # a source 0.5 cm up: the box takes in the ground and is sampled at
+        # |z|, and still holds little beyond its transform, in units of the
+        # real box
+        result, peak = traced_peak(lambda: march_transient_jet(
+            params, 0.5, TransientGrid(0.10, 0.35), probes=[(30.0, 0.0, 0.5)]))
+        assert result.z[0] < 0.0
+        assert peak <= 6 * 8 * result.x.size * result.y.size * result.z.size
+
+    def test_refinement_improves_probe_error(self, params, monkeypatch):
+        # a Gaussian of the start spread, sampled at 4/3, 1 and 1/2 of that
+        # spread: the interpolant's error against the exact evolution falls
+        # spectrally, from over the budget to rounding
+        grid = TransientGrid(0.10, 0.35)
+        sigma0 = math.sqrt(2.0 * DIFFUSIVITY * grid.t_start)
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", unit_gaussian(sigma0))
+        errors = []
+        for steps_per_spread in (0.75, 1.0, 2.0):
+            monkeypatch.setattr(oracles, "_STEPS_PER_SPREAD", steps_per_spread)
+            result = march_transient_jet(params, HEIGHT, grid, probes=[(30.0, 0.0, HEIGHT)])
+            exact = advected_gaussian(sigma0, params, (30.0, 0.0, HEIGHT), result.times,
+                                      grid.t_start)
+            errors.append(np.max(np.abs(result.probe_values[0] - exact)) / exact.max())
+        assert errors[0] > ORACLE_CHECKS["transient_probe"].budget / 10
+        assert errors[1] < errors[0] / 10 and errors[2] < errors[1] / 1e6
+
+    @pytest.mark.parametrize("t_end", [0.12, 0.15])
+    def test_agrees_with_explicit_march(self, params, t_end):
+        # the explicit march from the same closed form converges on the heat
+        # kernel at second order in its step: halving the step cuts its
+        # distance from the kernel by about four
+        grid = TransientGrid(0.10, t_end)
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(WIND * t_end, 0.0, HEIGHT)])
+        kernel = result.probe_values[0, -1]
+        assert kernel > 0.5 * result.probe_values[0].max()
+        point = (WIND * t_end, 0.0, HEIGHT)
+        coarse, fine = (abs(explicit_march(params, point, grid.t_start, result.times[-1],
+                                           steps_per_spread) / kernel - 1.0)
+                        for steps_per_spread in (3.0, 6.0))
+        assert 3.0 < coarse / fine < 5.0
+        assert fine < 2e-3
+
+    def test_bit_identical_when_pulse_leaves_box(self, params, transient_result):
+        # at x = 20 cm the drifting box arrives, peaks and moves on by
+        # t = 0.17 s: from then on the probe reads +0.0, bit for bit, and no
+        # periodic image of the pulse
+        grid = transient_result.grid
+        result = march_transient_jet(params, HEIGHT, grid, probes=[(20.0, 0.0, HEIGHT)])
+        series = result.probe_values[0]
+        passed = 20.0 - WIND * (result.times - grid.t_start) < result.x[0]
+        assert passed.sum() > result.times.size / 2 and series[~passed].max() > 0.0
+        assert same_bits(series[passed], np.zeros(passed.sum()))
+
+    def test_bit_identical_from_all_zero_initial_condition(self, params, monkeypatch):
+        # a field that is +0.0 everywhere evolves to +0.0 everywhere: every
+        # probe time reads exactly zero, and so does the mass
+        monkeypatch.setattr("plumesense.oracles.jet_concentration",
+                            lambda jet_mass, release_time, point, params, source_height:
+                            np.zeros(np.broadcast_shapes(*(np.shape(c) for c in point))))
+        result = march_transient_jet(params, HEIGHT, TransientGrid(0.10, 0.35),
+                                     probes=[(30.0, 0.0, HEIGHT), (16.0, 0.2, HEIGHT - 0.3)])
+        assert same_bits(result.probe_values, np.zeros_like(result.probe_values))
+        assert same_bits(result.mass, 0.0)
+
+    @pytest.mark.parametrize("power", [1, 4])
+    def test_bit_identical_from_sharp_edged_field(self, params, monkeypatch, power):
+        # the oracle is linear in its start field: a field cut off at full
+        # strength, which excites every mode of the box, scaled by 2^power,
+        # gives the probe series and mass scaled by 2^power, bit for bit
+        grid = TransientGrid(0.10, 0.35)
+        band = sharp_band(WIND * grid.t_start - 0.5)
+        probes = [(30.0, 0.0, HEIGHT), (22.0, 0.3, HEIGHT + 0.2)]
+        monkeypatch.setattr("plumesense.oracles.jet_concentration", band)
+        base = march_transient_jet(params, HEIGHT, grid, probes=probes)
+        monkeypatch.setattr("plumesense.oracles.jet_concentration",
+                            lambda *args: 2.0**power * band(*args))
+        scaled = march_transient_jet(params, HEIGHT, grid, probes=probes)
+        assert (base.probe_values != 0.0).sum() > base.times.size / 4
+        assert same_bits(scaled.probe_values, base.probe_values * 2.0**power)
+        assert same_bits(scaled.mass, base.mass * 2.0**power)
 
     @pytest.mark.filterwarnings("error")
     def test_probe_the_pulse_never_reaches_raises(self, params):
