@@ -345,90 +345,10 @@ def _crosswind_factor(y, z, scale, source_height):
 # ---------------------------------------------------------------------------
 
 
-def _polynomial(s: np.ndarray, coefficients) -> np.ndarray:
-    """sum_k coefficients[k] * s**k by Horner's rule, in place on one array."""
-    out = np.full(s.shape, coefficients[-1])
-    for c in coefficients[-2::-1]:
-        out *= s
-        out += c
-    return out
-
-
-# fdlibm's s_erf.c: erfc(x) = 1 - x - x P/Q over |x| < 0.84375, 1 - erx - P/Q
-# about x = 1 over [0.84375, 1.25), and exp(-x^2 - 0.5625 + R/S) / x in 1/x^2
-# below and above 1/0.35 (the bound on the high word, 0x4006DB6D) out to 28
-_ERX = 8.45062911510467529297e-01
-_ERFC_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
-            -2.84817495755985104766e-02, -5.77027029648944159157e-03,
-            -2.37630166566501626084e-05)
-_ERFC_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
-            5.08130628187576562776e-03, 1.32494738004321644526e-04,
-            -3.96022827877536812320e-06)
-_ERFC_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
-            -3.72207876035701323847e-01, 3.18346619901161753674e-01,
-            -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-            -2.16637559486879084300e-03)
-_ERFC_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
-            7.18286544141962662868e-02, 1.26171219808761642112e-01,
-            1.36370839120290507362e-02, 1.19844998467991074170e-02)
-_ERFC_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
-            -1.05586262253232909814e+01, -6.23753324503260060396e+01,
-            -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-            -8.12874355063065934246e+01, -9.81432934416914548592e+00)
-_ERFC_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
-            4.34565877475229228821e+02, 6.45387271733267880336e+02,
-            4.29008140027567833386e+02, 1.08635005541779435134e+02,
-            6.57024977031928170135e+00, -6.04244152148580987438e-02)
-_ERFC_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
-            -1.77579549177547519889e+01, -1.60636384855821916062e+02,
-            -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-            -4.83519191608651397019e+02)
-_ERFC_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
-            1.53672958608443695994e+03, 3.19985821950859553908e+03,
-            2.55305040643316442583e+03, 4.74528541206955367215e+02,
-            -2.24409524465858183362e+01)
-_ERFC_TAIL_SPLIT = 2.8571414947509766
-_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
-
-
 def _erfc(x: ArrayLike) -> np.ndarray:
-    """Complementary error function, elementwise: fdlibm's rule, the one
-    behind glibc's ``erfc``, within 4 ulp of it for normal results.
-
-    Exactly 2 at x <= -6 and 0 at x >= 28; the results between x = 26.55
-    and 27.2 are subnormal, as libm's are.  NaN gives NaN.
-    """
+    """Complementary error function, elementwise: libm's ``erfc``."""
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    out = np.where(x > 0.0, 0.0, 2.0)
-    out[np.isnan(x)] = np.nan
-    band = a < 0.84375
-    if band.any():
-        v = x[band]
-        z = v * v
-        y = v * (_polynomial(z, _ERFC_PP) / _polynomial(z, _ERFC_QQ))
-        out[band] = np.where(v < 0.25, 1.0 - (v + y), 0.5 - (y + (v - 0.5)))
-    band = (a >= 0.84375) & (a < 1.25)
-    if band.any():
-        v = x[band]
-        s = np.abs(v) - 1.0
-        ratio = _polynomial(s, _ERFC_PA) / _polynomial(s, _ERFC_QA)
-        out[band] = np.where(v > 0.0, (1.0 - _ERX) - ratio, 1.0 + (_ERX + ratio))
-    band = (a >= 1.25) & (a < 28.0) & (x > -6.0)
-    if band.any():
-        v = x[band]
-        w = np.abs(v)
-        s = 1.0 / (w * w)
-        ratio = np.empty(w.shape)
-        near = w < _ERFC_TAIL_SPLIT
-        far = ~near
-        ratio[near] = _polynomial(s[near], _ERFC_RA) / _polynomial(s[near], _ERFC_SA)
-        ratio[far] = _polynomial(s[far], _ERFC_RB) / _polynomial(s[far], _ERFC_SB)
-        # w with its low 32 bits cleared, so that -hi * hi is exact
-        hi = (w.view(np.uint64) & _HIGH_WORD).view(float)
-        r = np.exp(-hi * hi - 0.5625) * np.exp((hi - w) * (hi + w) + ratio) / w
-        out[band] = np.where(v > 0.0, r, 2.0 - r)
-    return out
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1] (qk15) and the 7-point Gauss

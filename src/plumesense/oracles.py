@@ -7,13 +7,14 @@ breath step response, a DFT of the sampled impulse response validating the
 frequency-domain shape, and Monte Carlo estimators validating the receiver
 integral and the missed-detection probability.  Each oracle starts from its
 closed form and derives its own grid: the steady march runs between two
-downwind distances from :func:`steady_state_concentration` at the first, in
-scale steps set by a single resolution; the jet oracle takes one FFT of
-:func:`jet_concentration` at its start time, on a box sized by the pulse's
-spread; the spectrum samples the pulse at a rate and over a window set by
-its width and delay.  The time convolution runs on the same adaptive
-Gauss-Kronrod loop as the channel's :func:`diffusion_scale`, and fails under
-the same rule, with :class:`QuadratureError`.
+downwind distances from :func:`steady_state_concentration` at the first, on
+a box sized by the plume's spread, in steps of a single resolution; the jet
+oracle takes one FFT of :func:`jet_concentration` at its start time, on a
+box sized by the pulse's spread; the spectrum samples the pulse at a rate
+and over a window set by its width and delay.  The time convolution runs on
+the same adaptive Gauss-Kronrod loop as the channel's
+:func:`diffusion_scale`, and fails under the same rule, with
+:class:`QuadratureError`.
 
 Every oracle is deterministic given its full configuration (seeds included)
 and carries an explicit error budget; disagreement beyond budget is a hard
@@ -176,63 +177,33 @@ class SteadyMarchResult:
     warnings: Tuple[str, ...] = ()
 
 
-def _laplacian_2d(C, lo, hi, dy, dz, out):
-    """Crosswind Laplacian of rows [lo, hi) of C into ``out[:hi - lo]``, with
-    no-flux ground (z index 0) and Dirichlet elsewhere.  Row ``hi`` must
-    exist, and so must row ``lo - 1`` unless ``lo`` is the ground row.  The
-    y-edge columns of ``out`` are not written: they must hold 0.0."""
-    inv_dy2 = 1.0 / (dy * dy)
-    inv_dz2 = 1.0 / (dz * dz)
-    out = out[:hi - lo]
-    first = max(lo, 1)
-    out[first - lo:, 1:-1] = (
-        C[first + 1:hi + 1, 1:-1] - 2.0 * C[first:hi, 1:-1] + C[first - 1:hi - 1, 1:-1]
-    ) * inv_dz2 + (C[first:hi, 2:] - 2.0 * C[first:hi, 1:-1] + C[first:hi, :-2]) * inv_dy2
-    if lo == 0:
-        out[0, 1:-1] = (2.0 * C[1, 1:-1] - 2.0 * C[0, 1:-1]) * inv_dz2 + (
-            C[0, 2:] - 2.0 * C[0, 1:-1] + C[0, :-2]
-        ) * inv_dy2
-    return out
-
-
-def _crosswind_integral(C, lo, hi, dy, dz, inner):
-    """Trapezoid over y, then z, of C, which is 0.0 outside rows [lo, hi).
-    Each row's y integral depends on that row alone, and the z integral runs
-    over the full ``inner`` (0.0 outside the rows), so this is bit-identical
-    to integrating the whole slice."""
-    inner[lo:hi] = np.trapezoid(C[lo:hi], dx=dy, axis=1)
-    return np.trapezoid(inner, dx=dz)
-
-
 def march_steady_plume(params: ChannelParams, source_height: float, x_start: float,
                        x_end: float, resolution: float) -> SteadyMarchResult:
     """March the crosswind heat equation for a unit-rate plume from the
     closed form at x_start to x_end, in the transformed coordinate
     s = diffusion_scale(x).
 
-    The grid is set by ``resolution`` alone: y and z steps of ``resolution``
-    out to ``_CONTAINMENT_MARGIN`` * sqrt(s(x_end)) beyond the plume centre
-    (y = 0, z = source height), z from the ground, and scale steps of at most
-    0.25 * resolution^2, the explicit march's stability bound.  The initial
-    slice is :func:`steady_state_concentration` at x_start, as the jet march
-    starts from :func:`jet_concentration` at t_start, so the marched field
-    is directly comparable to the closed form at x_end.  The ground row is
-    no-flux; the outer boundaries hold zero.
+    The march runs on a square box about the plume centre (y = 0, z =
+    source height), in steps of ``resolution`` out to ``_CONTAINMENT_MARGIN``
+    * sqrt(s(x_end)) on each side, and in scale steps of at most 0.25 *
+    resolution^2, the explicit march's stability bound.  A box that would
+    reach below the ground is made symmetric about z = 0 and sampled at |z|:
+    the even extension, whose heat flow is the reflecting ground's, as in
+    :func:`march_transient_jet`.  The initial slice is
+    :func:`steady_state_concentration` at x_start, so the marched field is
+    directly comparable to the closed form at x_end.  The box's edges hold
+    zero, and every step updates its whole interior by the 5-point stencil.
 
-    Each step updates only the rows of the exact nonzero support.  The
-    stencil maps an all-zero neighbourhood to exactly 0.0, so the support
-    widens by one row per side per step; it never takes in the top
-    (Dirichlet) row, and it takes in the no-flux ground row only once it
-    reaches the row above.  Every other row stays 0.0 and integrates to 0.0,
-    so the field and the crosswind integrals are bit-identical to updating
-    and integrating the whole slice.  Raises :class:`DomainError` with field
-    ``diffusivity`` where s(x_end), then s(x_start), is not a positive
-    double, and :class:`GridError` for a bad grid.
+    ``field`` and ``z`` keep the rows at z >= 0, and ``crosswind_integrals``
+    are the box's trapezoid integrals, halved on a mirrored box.  Raises
+    :class:`DomainError` with field ``diffusivity`` where s(x_end), then
+    s(x_start), is not a positive double, and :class:`GridError` for a bad
+    grid.
     """
     if not (0.0 < x_start < x_end < math.inf):
         raise GridError("need 0 < x_start < x_end < inf")
-    if not (resolution > 0.0 and source_height > 0.0):
-        raise GridError("resolution and source height must be positive")
+    if not source_height > 0.0:
+        raise GridError("the source height must be positive")
     start = time.perf_counter()
     scale_start, scale_end = diffusion_scale(np.array([x_start, x_end]), params)
     # an overflow shows first at the end, an underflow at the start
@@ -244,48 +215,50 @@ def march_steady_plume(params: ChannelParams, source_height: float, x_start: flo
     if not scale_start < scale_end:
         raise GridError(f"the diffusion scale must grow from x_start to x_end; it is "
                         f"{scale_start:g} to {scale_end:g} cm^2")
+    # after the scales: a channel-derived resolution of 0 is the channel's fault
+    if not resolution > 0.0:
+        raise GridError("the resolution must be positive")
 
+    step = resolution
     reach = _CONTAINMENT_MARGIN * math.sqrt(scale_end)
-    dy = dz = resolution
-    n_half = int(math.ceil(reach / dy))
-    y = np.arange(-n_half, n_half + 1) * dy
-    n_z = int(math.ceil((source_height + reach) / dz))
-    z = np.arange(0, n_z + 1) * dz
+    n = math.ceil(reach / step)
+    y = step * np.arange(-n, n + 1)
+    mirrored = source_height < n * step
+    if mirrored:
+        m = math.ceil((source_height + reach) / step)
+        z = step * np.arange(-m, m + 1)
+    else:
+        z = source_height + y
 
     warnings = []
     ic_sigma = math.sqrt(2.0 * scale_start)
-    if ic_sigma < 3.0 * resolution:
+    if ic_sigma < 3.0 * step:
         warnings.append(
             f"initial Gaussian (sigma = {ic_sigma:.3g} cm) spans under 3 grid steps; "
             "expect start-up error"
         )
 
-    span = scale_end - scale_start
-    n_steps = max(1, int(math.ceil(span / (0.25 * resolution * resolution))))
-    d = span / n_steps
-
-    C = steady_state_concentration(1.0, (x_start, y[None, :], z[:, None]), params,
+    C = steady_state_concentration(1.0, (x_start, y[None, :], np.abs(z)[:, None]), params,
                                    source_height)
-    C[:, 0] = 0.0
-    C[:, -1] = 0.0
-    C[-1, :] = 0.0
+    C[[0, -1], :] = 0.0
+    C[:, [0, -1]] = 0.0
 
-    # [lo, hi): the rows that may hold a nonzero value; all others are 0.0
-    support = np.flatnonzero(C.any(axis=1))
-    lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
-    top = z.size - 1
-    inner = np.zeros(z.size)
+    # the scale span in squared steps, and each scale step's share of it,
+    # the stencil's weight
+    span = (scale_end - scale_start) / step / step
+    n_steps = max(1, math.ceil(4.0 * span))
+    weight = span / n_steps
     integrals = np.empty(n_steps + 1)
-    integrals[0] = _crosswind_integral(C, lo, hi, dy, dz, inner)
-
-    lap = np.zeros_like(C)
+    integrals[0] = np.trapezoid(np.trapezoid(C, dx=step, axis=1), dx=step)
     for k in range(n_steps):
-        if lo < hi:
-            lo, hi = max(lo - 1, 0), min(hi + 1, top)
-            C[lo:hi] += d * _laplacian_2d(C, lo, hi, dy, dz, lap)
-        integrals[k + 1] = _crosswind_integral(C, lo, hi, dy, dz, inner)
+        C[1:-1, 1:-1] += weight * (C[2:, 1:-1] + C[:-2, 1:-1] + C[1:-1, 2:] + C[1:-1, :-2]
+                                   - 4.0 * C[1:-1, 1:-1])
+        integrals[k + 1] = np.trapezoid(np.trapezoid(C, dx=step, axis=1), dx=step)
+    if mirrored:
+        integrals /= 2.0
+        C, z = C[m:], z[m:]
 
-    scales = scale_start + d * np.arange(n_steps + 1)
+    scales = scale_start + (scale_end - scale_start) / n_steps * np.arange(n_steps + 1)
     return SteadyMarchResult(
         x_start=x_start,
         x_end=x_end,
@@ -321,8 +294,8 @@ def steady_oracle_report(result: SteadyMarchResult, params: ChannelParams,
         max_rel_error=max_rel,
         l2_rel_error=l2_rel,
         checks=checks,
-        grid={"x_start": result.x_start, "x_end": result.x_end,
-              "resolution": result.resolution},
+        grid={"x_start": result.x_start, "x_end": result.x_end, "step": result.resolution,
+              "shape": result.field.shape},
         runtime_s=result.runtime_s,
         warnings=result.warnings,
     )

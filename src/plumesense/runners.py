@@ -546,21 +546,19 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
     seed = _require_seed(config)
     values = {}
 
-    # steady-plume march against the closed form, plus refinement gain; no
-    # name holds the marches, so their fields are freed before the jet march
-    resolution = exp["steady_resolution"]
+    # the oracles take their grids from the channel, and a channel they
+    # cannot resolve is named there.  The steady march against the closed
+    # form, plus refinement gain: steps of half and a quarter of the plume's
+    # spread sqrt(2 s) at 50 cm.  No name holds the marches, so their fields
+    # are freed before the jet oracle
+    u = params.wind_speed
+    spread = math.sqrt(2.0 * diffusion_scale(50.0, params))
     try:
         values.update(steady_oracle_report(
-            march_steady_plume(params, height, 50.0, 250.0, resolution / 2), params, height,
-            coarse=march_steady_plume(params, height, 50.0, 250.0, resolution)).checks)
-    except GridError as exc:
-        raise ScenarioError("experiment.steady_resolution", str(exc)) from exc
-
-    # the jet oracle at a mid-field probe, while the pulse centre travels
-    # from 14 to 49 cm.  Its box, like the spectrum's sampling below, comes
-    # from the channel; a channel they cannot resolve is named there
-    u = params.wind_speed
-    try:
+            march_steady_plume(params, height, 50.0, 250.0, spread / 4), params, height,
+            coarse=march_steady_plume(params, height, 50.0, 250.0, spread / 2)).checks)
+        # the jet oracle at a mid-field probe, while the pulse centre travels
+        # from 14 to 49 cm
         tres = march_transient_jet(params, height, TransientGrid(14.0 / u, 49.0 / u),
                                    probes=[(30.0, 0.0, height)])
         values.update(transient_oracle_report(tres, params, height).checks)

@@ -65,7 +65,7 @@ def _expect_list(value, path):
     return value
 
 
-def _expect_number(value, path, positive=False, nonnegative=False, minimum=None):
+def _expect_number(value, path, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, f"expected a number, got {value!r}")
     try:
@@ -78,8 +78,6 @@ def _expect_number(value, path, positive=False, nonnegative=False, minimum=None)
         raise ScenarioError(path, f"must be > 0, got {value}")
     if nonnegative and value < 0.0:
         raise ScenarioError(path, f"must be >= 0, got {value}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(path, f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -369,10 +367,6 @@ _EXPERIMENT_FIELDS = {
         "trials": _count(1_000_000, 10_000, maximum=_MAX_TRIALS),
     },
     "validate_oracles": {
-        "steady_resolution": _Field(
-            partial(_expect_number, minimum=0.1), 0.2, "number >= 0.1", "cm",
-            "steady march grid step; a second march runs at half of it, and the work grows "
-            "as its inverse fourth power"),
         "trials": _count(200_000, 10_000, "Monte Carlo detection trials", _MAX_TRIALS),
         "mc_samples": _count(200_000, 100_000, "volume-integral samples", _MAX_SAMPLES),
     },

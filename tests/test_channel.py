@@ -405,8 +405,8 @@ class TestBreathResponse:
 
 
 class TestSpecialFunctions:
-    """The package's erfc against libm's (math.erfc, the same fdlibm rule)
-    and its inverse against scipy and CPython's AS 241."""
+    """The package's erfc, libm's (math.erfc) mapped over an array, and its
+    inverse against CPython's normal quantile."""
 
     def test_erfc_within_4_ulp_of_libm(self):
         x = np.concatenate((np.linspace(-6.0, 27.3, 400_001),
@@ -418,7 +418,7 @@ class TestSpecialFunctions:
         assert ulps.max() <= 4.0
 
     def test_erfc_subnormal_band(self):
-        # libm does not flush erfc to 0 from x = 26.55 to 27.2: nor does this rule
+        # libm does not flush erfc to 0 from x = 26.55 to 27.2: nor does the map
         x = np.linspace(26.55, 27.3, 20_001)
         libm = np.array([math.erfc(v) for v in x])
         assert np.all(libm < np.finfo(float).tiny) and np.count_nonzero(libm) > 15_000

@@ -363,8 +363,8 @@ class TestValidateOraclesExit:
         out = tmp_path / "validate.csv"
         code = cli.dispatch([
             "validate-oracles", "--scenario", str(scenario_file), "--out", str(out),
-            "--set", "experiment={\"kind\": \"validate_oracles\", \"steady_resolution\": 0.5, "
-                     "\"trials\": 10000, \"mc_samples\": 100000}"])
+            "--set", "experiment={\"kind\": \"validate_oracles\", \"trials\": 10000, "
+                     "\"mc_samples\": 100000}"])
         assert code == cli.EXIT_NUMERIC
         names = list(ORACLE_CHECKS)
         rows = read_results(out).rows
@@ -687,23 +687,18 @@ def test_impossible_detection_arguments_named(tmp_path, overrides, path):
     assert "Traceback" not in result.stderr
 
 
-def test_tiny_steady_resolution_named(tmp_path):
-    """At 1e-9 cm the steady march would allocate tens of GiB: validate-oracles
-    names the resolution and exits 2 before any march runs.  At 1e308 cm the
-    closed form is 0 on every grid point, which must not read as a perfect
-    match: it names the resolution too, with no numpy warning."""
-    scenario = tmp_path / "validate.json"
-    scenario.write_text(json.dumps({"experiment": {"kind": "validate_oracles"}}))
-    for resolution in ("1e-9", "1e308"):
-        result = _fresh_process("from plumesense.cli import main; main()", "validate-oracles",
-                                "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
-                                "--seed", "1", "--set",
-                                'experiment={"kind":"validate_oracles",'
-                                f'"steady_resolution":{resolution}}}')
-        assert result.returncode == cli.EXIT_CONFIG, result.stderr
-        assert result.stderr.startswith("configuration error: experiment.steady_resolution: ")
-        assert "Traceback" not in result.stderr
-        assert not (tmp_path / "out.csv").exists()
+def test_retired_steady_resolution_key_named(tmp_path, capsys):
+    """experiment.steady_resolution, which once set the steady march's step,
+    is an unknown key: the steady steps come from the channel.  The run names
+    it and exits 2 without a file."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    code = cli.dispatch(["validate-oracles", "--scenario", str(scenarios / "validate.json"),
+                         "--out", str(out), "--set", "experiment.steady_resolution=0.2"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: experiment: unknown key(s): "
+                                       "steady_resolution\n")
+    assert not out.exists()
 
 
 def test_count_beyond_array_sizes_named(tmp_path):
@@ -744,7 +739,7 @@ def test_trials_beyond_array_sizes_rejected_before_any_run(tmp_path, monkeypatch
                                             ("channel.wind_speed=1e-308", "1e-308")])
 def test_diffusion_scale_overflow_names_the_channel(tmp_path, override, wind):
     """K x / u past the range of doubles is the channel's fault, not the
-    march resolution's: validate-oracles names the diffusivity, exits 2 and
+    steady march's: validate-oracles names the diffusivity, exits 2 and
     prints no numpy warning."""
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     result = _fresh_process("from plumesense.cli import main; main()", "validate-oracles",

@@ -44,13 +44,20 @@ from conftest import DIFFUSIVITY, HEIGHT, RADIUS, WIND, traced_peak
 VALIDATION_DISTANCES = (50.0, 250.0)
 
 
+def validation_steps(params):
+    """validate-oracles' coarse and fine steady steps: half and a quarter of
+    the plume's spread sqrt(2 s) at 50 cm."""
+    spread = math.sqrt(2.0 * diffusion_scale(VALIDATION_DISTANCES[0], params))
+    return spread / 2, spread / 4
+
+
 @pytest.fixture(scope="module")
 def coarse_steady(params):
     return march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, resolution=0.15)
 
 
 class TestMarchGrid:
-    """The steady march's grid, derived from its resolution."""
+    """The steady march's box, derived from its resolution and the plume."""
 
     def test_invalid_ranges_rejected(self, params):
         for x_start, x_end, resolution in [
@@ -68,18 +75,42 @@ class TestMarchGrid:
             march_steady_plume(params, HEIGHT, 0.5, 100.0, resolution=0.2)
 
     def test_grid_follows_the_resolution(self, params):
-        # steps of the resolution out to the containment margin around the
-        # centre, and scale steps within the explicit stability bound
+        # a square box about the plume centre in steps of the resolution, out
+        # to the containment margin, and scale steps within the explicit
+        # stability bound
         result = march_steady_plume(params, HEIGHT, 30.0, 230.0, resolution=0.2)
         scale_start, scale_end = diffusion_scale(np.array([30.0, 230.0]), params)
         reach = oracles._CONTAINMENT_MARGIN * math.sqrt(scale_end)
-        assert np.allclose(np.diff(result.y), 0.2) and np.allclose(np.diff(result.z), 0.2)
-        assert result.y[-1] >= reach and result.z[-1] >= HEIGHT + reach
-        assert result.z[0] == 0.0 and result.y[0] == -result.y[-1]
+        n = math.ceil(reach / 0.2)
+        assert np.array_equal(result.y, 0.2 * np.arange(-n, n + 1))
+        assert np.array_equal(result.z, HEIGHT + result.y)
+        assert result.field.shape == (2 * n + 1, 2 * n + 1)
         assert np.diff(result.scales).max() <= 0.25 * 0.2**2 * (1 + 1e-12)
         assert result.scales[0] == scale_start
         assert result.scales[-1] == pytest.approx(scale_end, rel=1e-12)
         assert (result.x_start, result.x_end) == (30.0, 230.0)
+
+    @pytest.mark.parametrize("height", [0.5, 1.0, 3.0])
+    def test_box_below_the_ground_is_mirrored(self, params, height):
+        # the box is made symmetric about the ground and keeps z >= 0: rows
+        # from z = 0 up to the containment margin above the source
+        coarse, _ = validation_steps(params)
+        result = march_steady_plume(params, height, *VALIDATION_DISTANCES, coarse)
+        reach = oracles._CONTAINMENT_MARGIN * math.sqrt(result.scales[-1])
+        m = math.ceil((height + reach) / coarse)
+        assert np.array_equal(result.z, coarse * np.arange(0, m + 1))
+        assert result.field.shape == (m + 1, result.y.size)
+
+    @pytest.mark.parametrize("diffusivity", [1e-7, 1e-3, 1.0])
+    def test_box_does_not_grow_as_the_diffusivity_falls(self, params, diffusivity):
+        # at validate-oracles' steps the box and the scale steps come from
+        # the plume, so they are the same at any constant K
+        other = ChannelParams.with_constant(WIND, diffusivity)
+        for shipped_step, step in zip(validation_steps(params), validation_steps(other)):
+            shipped = march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, shipped_step)
+            result = march_steady_plume(other, HEIGHT, *VALIDATION_DISTANCES, step)
+            assert result.field.size <= shipped.field.size
+            assert result.scales.size <= shipped.scales.size
 
     @pytest.mark.filterwarnings("error")
     def test_grid_too_coarse_for_the_plume_raises(self, params):
@@ -91,92 +122,28 @@ class TestMarchGrid:
             steady_oracle_report(result, params, HEIGHT)
 
 
-def full_grid_march(result, params, source_height):
-    """Reference: the steady march with every step updating and integrating
-    the whole slice.  Returns the final field and the crosswind integrals."""
-    dy = dz = result.resolution
-    inv_dy2, inv_dz2 = 1.0 / (dy * dy), 1.0 / (dz * dz)
+def ground_row_march(result, params, source_height):
+    """Reference: the march on the result's grid from the ground (z = 0 in
+    its first row), with a no-flux ground row, 2 C[1] in place of the row
+    below, and zero at the top and the y edges.  Returns the final field and
+    the crosswind integrals."""
+    step = result.resolution
     n_steps = result.scales.size - 1
     scale_start, scale_end = diffusion_scale(np.array([result.x_start, result.x_end]), params)
-    d = (scale_end - scale_start) / n_steps
-    Y, Z = np.meshgrid(result.y, result.z)
-    C = oracles.steady_state_concentration(1.0, (result.x_start, Y, Z), params,
-                                           source_height)
-    C[:, 0] = 0.0
-    C[:, -1] = 0.0
+    weight = (scale_end - scale_start) / step / step / n_steps
+    C = oracles.steady_state_concentration(1.0, (result.x_start, result.y[None, :],
+                                                 result.z[:, None]), params, source_height)
+    C[:, [0, -1]] = 0.0
     C[-1, :] = 0.0
-    integrals = [np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz)]
+    integrals = [np.trapezoid(np.trapezoid(C, dx=step, axis=1), dx=step)]
     lap = np.zeros_like(C)
     for _ in range(n_steps):
-        lap[1:-1, 1:-1] = (C[2:, 1:-1] - 2.0 * C[1:-1, 1:-1] + C[:-2, 1:-1]) * inv_dz2 + (
-            C[1:-1, 2:] - 2.0 * C[1:-1, 1:-1] + C[1:-1, :-2]
-        ) * inv_dy2
-        lap[0, 1:-1] = (2.0 * C[1, 1:-1] - 2.0 * C[0, 1:-1]) * inv_dz2 + (
-            C[0, 2:] - 2.0 * C[0, 1:-1] + C[0, :-2]
-        ) * inv_dy2
-        C += d * lap
-        integrals.append(np.trapezoid(np.trapezoid(C, dx=dy, axis=1), dx=dz))
+        lap[1:-1, 1:-1] = (C[2:, 1:-1] + C[:-2, 1:-1] + C[1:-1, 2:] + C[1:-1, :-2]
+                           - 4.0 * C[1:-1, 1:-1])
+        lap[0, 1:-1] = 2.0 * C[1, 1:-1] + C[0, 2:] + C[0, :-2] - 4.0 * C[0, 1:-1]
+        C += weight * lap
+        integrals.append(np.trapezoid(np.trapezoid(C, dx=step, axis=1), dx=step))
     return C, np.array(integrals)
-
-
-def assert_matches_full_grid(result, params, source_height):
-    field, integrals = full_grid_march(result, params, source_height)
-    assert np.array_equal(result.field, field)
-    assert np.array_equal(result.crosswind_integrals, integrals)
-
-
-def z_support(field):
-    return np.flatnonzero(field.any(axis=1))
-
-
-class TestSteadyMarchSupport:
-    """The march updates only the rows of its nonzero support; the field and
-    crosswind integrals must equal the whole-grid march bit for bit."""
-
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_bit_identical_on_validation_grid(self, params, refine):
-        # validate-oracles' grids: the support is under a fifth of the rows,
-        # far from the ground and clipped below the top row
-        result = march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES,
-                                    0.1 if refine else 0.2)
-        rows = z_support(result.field)
-        assert rows.size < result.z.size / 5 and rows[0] > 0
-        assert rows[-1] == result.z.size - 2
-        assert_matches_full_grid(result, params, HEIGHT)
-
-    def test_bit_identical_with_ground_row(self, params):
-        # a source 1 cm up: the support holds the no-flux ground row throughout
-        result = march_steady_plume(params, 1.0, *VALIDATION_DISTANCES, resolution=0.2)
-        assert z_support(result.field)[0] == 0
-        assert_matches_full_grid(result, params, 1.0)
-
-    def test_bit_identical_with_support_at_the_edges(self, params):
-        # a wide start: the slice is nonzero next to the y edges and the top row
-        result = march_steady_plume(params, HEIGHT, 175.0, 230.0, resolution=0.2)
-        assert result.field[:, 1].any() and result.field[:, -2].any()
-        assert z_support(result.field)[-1] == result.z.size - 2
-        assert_matches_full_grid(result, params, HEIGHT)
-
-    def test_bit_identical_from_all_zero_slice(self, params, monkeypatch):
-        def zeros(rate, point, params, source_height):
-            return np.zeros(np.broadcast(*point).shape)
-
-        monkeypatch.setattr(oracles, "steady_state_concentration", zeros)
-        result = march_steady_plume(params, HEIGHT, 30.0, 230.0, resolution=0.2)
-        assert not result.field.any() and not result.crosswind_integrals.any()
-        assert_matches_full_grid(result, params, HEIGHT)
-
-    def test_bit_identical_from_sharp_edged_slice(self, params, monkeypatch):
-        # a closed-form slice fades into underflowed zeros; one cut off at full
-        # strength, from the ground up, also checks the support's edge rows
-        def band(rate, point, params, source_height):
-            _, y, z = point
-            rows = (z < 1.5) | (np.abs(z - 3.0) < 0.3)
-            return np.where(rows, rate + np.cos(7.0 * z + 3.0 * y), 0.0)
-
-        monkeypatch.setattr(oracles, "steady_state_concentration", band)
-        result = march_steady_plume(params, 1.0, 30.0, 58.0, resolution=0.2)
-        assert_matches_full_grid(result, params, 1.0)
 
 
 class TestSteadyMarch:
@@ -190,6 +157,11 @@ class TestSteadyMarch:
         assert set(report.checks) == {"steady_l2", "steady_crosswind"} and report.passed
         report.checks["steady_crosswind"] = ORACLE_CHECKS["steady_crosswind"].budget
         assert not report.passed
+
+    def test_report_grid_names_the_step_and_shape(self, params, coarse_steady):
+        grid = steady_oracle_report(coarse_steady, params, HEIGHT).grid
+        assert grid == {"x_start": 50.0, "x_end": 250.0, "step": 0.15,
+                        "shape": coarse_steady.field.shape}
 
     def test_crosswind_integrals_conserved(self, params, coarse_steady):
         flux = 1.0 / WIND
@@ -215,6 +187,44 @@ class TestSteadyMarch:
         assert ORACLE_CHECKS["steady_refinement_factor"].passes(factor)
         assert fine_report.passed
 
+    @pytest.mark.parametrize("height", [0.5, 1.0])
+    def test_near_ground_against_closed_form(self, params, height):
+        # a source under the containment margin: the mirrored box's checks
+        # hold against the closed form, ground image included, at
+        # validate-oracles' steps
+        coarse_step, fine_step = validation_steps(params)
+        coarse = march_steady_plume(params, height, *VALIDATION_DISTANCES, coarse_step)
+        fine = march_steady_plume(params, height, *VALIDATION_DISTANCES, fine_step)
+        assert fine.z[0] == 0.0
+        assert steady_oracle_report(fine, params, height, coarse=coarse).passed
+
+    @pytest.mark.parametrize("height", [0.5, 1.0])
+    def test_mirrored_box_is_the_no_flux_ground(self, params, height):
+        # the even extension's row below the ground is the row above it, so
+        # the mirrored march is the ground-row march bit for bit, and its
+        # halved crosswind integrals are the ground grid's
+        result = march_steady_plume(params, height, *VALIDATION_DISTANCES,
+                                    validation_steps(params)[0])
+        field, integrals = ground_row_march(result, params, height)
+        assert np.array_equal(result.field, field)
+        assert np.allclose(result.crosswind_integrals, integrals, rtol=1e-12, atol=0.0)
+
+    def test_mirrored_sharp_edged_slice_is_the_no_flux_ground(self, params, monkeypatch):
+        # a slice cut off at full strength from the ground up, uneven in y:
+        # the mirrored march still keeps the rows below the ground equal to
+        # those above, bit for bit
+        def band(rate, point, params, source_height):
+            _, y, z = point
+            rows = (z < 1.5) | (np.abs(z - 3.0) < 0.3)
+            return np.where(rows, rate + np.cos(7.0 * z + 3.0 * y), 0.0)
+
+        monkeypatch.setattr(oracles, "steady_state_concentration", band)
+        result = march_steady_plume(params, 1.0, 30.0, 58.0, resolution=0.2)
+        assert result.z[0] == 0.0
+        field, integrals = ground_row_march(result, params, 1.0)
+        assert np.array_equal(result.field, field)
+        assert np.allclose(result.crosswind_integrals, integrals, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("fault, failing", [
         ("rate", "steady_crosswind"),
         ("diffusivity", "steady_refinement_factor"),
@@ -222,7 +232,7 @@ class TestSteadyMarch:
     def test_faulty_closed_form_fails(self, params, monkeypatch, fault, failing):
         # the march starts from the closed form it checks: a 1 % fault in it,
         # at the start and the end alike, must still fail validate-oracles'
-        # steady checks at the scenario's resolution
+        # steady checks at its steps
         closed_form = oracles.steady_state_concentration
         wider = ChannelParams.with_constant(WIND, 1.01 * DIFFUSIVITY)
 
@@ -231,10 +241,12 @@ class TestSteadyMarch:
                 return closed_form(1.01 * rate, point, p, source_height)
             return closed_form(rate, point, wider, source_height)
 
+        coarse_step, fine_step = validation_steps(params)
         monkeypatch.setattr(oracles, "steady_state_concentration", faulty)
         report = steady_oracle_report(
-            march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, 0.1), params, HEIGHT,
-            coarse=march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, 0.2))
+            march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES, fine_step), params,
+            HEIGHT, coarse=march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES,
+                                              coarse_step))
         assert not ORACLE_CHECKS[failing].passes(report.checks[failing])
         assert not report.passed
 

@@ -724,39 +724,34 @@ class TestSmallRunners:
         assert np.all((analytic >= lo) & (analytic <= hi))
 
 
-def tiny_validate_config(seed, resolution=0.5, channel=None):
+def tiny_validate_config(seed, channel=None):
     """validate-oracles at the minimum trials and samples."""
     return parse_scenario(
         {"channel": channel or {},
-         "experiment": {"kind": "validate_oracles", "steady_resolution": resolution,
-                        "trials": 10_000, "mc_samples": 100_000},
+         "experiment": {"kind": "validate_oracles", "trials": 10_000, "mc_samples": 100_000},
          "seed": seed}
     )
 
 
 class TestValidateOracles:
     def test_full_suite_passes(self):
-        config = parse_scenario(
-            {"experiment": {"kind": "validate_oracles", "steady_resolution": 0.3},
-             "seed": 17}
-        )
+        config = parse_scenario({"experiment": {"kind": "validate_oracles"}, "seed": 17})
         table = run_validate_oracles(config)
         assert np.all(table.column("passed") == 1.0)
 
     @pytest.mark.parametrize("wind", [70.0, 140.0, 280.0])
-    @pytest.mark.parametrize("diffusivity", [0.05, 0.242, 1.0])
+    @pytest.mark.parametrize("diffusivity", [0.05, 0.242, 1.0, 1e-3, 0.01])
     def test_paper_channels_pass(self, wind, diffusivity):
         # the oracles take their grids from the channel: over the paper's
-        # winds and a twentyfold range of K every check holds, at the shipped
-        # steady resolution
+        # winds and a thousandfold range of K every check holds
         table = run_validate_oracles(tiny_validate_config(
-            3, 0.2, {"wind_speed": wind, "diffusivity": diffusivity}))
+            3, {"wind_speed": wind, "diffusivity": diffusivity}))
         assert table.column("check").tolist() == [float(i) for i in range(len(ORACLE_CHECKS))]
         assert np.all(table.column("passed") == 1.0)
 
     @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 2**63), resolution=st.floats(0.3, 0.5))
-    def test_rows_follow_the_check_table(self, seed, resolution):
+    @given(seed=st.integers(0, 2**63))
+    def test_rows_follow_the_check_table(self, seed):
         # each report names its checks' values; the rows carry them unchanged
         reports = []
 
@@ -770,7 +765,7 @@ class TestValidateOracles:
             for name in ("steady_oracle_report", "transient_oracle_report",
                          "spectrum_oracle_report"):
                 mp.setattr(runners, name, recording(getattr(runners, name)))
-            table = run_validate_oracles(tiny_validate_config(seed, resolution))
+            table = run_validate_oracles(tiny_validate_config(seed))
         names = list(ORACLE_CHECKS)
         assert table.column("check").tolist() == [float(i) for i in range(len(names))]
         rows = {names[int(row[0])]: row for row in table.rows.tolist()}
@@ -787,6 +782,26 @@ class TestValidateOracles:
             entry = ORACLE_CHECKS[names[int(check)]]
             assert budget == entry.budget
             assert passed == float(entry.passes(value))
+
+    def test_steady_grids_do_not_grow_as_the_diffusivity_falls(self, monkeypatch):
+        # the steady steps come from the plume's spread: at K = 1e-7 cm^2/s,
+        # where the run ends at the spectrum's sample cap, the steady marches
+        # are no larger than at the shipped channel
+        sizes = []
+
+        def recording(*args, **kwargs):
+            result = march(*args, **kwargs)
+            sizes.append((result.field.size, result.scales.size))
+            return result
+
+        march = runners.march_steady_plume
+        monkeypatch.setattr(runners, "march_steady_plume", recording)
+        run_validate_oracles(tiny_validate_config(5))
+        shipped, sizes[:] = sizes[:], []
+        with pytest.raises(ScenarioError, match="2 x / u"):
+            run_validate_oracles(tiny_validate_config(5, {"diffusivity": 1e-7}))
+        assert len(sizes) == len(shipped) == 2
+        assert all(c <= s and n <= m for (c, n), (s, m) in zip(sizes, shipped))
 
     def test_mc_row_fails_at_zero_standard_error_with_unequal_values(self, monkeypatch):
         monkeypatch.setattr(runners, "mc_receiver_exposure",

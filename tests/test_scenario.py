@@ -102,8 +102,8 @@ class TestRejections:
             ({"sources": {"users": [{}], "stochastic": {"interval": 1e-308, "horizon": 1e308,
                                                         "probabilities": []}},
               "experiment": {"kind": "timeseries"}}, "sources.stochastic.interval"),
-            ({"experiment": {"kind": "validate_oracles", "steady_resolution": 0.0999}},
-             "experiment.steady_resolution"),
+            ({"experiment": {"kind": "validate_oracles", "steady_resolution": 0.2}},
+             "unknown key(s): steady_resolution"),
             # without jet_masses each release takes the user's first jet mass
             ({"sources": {"users": [{"jets": [{"time": 0.0, "mass": 2.0}]}, {}],
                           "stochastic": {"interval": 1.0, "horizon": 1.0,
@@ -375,8 +375,7 @@ _EXPERIMENTS = {
             "empirical_trials": st.sampled_from([0, 10_000, 20_000]),
             "empirical_count": st.integers(1, 5)},
     "mc_pmd": {"snr_arguments": _sweeps(0.0, 3.0), "trials": st.integers(10_000, 10**6)},
-    "validate_oracles": {"steady_resolution": st.floats(0.1, 1.0),
-                         "trials": st.integers(10_000, 10**6),
+    "validate_oracles": {"trials": st.integers(10_000, 10**6),
                          "mc_samples": st.integers(100_000, 10**6)},
 }
 
@@ -934,12 +933,7 @@ def _resolve_experiment(raw):
         out["trials"] = _expect_int(raw.get("trials", 1_000_000), f"{path}.trials",
                                     minimum=10_000)
     elif kind == "validate_oracles":
-        _reject_unknown(raw, ("kind", "steady_resolution", "trials", "mc_samples"), path)
-        out["steady_resolution"] = _expect_number(
-            raw.get("steady_resolution", 0.2), f"{path}.steady_resolution", positive=True
-        )
-        if out["steady_resolution"] < 0.1:
-            raise ScenarioError(f"{path}.steady_resolution", "must be >= 0.1")
+        _reject_unknown(raw, ("kind", "trials", "mc_samples"), path)
         out["trials"] = _expect_int(raw.get("trials", 200_000), f"{path}.trials",
                                     minimum=10_000)
         out["mc_samples"] = _expect_int(raw.get("mc_samples", 200_000), f"{path}.mc_samples",
