@@ -232,9 +232,9 @@ def march_steady_plume(params: ChannelParams, source_height: float, x_start: flo
 
     warnings = []
     ic_sigma = math.sqrt(2.0 * scale_start)
-    if ic_sigma < 3.0 * step:
+    if ic_sigma < 2.0 * step:
         warnings.append(
-            f"initial Gaussian (sigma = {ic_sigma:.3g} cm) spans under 3 grid steps; "
+            f"initial Gaussian (sigma = {ic_sigma:.3g} cm) spans under 2 grid steps; "
             "expect start-up error"
         )
 

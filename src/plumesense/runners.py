@@ -285,15 +285,6 @@ def _require_seed(config: ScenarioConfig) -> int:
     return config.seed
 
 
-def _primary_rate(config: ScenarioConfig) -> float:
-    """Breath rate of the first emitting user (the paper's single-emitter
-    experiments); falls back to 1.0 so ratios stay well defined."""
-    for user in config.users():
-        if user.breath_rate > 0.0:
-            return user.breath_rate
-    return 1.0
-
-
 def _linspace(rng: dict) -> np.ndarray:
     return np.linspace(rng["start"], rng["stop"], rng["num"])
 
@@ -304,18 +295,18 @@ def _linspace(rng: dict) -> np.ndarray:
 
 
 def run_concentration_vs_distance(config: ScenarioConfig) -> ResultTable:
-    """Steady received-concentration ratio versus downwind distance.
+    """Steady received-concentration ratio versus downwind distance, per
+    unit emission rate: the plume is evaluated at rate 1, so ``sources`` is
+    not read.
 
-    Mode "center" reports the plume value at the receiver center per unit
-    emission rate; mode "collected" reports the sphere-and-window integral
-    over volume * window (the mean concentration) per unit rate, which is
-    the quantity that actually drops when the wind speeds up (the on-axis
-    point value is wind-invariant because the crosswind spread shrinks in
-    exact proportion).
+    Mode "center" reports the plume value at the receiver center; mode
+    "collected" reports the sphere-and-window integral over volume * window
+    (the mean concentration), which is the quantity that actually drops when
+    the wind speeds up (the on-axis point value is wind-invariant because
+    the crosswind spread shrinks in exact proportion).
     """
     exp = config.experiment
     height = config.source_height
-    rate = _primary_rate(config)
     orders = tuple(exp["quadrature_orders"])
     distances = np.asarray(exp["distances"])
     receivers = [config.receiver_spec(distance=d) for d in exp["distances"]]
@@ -323,13 +314,13 @@ def run_concentration_vs_distance(config: ScenarioConfig) -> ResultTable:
     for u in exp["wind_speeds"]:
         params = config.channel_params(wind_speed=u)
         if exp["mode"] == "center":
-            value = steady_state_concentration(rate, (distances, 0.0, height), params, height)
+            value = steady_state_concentration(1.0, (distances, 0.0, height), params, height)
         else:
-            field = steady_field(rate, params, height)
+            field = steady_field(1.0, params, height)
             value = np.array([receiver_exposure(recv, field, 0.0, orders)
                               for recv in receivers])
             value /= receivers[0].volume * receivers[0].sampling_window
-        blocks.append(np.column_stack([np.full(distances.shape, u), distances, value / rate]))
+        blocks.append(np.column_stack([np.full(distances.shape, u), distances, value]))
     return ResultTable(
         columns=("wind_speed", "distance", "ratio"),
         units=("cm/s", "cm", "1/cm^3 per unit/s"),
@@ -346,7 +337,7 @@ def run_delay_to_fraction(config: ScenarioConfig) -> ResultTable:
     On the axis the breath response over the steady plume is the erfc front
     (erfc((d - u t)/r) - erfc(d/r))/2 with r = 2 sqrt(diffusion_scale(d)), so
     the delay is its exact inverse t = (d - r erfcinv(2f + erfc(d/r)))/u,
-    with the package's own erfc (fdlibm's rule), and erfcinv(y) =
+    with libm's erfc (``math.erfc``), and erfcinv(y) =
     -ndtri(y/2)/sqrt(2) per distance by the stdlib's AS 241 quantile
     ``NormalDist().inv_cdf``.  ``experiment.rel_tol`` is accepted but not used.
     """
@@ -389,18 +380,19 @@ def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
     The steady plume is linear in the rate, so the half-rate exposure is
     half the base one: halving is exact in binary floating point, and the
     product equals integrating the half-rate plume unless a value is
-    subnormal.  The noise level is solved once from the calibration
-    constant at the base rate, then shared by all variants.  Optional Monte
-    Carlo columns validate the threshold-consistent probability at the
-    largest distances (NaN elsewhere).
+    subnormal.  The plume is evaluated at
+    :attr:`~plumesense.scenario.ScenarioConfig.reference_rate`, and the
+    noise level, solved once from the calibration constant at that rate, is
+    shared by all variants.  Optional Monte Carlo columns validate the
+    threshold-consistent probability at the largest distances (NaN
+    elsewhere).
     """
     exp = config.experiment
-    rate = _primary_rate(config)
-    sigma = config.noise_sigma(rate)
+    sigma = config.noise_sigma
     trials = exp["empirical_trials"]
     if trials > 0:
         seed = _require_seed(config)
-    field = steady_field(rate, config.channel_params(), config.source_height)
+    field = steady_field(config.reference_rate, config.channel_params(), config.source_height)
     orders = tuple(exp["quadrature_orders"])
 
     distances = np.asarray(exp["distances"])
@@ -503,21 +495,17 @@ def run_frequency_sweep(config: ScenarioConfig) -> ResultTable:
 
 def run_mc_pmd(config: ScenarioConfig) -> ResultTable:
     """Monte Carlo missed-detection estimates against the analytic value at
-    configured detection arguments signal/(2*sigma), each run at the
-    noiseless reading signal = 2 * sigma * argument."""
+    configured detection arguments signal/(2*sigma).  The miss count depends
+    on the reading only through that argument, so each runs at sigma = 1/2,
+    where the noiseless reading is the argument itself; ``channel``,
+    ``receiver``, ``noise`` and ``sources`` are not read."""
     exp = config.experiment
     seed = _require_seed(config)
-    sigma = config.noise_sigma(_primary_rate(config))
     trials = exp["trials"]
     arguments = np.asarray(exp["snr_arguments"])
-    with np.errstate(over="ignore"):
-        signals = 2.0 * sigma * arguments
     empirical = np.empty((arguments.size, 3))
-    for index, signal in enumerate(signals):
-        if not np.isfinite(signal):
-            raise ScenarioError(f"experiment.snr_arguments[{index}]",
-                                f"the reading 2 sigma x argument overflows at sigma = {sigma}")
-        est = empirical_pmd(signal, sigma, trials,
+    for index, argument in enumerate(arguments):
+        est = empirical_pmd(argument, 0.5, trials,
                             np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         empirical[index] = (est.estimate, est.lower, est.upper)
     return ResultTable(
@@ -587,20 +575,20 @@ def run_validate_oracles(config: ScenarioConfig) -> ResultTable:
         raise ScenarioError("channel", str(exc)) from exc
     values.update(spectrum_oracle_report(spectrum, params, height).checks)
 
-    # detection statistics against the closed form
-    sigma = config.noise_sigma(_primary_rate(config))
+    # detection statistics against the closed form, at sigma = 1/2, where
+    # the noiseless reading is the argument signal/(2 sigma) itself
     hits = 0
     for i, argument in enumerate((0.5, 1.0, 2.0)):
         est = empirical_pmd(
-            2.0 * sigma * argument, sigma, exp["trials"],
+            argument, 0.5, exp["trials"],
             np.random.SeedSequence(entropy=seed, spawn_key=(100 + i,)),
         )
         hits += est.contains(q_function(argument))
     values["pmd_within_ci"] = hits
 
-    # receiver integral: Monte Carlo against Gauss-Legendre
+    # receiver integral: Monte Carlo against Gauss-Legendre, per unit rate
     recv = config.receiver_spec()
-    fld = steady_field(_primary_rate(config), params, height)
+    fld = steady_field(1.0, params, height)
     mc = mc_receiver_exposure(recv, fld, exp["mc_samples"], seed + 1)
     values["mc_exposure_sigmas"] = mc.distance_sigmas(receiver_exposure(recv, fld))
 

@@ -525,18 +525,22 @@ class ScenarioConfig:
         return ReceiverSpec(**{**r, "center": center,
                                "radius": r["radius"] * volume_factor ** (1.0 / 3.0)})
 
-    def noise_sigma(self, reference_rate: float) -> float:
+    @property
+    def reference_rate(self) -> float:
+        """Breath rate of the first breathing user (the paper's single-emitter
+        experiments), or 1.0 when no user breathes."""
+        return next((user.breath_rate for user in self.users() if user.breath_rate > 0.0),
+                    1.0)
+
+    @property
+    def noise_sigma(self) -> float:
         """Noise standard deviation: direct from variance, or solved from the
-        calibration constant gain*rate/(8*sigma^2)."""
+        calibration constant gain*rate/(8*sigma^2) at the reference rate."""
         noise = self.resolved["noise"]
         if noise["variance"] is not None:
             return math.sqrt(noise["variance"])
-        if reference_rate <= 0.0:
-            raise ScenarioError(
-                "noise.snr_calibration", "calibration needs a positive breath rate"
-            )
         gain = self.receiver_spec().capture_gain
-        return math.sqrt(gain * reference_rate / (8.0 * noise["snr_calibration"]))
+        return math.sqrt(gain * self.reference_rate / (8.0 * noise["snr_calibration"]))
 
 
 def parse_scenario(raw: dict) -> ScenarioConfig:

@@ -669,12 +669,10 @@ def test_overflowing_phase_named_without_warnings(tmp_path):
 
 @pytest.mark.parametrize("overrides, path", [
     (("experiment.snr_arguments=[-1.0, 0.5]",), "experiment.snr_arguments[0]"),
-    (("experiment.snr_arguments=[0.5, 1e308]", "noise.variance=1e300"),
-     "experiment.snr_arguments[1]"),
 ])
 def test_impossible_detection_arguments_named(tmp_path, overrides, path):
-    """gain x exposure / (2 sigma) is >= 0, and 2 sigma x argument / gain must
-    be finite: mc-pmd names the argument and exits 2, with warnings as errors."""
+    """gain x exposure / (2 sigma) is >= 0: mc-pmd names a negative argument
+    and exits 2, with warnings as errors."""
     scenario = tmp_path / "mc.json"
     scenario.write_text(json.dumps({"experiment": {"kind": "mc_pmd", "trials": 10_000}}))
     sets = [arg for override in overrides for arg in ("--set", override)]
@@ -685,6 +683,26 @@ def test_impossible_detection_arguments_named(tmp_path, overrides, path):
     assert result.returncode == cli.EXIT_CONFIG, result.stderr
     assert result.stderr.startswith(f"configuration error: {path}: ")
     assert "Traceback" not in result.stderr
+
+
+def test_huge_detection_argument_runs_without_warnings(tmp_path):
+    """mc-pmd runs at sigma = 1/2, where the noiseless reading is the
+    argument itself, so no reading overflows at any noise level: an argument
+    of 1e308 under a variance of 1e300 exits 0, with warnings as errors, and
+    writes Q = 0 for it."""
+    scenario = tmp_path / "mc.json"
+    scenario.write_text(json.dumps({"experiment": {"kind": "mc_pmd", "trials": 10_000}}))
+    out = tmp_path / "out.csv"
+    result = _fresh_process("import warnings; warnings.simplefilter('error'); "
+                            "from plumesense.cli import main; main()", "mc-pmd",
+                            "--scenario", str(scenario), "--out", str(out), "--seed", "1",
+                            "--set", "experiment.snr_arguments=[0.5, 1e308]",
+                            "--set", "noise.variance=1e300")
+    assert result.returncode == 0, result.stderr
+    table = read_results(out)
+    assert table.column("argument").tolist() == [0.5, 1e308]
+    assert table.column("pmd_analytic")[1] == 0.0
+    assert table.column("pmd_empirical")[1] == 0.0
 
 
 def test_retired_steady_resolution_key_named(tmp_path, capsys):

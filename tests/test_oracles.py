@@ -174,7 +174,17 @@ class TestSteadyMarch:
 
     def test_under_resolved_start_warns(self, params):
         result = march_steady_plume(params, HEIGHT, 3.0, 230.0, resolution=0.2)
-        assert any("under 3 grid steps" in w for w in result.warnings)
+        assert any("under 2 grid steps" in w for w in result.warnings)
+
+    @pytest.mark.parametrize("wind", [70.0, 140.0, 280.0])
+    @pytest.mark.parametrize("diffusivity", [1e-3, DIFFUSIVITY, 1.0])
+    def test_validation_marches_do_not_warn(self, wind, diffusivity):
+        # the coarse step is half the start spread, so the spread spans
+        # exactly 2 steps: the coarsest grid validate-oracles derives
+        channel = ChannelParams.with_constant(wind, diffusivity)
+        for step in validation_steps(channel):
+            result = march_steady_plume(channel, HEIGHT, *VALIDATION_DISTANCES, step)
+            assert result.warnings == ()
 
     def test_refinement_reduces_error(self, params, coarse_steady):
         fine = march_steady_plume(params, HEIGHT, *VALIDATION_DISTANCES,
@@ -870,7 +880,8 @@ def _spawned(index):
     return np.random.SeedSequence(entropy=12345, spawn_key=(index,))
 
 
-# mc-pmd's exposures, 2 sigma argument / gain, are numpy scalars
+# exposures whose readings are 2 sigma x argument at sigma = 0.3, held as
+# numpy scalars, as the arguments mc-pmd hands to empirical_pmd are
 _MC_EXPOSURES = 2.0 * 0.3 * np.array([0.0, 0.5, 1.0, 2.5]) / (0.85 * 0.5)
 
 

@@ -27,7 +27,6 @@ from plumesense.runners import (
     _FILE_METADATA_KEYS,
     RUNNERS,
     _metadata,
-    _primary_rate,
     ResultTable,
     read_results,
     run_concentration_vs_distance,
@@ -288,9 +287,9 @@ class TestDeterminism:
 # (wind, distance) or (distance, variant), and the half-rate variant
 # integrates its own sphere at half the rate
 def reference_concentration_vs_distance(config):
+    """Per unit rate: the plume at rate 1."""
     exp = config.experiment
     height = config.source_height
-    rate = _primary_rate(config)
     mode = exp["mode"]
     orders = tuple(exp["quadrature_orders"])
 
@@ -298,12 +297,12 @@ def reference_concentration_vs_distance(config):
         u, d = case
         params = config.channel_params(wind_speed=u)
         if mode == "center":
-            value = steady_state_concentration(rate, (d, 0.0, height), params, height)
+            value = steady_state_concentration(1.0, (d, 0.0, height), params, height)
         else:
             recv = config.receiver_spec(distance=d)
-            value = receiver_exposure(recv, steady_field(rate, params, height), orders=orders)
+            value = receiver_exposure(recv, steady_field(1.0, params, height), orders=orders)
             value /= recv.volume * recv.sampling_window
-        return (u, d, value / rate)
+        return (u, d, value)
 
     cases = [(u, d) for u in exp["wind_speeds"] for d in exp["distances"]]
     return ResultTable(
@@ -318,8 +317,8 @@ def reference_pmd_vs_distance(config):
     exp = config.experiment
     height = config.source_height
     params = config.channel_params()
-    base_rate = _primary_rate(config)
-    sigma = config.noise_sigma(base_rate)
+    base_rate = config.reference_rate
+    sigma = config.noise_sigma
     orders = tuple(exp["quadrature_orders"])
     trials = exp["empirical_trials"]
     recv0 = config.receiver_spec()
@@ -453,6 +452,51 @@ class TestConcentrationVsDistance:
         a = run_concentration_vs_distance(base)
         b = run_concentration_vs_distance(doubled)
         assert np.array_equal(a.rows, b.rows)
+
+
+# sections a per-unit run must not read: breath rates other than 1, a second
+# user, and noise levels whose reading 2 sigma x argument would overflow
+_SOURCES = (
+    {"users": [{"breath_rate": 0.37}]},
+    {"users": [{"breath_rate": 3.3}]},
+    {"users": [{"breath_rate": 0.37}, {"location": [-20.0, 1.0, HEIGHT], "breath_rate": 2.0}]},
+)
+_NOISE = ({"variance": 1e300}, {"variance": 4.0}, {"snr_calibration": 10.0})
+
+
+class TestPerUnitRunsReadNoRateOrNoise:
+    """conc-vs-dist is per unit rate, and mc-pmd and validate-oracles'
+    detection check run at sigma = 1/2: their rows are the same bits
+    whatever ``sources`` and ``noise`` hold."""
+
+    @pytest.mark.parametrize("mode", ["center", "collected"])
+    @pytest.mark.parametrize("sources", _SOURCES)
+    def test_concentration_vs_distance(self, mode, sources):
+        raw = {"experiment": {"kind": "conc_vs_distance", "mode": mode}}
+        base = run_concentration_vs_distance(parse_scenario(raw))
+        moved = run_concentration_vs_distance(parse_scenario({**raw, "sources": sources}))
+        assert np.array_equal(moved.rows, base.rows)
+
+    @pytest.mark.parametrize("sources, noise", zip(_SOURCES, _NOISE))
+    def test_mc_pmd(self, sources, noise):
+        raw = {"experiment": {"kind": "mc_pmd", "trials": 10_000,
+                              "snr_arguments": [0.0, 0.5, 2.0, 1e308]},
+               "seed": 3}
+        base = run_mc_pmd(parse_scenario(raw))
+        moved = run_mc_pmd(parse_scenario({**raw, "sources": sources, "noise": noise}))
+        assert np.array_equal(moved.rows, base.rows)
+        # at 1e308 the analytic value, the estimate and its lower bound are 0
+        assert base.rows[-1, 1:4].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("sources, noise", zip(_SOURCES, _NOISE))
+    def test_validate_oracles(self, sources, noise):
+        raw = {"experiment": {"kind": "validate_oracles", "trials": 10_000,
+                              "mc_samples": 100_000},
+               "seed": 5}
+        base = run_validate_oracles(parse_scenario(raw))
+        moved = run_validate_oracles(parse_scenario({**raw, "sources": sources,
+                                                     "noise": noise}))
+        assert np.array_equal(moved.rows, base.rows)
 
 
 @pytest.fixture(scope="module")

@@ -244,11 +244,18 @@ class TestTypedAccessors:
         config = parse_scenario({})
         gain = 0.85 * 0.5
         expected = math.sqrt(gain * 1.0 / (8.0 * 1.96e4))
-        assert config.noise_sigma(1.0) == pytest.approx(expected, rel=1e-15)
+        assert config.noise_sigma == pytest.approx(expected, rel=1e-15)
 
     def test_noise_sigma_from_variance(self):
         config = parse_scenario({"noise": {"variance": 0.09}})
-        assert config.noise_sigma(1.0) == pytest.approx(0.3, rel=1e-15)
+        assert config.noise_sigma == pytest.approx(0.3, rel=1e-15)
+
+    @pytest.mark.parametrize("rates, expected", [
+        ([1.0], 1.0), ([0.0, 0.37, 2.0], 0.37), ([0.0], 1.0), ([0.0, 0.0], 1.0),
+    ])
+    def test_reference_rate_is_the_first_breathing_users(self, rates, expected):
+        config = parse_scenario({"sources": {"users": [{"breath_rate": r} for r in rates]}})
+        assert config.reference_rate == expected
 
     def test_stochastic_scenario_built(self):
         config = parse_scenario(
