@@ -71,6 +71,8 @@ _FILE_METADATA_KEYS = ("version", "config_hash", "seed")
 # rows formatted per C-level string operation; bounds the serialisers'
 # transient token lists while keeping per-block overhead negligible
 _FORMAT_BLOCK_ROWS = 4096
+# what follows a JSON row's last cell: the row's close and the next's open
+_JSON_ROW_END = "\n  ],\n  [\n   "
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,8 @@ class ResultTable:
     def __post_init__(self):
         self.columns = tuple(self.columns)
         self.units = tuple(self.units)
+        if not self.columns:
+            raise DomainError("table needs at least one column")
         if len(self.columns) != len(self.units):
             raise DomainError("each column needs a unit annotation")
         try:
@@ -118,50 +122,67 @@ class ResultTable:
             raise DomainError(f"no column named {name!r}") from None
         return self.rows[:, idx].copy()
 
-    def _cell_blocks(self, tokens, tokenise_rest):
-        """Which columns are deduplicated, and the row count and row-major
-        cells of each block of rows.
+    def _token_blocks(self, cell, sep, row_end):
+        """Each block of rows as its end row and a list of tokens: texts
+        that end in their last cell's separator (``sep``, or ``row_end``
+        after the last column), so the block's text is their join.
 
-        A column whose distinct bit patterns (so -0.0 and 0.0, and NaN
-        payloads, stay apart) number at most half its rows is deduplicated:
-        ``tokens`` (a list of floats to a list of strings, one C-level
-        operation) formats each distinct value once, and each block gathers
-        its cells through its inverse index, found by binary search in the
-        sorted distinct patterns.  The other columns' cells are their
-        floats, or ``tokens`` of them per block if ``tokenise_rest``.
+        ``cell`` is a %-format that writes one float.  A column whose
+        distinct bit patterns (so -0.0 and 0.0, and NaN payloads, stay
+        apart) number at most three fifths of its rows is gathered: one
+        C-level operation formats each distinct value once, with its
+        separator, and each block takes its tokens through the inverse index
+        from one argsort.  Past three fifths, gathering costs CSV more than
+        it saves.  One operation per block formats the other columns' cells
+        in row order.  Each run of such columns is one token per row, and
+        the whole block is one token when no column is gathered.
         """
         n_rows, n_cols = self.rows.shape
+        seps = [sep] * (n_cols - 1) + [row_end]
         bits = self.rows.view(np.uint64)
-        distinct = {}
+        gathered = {}
         for j in range(n_cols):
-            # np.sort, not np.unique: a quarter of the time on a
-            # mostly-distinct column, and no whole-column inverse is kept
+            # np.sort counts the distinct patterns in a third of argsort's
+            # time; only a gathered column pays for the argsort
             ordered = np.sort(bits[:, j])
             first = np.ones(n_rows, dtype=bool)
             first[1:] = ordered[1:] != ordered[:-1]
-            patterns = ordered[first]
-            if 2 * patterns.size <= n_rows:
-                distinct[j] = (
-                    patterns,
-                    np.array(tokens(patterns.view(np.float64).tolist()), dtype=object),
-                )
-        rest = [j for j in range(n_cols) if j not in distinct]
+            n_distinct = np.count_nonzero(first)
+            if 5 * n_distinct <= 3 * n_rows:
+                text = ((cell + seps[j] + "\0") * n_distinct) % tuple(
+                    ordered[first].view(np.float64).tolist())
+                # kept for every block, so in the narrowest type that
+                # indexes the distinct values
+                inverse = np.empty(n_rows, dtype=np.min_scalar_type(n_distinct))
+                inverse[np.argsort(bits[:, j])] = np.cumsum(first, dtype=inverse.dtype) - 1
+                gathered[j] = (inverse, np.array(text.split("\0")[:-1], dtype=object))
+        formatted = [j for j in range(n_cols) if j not in gathered]
+        # a "\0" ends a run of formatted columns before a gathered token
+        run_ends = [j for j in formatted if gathered and j + 1 not in formatted]
+        row_format = "".join(cell + seps[j] + "\0" * (j in run_ends) for j in formatted)
+        # a row's tokens in order: a gathered column's, or (None) the next run's
+        slots = [gathered.get(j) for j in range(n_cols)
+                 if j in gathered or j - 1 not in formatted]
 
-        def blocks():
-            for start in range(0, n_rows, _FORMAT_BLOCK_ROWS):
-                stop = min(start + _FORMAT_BLOCK_ROWS, n_rows)
-                cells = np.empty((stop - start, n_cols), dtype=object)
-                for j, (patterns, column_tokens) in distinct.items():
-                    cells[:, j] = column_tokens[np.searchsorted(patterns, bits[start:stop, j])]
-                if rest:
-                    values = self.rows[start:stop, rest]
-                    if tokenise_rest:
-                        values = np.array(tokens(values.ravel().tolist()),
-                                          dtype=object).reshape(values.shape)
-                    cells[:, rest] = values
-                yield stop - start, tuple(cells.ravel().tolist())
-
-        return [j in distinct for j in range(n_cols)], blocks()
+        for start in range(0, n_rows, _FORMAT_BLOCK_ROWS):
+            stop = min(start + _FORMAT_BLOCK_ROWS, n_rows)
+            text = (row_format * (stop - start)) % tuple(
+                self.rows[start:stop, formatted].ravel().tolist())
+            if not gathered:
+                yield stop, [text]
+                continue
+            runs = text.split("\0")
+            runs.pop()  # the empty text after the last "\0"
+            tokens = [None] * ((stop - start) * len(slots))
+            run = 0
+            for position, slot in enumerate(slots):
+                if slot is None:
+                    tokens[position::len(slots)] = runs[run::len(run_ends)]
+                    run += 1
+                else:
+                    inverse, column_tokens = slot
+                    tokens[position::len(slots)] = column_tokens[inverse[start:stop]].tolist()
+            yield stop, tokens
 
     def to_csv_text(self) -> str:
         lines = []
@@ -170,19 +191,14 @@ class ResultTable:
                 lines.append(f"# {key}: {self.metadata[key]}")
         lines.append(",".join(f"{c} [{u}]" for c, u in zip(self.columns, self.units)))
         # "%.8e" % v is the same text as f"{v:.8e}", nan, inf and -0.0 included
-        deduplicated, blocks = self._cell_blocks(
-            lambda values: (("%.8e\n" * len(values)) % tuple(values)).split("\n")[:-1],
-            tokenise_rest=False)
-        row_fmt = ",".join("%s" if d else "%.8e" for d in deduplicated) + "\n"
-        # one join over header and blocks: the text is copied once
         return "".join(["\n".join(lines) + "\n"]
-                       + [(row_fmt * n) % values for n, values in blocks])
+                       + ["".join(tokens) for _, tokens in self._token_blocks("%.8e", ",", "\n")])
 
     def to_json_text(self) -> str:
         """The text ``json.dumps(record, indent=1)`` gives, without its
-        pure-Python encoder: the C encoder writes the numbers (``NaN`` and
-        ``Infinity`` included) and they are spliced into the ``indent=1``
-        row layout."""
+        pure-Python encoder: ``%r`` writes each finite number as the C
+        encoder does, and the numbers are joined in the ``indent=1`` row
+        layout."""
         record = {
             "metadata": {k: self.metadata[k] for k in _FILE_METADATA_KEYS
                          if k in self.metadata},
@@ -191,18 +207,21 @@ class ResultTable:
             "rows": [],
         }
         head = json.dumps(record, indent=1)
-        if not len(self.rows):
+        n_rows = len(self.rows)
+        if not n_rows:
             return head + "\n"
-        _, blocks = self._cell_blocks(lambda values: json.dumps(values)[1:-1].split(", "),
-                                      tokenise_rest=True)
-        cells = ",\n   ".join(["%s"] * len(self.columns))
-        row_fmt = "  [\n   " + cells + "\n  ]" if self.columns else "  []"
-        body = [",\n".join([row_fmt] * n) % values for n, values in blocks]
-        # head ends with the empty rows list: '"rows": []\n}'; the ends go
-        # into the first and last blocks, so the text is copied once
-        body[0] = head[:-len("[]\n}")] + "[\n" + body[0]
-        body[-1] += "\n ]\n}\n"
-        return ",\n".join(body)
+        # "%r" names a non-finite float nan, inf or -inf, and JSON NaN,
+        # Infinity or -Infinity; no other cell text holds a letter but "e"
+        rename = not np.isfinite(self.rows).all()
+        # head ends with the empty rows list: '"rows": []\n}'
+        texts = [head[:-len("[]\n}")] + "[\n  [\n   "]
+        for stop, tokens in self._token_blocks("%r", ",\n   ", _JSON_ROW_END):
+            if stop == n_rows:
+                tokens[-1] = tokens[-1][:-len(_JSON_ROW_END)] + "\n  ]\n ]\n}\n"
+            text = "".join(tokens)
+            texts.append(text.replace("nan", "NaN").replace("inf", "Infinity") if rename
+                         else text)
+        return "".join(texts)
 
 
 def write_results(table: ResultTable, path, fmt: str = "csv"):
@@ -381,12 +400,16 @@ def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
     half the base one: halving is exact in binary floating point, and the
     product equals integrating the half-rate plume unless a value is
     subnormal.  The plume is evaluated at
-    :attr:`~plumesense.scenario.ScenarioConfig.reference_rate`, and the
-    noise level, solved once from the calibration constant at that rate, is
-    shared by all variants.  Optional Monte Carlo columns validate the
+    :attr:`~plumesense.scenario.ScenarioConfig.reference_rate`, the first
+    breathing user's rate (a scenario in which no user breathes is
+    rejected, as in :func:`run_field_grid`), and the noise level, solved
+    once from the calibration constant at that rate, is shared by all
+    variants.  Optional Monte Carlo columns validate the
     threshold-consistent probability at the largest distances (NaN
     elsewhere).
     """
+    if not any(user.breath_rate > 0.0 for user in config.users()):
+        raise ScenarioError("sources.users", "pmd experiment needs a breathing user")
     exp = config.experiment
     sigma = config.noise_sigma
     trials = exp["empirical_trials"]

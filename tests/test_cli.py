@@ -609,6 +609,22 @@ def test_vanishing_diffusivity_named_without_warnings(tmp_path, command, scenari
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, scenario, kind", [("field", "field.json", "field"),
+                                                     ("pmd", "pmd.json", "pmd")])
+def test_no_breathing_user_named(tmp_path, command, scenario, kind, capsys):
+    """field and pmd evaluate the breath plume of a breathing user: when no
+    user breathes, the run names sources.users and exits 2 without a file,
+    instead of writing the rows of a rate-1 emitter."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    code = cli.dispatch([command, "--scenario", str(scenarios / scenario), "--out", str(out),
+                         "--set", 'sources.users=[{"breath_rate": 0}]'])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: sources.users: "
+                                       f"{kind} experiment needs a breathing user\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("diffusivity", ["5e-324", "1e-300"])
 def test_vanishing_diffusivity_names_the_channel_in_validate_oracles(tmp_path, diffusivity):
     """At K = 5e-324 cm^2/s the diffusion scale at 50 cm underflows to 0, and

@@ -2,6 +2,7 @@
 physical trends each figure-style experiment must reproduce."""
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -93,11 +94,20 @@ _POOL_BITS = np.array([0x0000000000000000, 0x8000000000000000, 0x7FF800000000000
 
 def _column_bits(kind, n_rows, rng):
     """A column's bit patterns: ``pool`` cycles through the pool in random
-    order; ``half`` has exactly n_rows // 2 distinct values (the largest
-    count the formatters deduplicate) and ``half+1`` one more."""
+    order; ``limit`` has exactly 3 n_rows // 5 distinct values (the largest
+    count the formatters gather) and ``limit+1`` one more; ``mirrored``
+    holds each value twice, as a field mirrored about the source plane
+    does, except that one copy in 25 differs in the last bit, so about 52 %
+    of its rows are distinct."""
     if kind == "pool":
         return rng.permutation(np.resize(_POOL_BITS, n_rows))
-    m = max(n_rows // 2 + (kind == "half+1"), 1)
+    if kind == "mirrored":
+        values = rng.integers(0, 2**64, size=(n_rows + 1) // 2, dtype=np.uint64,
+                              endpoint=False)
+        mirror = values.copy()
+        mirror[::25] ^= np.uint64(1)
+        return rng.permutation(np.concatenate([values, mirror])[:n_rows])
+    m = max(3 * n_rows // 5 + (kind == "limit+1"), 1)
     distinct = np.unique(rng.integers(0, 2**64, size=m + 8, dtype=np.uint64,
                                       endpoint=False))[:m]
     return rng.permutation(np.resize(distinct, n_rows))
@@ -107,9 +117,10 @@ def _column_bits(kind, n_rows, rng):
 def result_tables(draw):
     """Tables of 0, 1, 4095, 4096 or 4097 rows (around the 4096-row format
     block) and 1 to 7 columns.  One column cycles a small pool of values and
-    another (if any) has n_rows // 2 distinct values; the rest have special
+    another (if any) has 3 n_rows // 5 distinct values; the rest have special
     values over random bit patterns, or are of either kind, or have
-    n_rows // 2 + 1 distinct values.  Rows are in C or Fortran order."""
+    3 n_rows // 5 + 1 distinct values, or are mirrored.  Rows are in C or
+    Fortran order."""
     n_rows = draw(st.sampled_from([0, 1, 4095, 4096, 4097]))
     n_cols = draw(st.integers(1, 7))
     cells = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(width=64))
@@ -118,8 +129,8 @@ def result_tables(draw):
     bits = rng.integers(0, 2**64, size=rows.shape, dtype=np.uint64, endpoint=False)
     mask = rng.random(rows.shape) < 0.5
     rows[mask] = bits.view(np.float64)[mask]
-    kinds = ["pool", "half"] + draw(st.lists(
-        st.sampled_from(["special", "pool", "half", "half+1"]),
+    kinds = ["pool", "limit"] + draw(st.lists(
+        st.sampled_from(["special", "pool", "limit", "limit+1", "mirrored"]),
         min_size=max(n_cols - 2, 0), max_size=max(n_cols - 2, 0)))
     order = draw(st.permutations(range(n_cols)))
     for j, kind in zip(order, kinds):
@@ -153,6 +164,8 @@ class TestResultTable:
             ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[(1.0, 2.0), (3.0,)])
         with pytest.raises(DomainError):
             ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[1.0, 2.0])
+        with pytest.raises(DomainError):
+            ResultTable(columns=(), units=(), rows=np.empty((3, 0)))
         empty = ResultTable(columns=("a", "b"), units=("cm", "s"), rows=[])
         assert empty.rows.shape == (0, 2)
 
@@ -208,6 +221,18 @@ class TestResultTable:
               suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
     @given(table=result_tables())
     def test_block_formatters_match_per_row_reference(self, table):
+        assert first_difference(table.to_csv_text(), reference_csv_text(table)) is None
+        assert first_difference(table.to_json_text(), reference_json_text(table)) is None
+
+    @pytest.mark.parametrize("gathered", list(itertools.product([False, True], repeat=3)))
+    def test_every_column_layout_matches_per_row_reference(self, gathered):
+        """Every mix of gathered and formatted columns over two format
+        blocks, so a run of formatted columns starts and ends at each place
+        in a row; random bit patterns include NaNs and infinities."""
+        rng = np.random.default_rng(3)
+        rows = np.column_stack([_column_bits("limit" if g else "limit+1", 4097, rng)
+                                for g in gathered]).view(np.float64)
+        table = ResultTable(columns=("a", "b", "c"), units=("1",) * 3, rows=rows)
         assert first_difference(table.to_csv_text(), reference_csv_text(table)) is None
         assert first_difference(table.to_json_text(), reference_json_text(table)) is None
 
