@@ -132,10 +132,11 @@ class ResultTable:
         apart) number at most three fifths of its rows is gathered: one
         C-level operation formats each distinct value once, with its
         separator, and each block takes its tokens through the inverse index
-        from one argsort.  Past three fifths, gathering costs CSV more than
-        it saves.  One operation per block formats the other columns' cells
-        in row order.  Each run of such columns is one token per row, and
-        the whole block is one token when no column is gathered.
+        from one argsort.  Three fifths takes in a field mirrored about the
+        source plane, just over half distinct.  One operation per block
+        formats the other columns' cells in row order.  Each run of such
+        columns is one token per row, and the whole block is one token when
+        no column is gathered.
         """
         n_rows, n_cols = self.rows.shape
         seps = [sep] * (n_cols - 1) + [row_end]
