@@ -25,6 +25,7 @@ decides; validate-oracles rows and the CLI failure line read the same table.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import time
@@ -655,6 +656,10 @@ def spectrum_oracle_report(spectrum: SampledSpectrum, params: ChannelParams,
 # Monte Carlo: missed detection and the receiver integral
 # ---------------------------------------------------------------------------
 
+# draws per block in both Monte Carlo oracles: the stream is drawn in pieces
+# of this many values, so their working memory does not grow with the count
+_MC_BLOCK = 1 << 15
+
 
 @dataclass
 class PmdEstimate:
@@ -687,7 +692,10 @@ def empirical_pmd(signal: float, sigma: float, trials: int, seed) -> PmdEstimate
     interval at z = ``WILSON_Z``.
 
     Reproducible for a fixed seed; ``trials`` must be at least 10^4 for the
-    interval to be meaningful.
+    interval to be meaningful.  The normals are drawn :data:`_MC_BLOCK` at a
+    time into one reused buffer: the same draws in the same order as one
+    call for all of them, and the same count, in O(block) memory whatever
+    ``trials`` is.
     """
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials")
@@ -695,20 +703,19 @@ def empirical_pmd(signal: float, sigma: float, trials: int, seed) -> PmdEstimate
         raise DomainError("sigma must be nonnegative")
     threshold = ml_threshold(signal)
     rng = np.random.default_rng(seed)
+    trials = int(trials)
+    buffer = np.empty(min(trials, _MC_BLOCK))
     misses = 0
-    remaining = int(trials)
-    while remaining > 0:
-        n = min(remaining, 1_000_000)
-        # in place: one draw-sized array, whether signal is a float or a
-        # numpy scalar
-        received = rng.standard_normal(n)
+    for start in range(0, trials, _MC_BLOCK):
+        # in place, whether signal is a float or a numpy scalar
+        received = buffer[:min(_MC_BLOCK, trials - start)]
+        rng.standard_normal(out=received)
         received *= sigma
         received += signal
-        misses += n - int(np.count_nonzero(decide(received, threshold)))
-        remaining -= n
+        misses += received.size - int(np.count_nonzero(decide(received, threshold)))
     lower, upper = _wilson_interval(misses, trials, WILSON_Z)
     return PmdEstimate(
-        estimate=misses / trials, lower=lower, upper=upper, trials=int(trials),
+        estimate=misses / trials, lower=lower, upper=upper, trials=trials,
         misses=misses, z=WILSON_Z,
     )
 
@@ -727,12 +734,29 @@ class McExposureEstimate:
         return abs(self.value - reference) / self.standard_error
 
 
+def _skip_draws(rng: np.random.Generator, count: int):
+    """Advance ``rng`` past ``count`` doubles, as ``count`` uniform draws
+    would, :data:`_MC_BLOCK` at a time."""
+    buffer = np.empty(min(count, _MC_BLOCK))
+    for start in range(0, count, _MC_BLOCK):
+        rng.random(out=buffer[:min(_MC_BLOCK, count - start)])
+
+
 def mc_receiver_exposure(recv: ReceiverSpec, field, samples: int, seed) -> McExposureEstimate:
     """Unbiased Monte Carlo estimate of the receiver space-time integral over
     the window from t = 0.
 
     Uniform rejection sampling inside the sphere paired with uniform times in
-    the window; deterministic for a fixed seed.
+    the window; deterministic for a fixed seed.  The stream comes in chunks
+    of ``max(65536, min(4e6, 2 * remaining + 1))`` candidates: 3 * chunk
+    offsets in the cube, then chunk times, the first accepted points taken
+    in order.  Each chunk is drawn :data:`_MC_BLOCK` candidates at a time,
+    its offsets from ``rng`` and its times from a copy skipped past the
+    offsets, and the field is called once per block; every field here is
+    pointwise, so the draws, their order and the estimate are the same as
+    drawing each chunk whole, and a ``Generator`` passed as ``seed`` ends in
+    the same state.  Memory is the ``samples`` values, the temporary of
+    their standard deviation, and O(block).
     """
     if samples < 100_000:
         raise DomainError("need at least 1e5 samples")
@@ -742,19 +766,24 @@ def mc_receiver_exposure(recv: ReceiverSpec, field, samples: int, seed) -> McExp
     values = np.empty(samples)
     accepted = 0
     while accepted < samples:
-        # cube-to-sphere acceptance is pi/6; cap chunks to keep memory flat
+        # cube-to-sphere acceptance is pi/6; the chunk fixes only where its
+        # offsets end and its times begin
         chunk = max(65_536, min(4_000_000, int((samples - accepted) / 0.5 + 1)))
-        pts = rng.uniform(-r, r, size=(chunk, 3))
-        ts = rng.uniform(0.0, recv.sampling_window, size=chunk)
-        keep = np.sum(pts * pts, axis=1) <= r * r
-        pts, ts = pts[keep], ts[keep]
-        take = min(pts.shape[0], samples - accepted)
-        vals = np.asarray(
-            field(cx + pts[:take, 0], cy + pts[:take, 1], cz + pts[:take, 2], ts[:take]),
-            dtype=float,
-        )
-        values[accepted:accepted + take] = vals
-        accepted += take
+        times = copy.deepcopy(rng)
+        _skip_draws(times, 3 * chunk)
+        drawn = 0
+        while drawn < chunk and accepted < samples:
+            n = min(_MC_BLOCK, chunk - drawn)
+            x, y, z = rng.uniform(-r, r, size=(n, 3)).T
+            ts = times.uniform(0.0, recv.sampling_window, size=n)
+            keep = np.flatnonzero((x * x + y * y) + z * z <= r * r)[:samples - accepted]
+            if keep.size:
+                values[accepted:accepted + keep.size] = field(
+                    cx + x[keep], cy + y[keep], cz + z[keep], ts[keep])
+            accepted += keep.size
+            drawn += n
+        _skip_draws(times, chunk - drawn)
+        rng.bit_generator.state = times.bit_generator.state
     measure = recv.volume * recv.sampling_window
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

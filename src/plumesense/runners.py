@@ -403,20 +403,19 @@ def run_pmd_vs_distance(config: ScenarioConfig) -> ResultTable:
     subnormal.  The plume is evaluated at
     :attr:`~plumesense.scenario.ScenarioConfig.reference_rate`, the first
     breathing user's rate (a scenario in which no user breathes is
-    rejected, as in :func:`run_field_grid`), and the noise level, solved
-    once from the calibration constant at that rate, is shared by all
-    variants.  Optional Monte Carlo columns validate the
+    rejected there, as in :func:`run_field_grid`), and the noise level,
+    solved once from the calibration constant at that rate, is shared by
+    all variants.  Optional Monte Carlo columns validate the
     threshold-consistent probability at the largest distances (NaN
     elsewhere).
     """
-    if not any(user.breath_rate > 0.0 for user in config.users()):
-        raise ScenarioError("sources.users", "pmd experiment needs a breathing user")
+    rate = config.reference_rate
     exp = config.experiment
     sigma = config.noise_sigma
     trials = exp["empirical_trials"]
     if trials > 0:
         seed = _require_seed(config)
-    field = steady_field(config.reference_rate, config.channel_params(), config.source_height)
+    field = steady_field(rate, config.channel_params(), config.source_height)
     orders = tuple(exp["quadrature_orders"])
 
     distances = np.asarray(exp["distances"])

@@ -94,7 +94,7 @@ _MAX_COUNT = int(np.iinfo(np.intp).max)
 # the most points of one range, and of the field's x * y * z grid: 16 times
 # the largest grid the benchmark evaluates (16 x 128 x 128)
 _MAX_POINTS = 2**22
-# the most Monte Carlo detection trials, drawn 10^6 at a time
+# the most Monte Carlo detection trials, drawn 2^15 at a time
 _MAX_TRIALS = 10**8
 # the most volume-integral samples, all held in one array (80 MB)
 _MAX_SAMPLES = 10**7
@@ -528,9 +528,14 @@ class ScenarioConfig:
     @property
     def reference_rate(self) -> float:
         """Breath rate of the first breathing user (the paper's single-emitter
-        experiments), or 1.0 when no user breathes."""
-        return next((user.breath_rate for user in self.users() if user.breath_rate > 0.0),
-                    1.0)
+        experiments); a scenario in which no user breathes has none, and
+        raises :class:`ScenarioError` naming ``sources.users``."""
+        rate = next((user.breath_rate for user in self.users() if user.breath_rate > 0.0),
+                    None)
+        if rate is None:
+            raise ScenarioError("sources.users",
+                                f"{self.experiment['kind']} experiment needs a breathing user")
+        return rate
 
     @property
     def noise_sigma(self) -> float:

@@ -95,6 +95,14 @@ class TestDiffusionScale:
         scales = diffusion_scale(xs, wiggly)
         assert np.all(np.diff(scales) >= 0.0)
 
+    def test_constant_profile_evaluates_to_its_value(self):
+        profile = DiffusivityProfile.constant(DIFFUSIVITY)
+        assert profile(3.0) == DIFFUSIVITY
+        assert isinstance(profile(3.0), float)
+        values = profile(np.array([[1.0, 50.0, 400.0]]))
+        assert values.shape == (1, 3)
+        assert np.all(values == DIFFUSIVITY)
+
     def test_nonpositive_profile_rejected(self):
         with pytest.raises(DomainError):
             DiffusivityProfile.constant(0.0)

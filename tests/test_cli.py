@@ -783,3 +783,52 @@ def test_diffusion_scale_overflow_names_the_channel(tmp_path, override, wind):
     assert result.stderr == ("configuration error: channel.diffusivity: the diffusion scale "
                              "K x / u at 250 cm leaves the range of doubles at wind speed "
                              f"{wind} cm/s\n")
+
+
+@pytest.mark.parametrize("flags, level", [([], "WARNING"), (["-v"], "INFO"),
+                                          (["-vv"], "DEBUG"), (["-vvv"], "DEBUG")])
+def test_verbosity_sets_the_log_level(scenario_file, tmp_path, flags, level):
+    """-v logs each run at INFO on standard error and -vv opens DEBUG; with
+    neither, only warnings are logged."""
+    result = _fresh_process("import logging, sys; from plumesense.cli import dispatch; "
+                            "code = dispatch(sys.argv[1:]); "
+                            "print(logging.getLevelName(logging.getLogger().level)); "
+                            "sys.exit(code)",
+                            "conc-vs-dist", "--scenario", str(scenario_file),
+                            "--out", str(tmp_path / "out.csv"), *flags)
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    assert result.stdout.splitlines()[-1] == level
+    logged = "INFO plumesense: running conc_vs_distance (config " in result.stderr
+    assert logged == bool(flags)
+
+
+def test_quadrature_failure_in_a_runner_exits_3(tmp_path, monkeypatch, capsys):
+    """A QuadratureError raised inside a runner is a numeric failure: exit 3,
+    named on standard error, with no file written."""
+    from plumesense import runners
+    from plumesense.errors import QuadratureError
+
+    def unreachable(*args, **kwargs):
+        raise QuadratureError("tolerance not reached")
+
+    monkeypatch.setattr(runners, "step_convolution", unreachable)
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    code = cli.dispatch(["validate-oracles", "--scenario", str(scenarios / "validate.json"),
+                         "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: tolerance not reached\n"
+    assert not out.exists()
+
+
+def test_delay_overflow_names_the_wind(tmp_path, capsys):
+    """At 1e-300 cm/s the delay d/u leaves the doubles: delay names the wind
+    speed, exits 2 and writes no file."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = tmp_path / "out.csv"
+    code = cli.dispatch(["delay", "--scenario", str(scenarios / "delay.json"),
+                         "--out", str(out), "--set", "experiment.wind_speeds=[1e-300]"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: experiment.wind_speeds: the delay "
+                                       "at 1e-300 cm/s overflows; the wind is too slow\n")
+    assert not out.exists()

@@ -10,6 +10,7 @@ import pytest
 from plumesense.channel import (
     _MAX_SUBINTERVALS_PER_GAP,
     ChannelParams,
+    DiffusivityProfile,
     breath_response,
     diffusion_scale,
     impulse_response,
@@ -895,12 +896,21 @@ class TestEmpiricalPmd:
         (_MC_EXPOSURES[2], 0.0, 10_000, _spawned(4)),
         (0.0, 0.0, 10_000, _spawned(5)),
         (1.3, 0.7, 2_500_000, _spawned(6)),
+        (1.3, 0.7, oracles._MC_BLOCK - 1, _spawned(7)),
+        (1.3, 0.7, oracles._MC_BLOCK, _spawned(8)),
+        (1.3, 0.7, oracles._MC_BLOCK + 1, _spawned(9)),
     ])
     def test_equals_reference(self, exposure, sigma, trials, seed):
-        """Counting misses through ml_threshold and decide changes no draw,
-        chunk or count: the whole estimate is equal, chunk seams included."""
+        """Counting misses through ml_threshold and decide, a block at a
+        time, changes no draw or count: the whole estimate is equal, block
+        and chunk seams included."""
         args = (0.85 * 0.5 * exposure, sigma, trials)
         assert empirical_pmd(*args, seed) == reference_empirical_pmd(*args, seed)
+
+    def test_peak_memory_is_one_block(self):
+        est, peak = traced_peak(lambda: empirical_pmd(2.0, 1.0, 10**6, 42))
+        assert est == reference_empirical_pmd(2.0, 1.0, 10**6, 42)
+        assert peak <= 1_000_000
 
     @pytest.mark.parametrize("exposure, efficiency, sigma", [
         (math.nan, 0.85, 1.0), (1.0, 0.85, math.nan), (math.inf, 0.85, 1.0),
@@ -941,6 +951,54 @@ def recv():
     return ReceiverSpec((100.0, 0.0, HEIGHT), RADIUS, 3.0, 0.85, 0.5)
 
 
+def reference_mc_receiver_exposure(recv, field, samples, seed):
+    """mc_receiver_exposure drawing each chunk whole: its 3 * chunk offsets,
+    then its chunk times, and one field call for its accepted points."""
+    if samples < 100_000:
+        raise DomainError("need at least 1e5 samples")
+    rng = np.random.default_rng(seed)
+    cx, cy, cz = recv.center
+    r = recv.radius
+    values = np.empty(samples)
+    accepted = 0
+    while accepted < samples:
+        chunk = max(65_536, min(4_000_000, int((samples - accepted) / 0.5 + 1)))
+        pts = rng.uniform(-r, r, size=(chunk, 3))
+        ts = rng.uniform(0.0, recv.sampling_window, size=chunk)
+        keep = np.sum(pts * pts, axis=1) <= r * r
+        pts, ts = pts[keep], ts[keep]
+        take = min(pts.shape[0], samples - accepted)
+        vals = np.asarray(
+            field(cx + pts[:take, 0], cy + pts[:take, 1], cz + pts[:take, 2], ts[:take]),
+            dtype=float,
+        )
+        values[accepted:accepted + take] = vals
+        accepted += take
+    measure = recv.volume * recv.sampling_window
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return McExposureEstimate(
+        value=measure * mean, standard_error=measure * se, samples=int(samples)
+    )
+
+
+def mc_fields(params):
+    """A steady plume under a constant and a linear K, and a breath, whose
+    value depends on time."""
+    linear = ChannelParams(params.wind_speed, DiffusivityProfile.from_function(
+        lambda x: DIFFUSIVITY * (1.0 + np.asarray(x) / 150.0)))
+    return {
+        "steady": steady_field(1.0, params, HEIGHT),
+        "steady_linear_k": steady_field(1.0, linear, HEIGHT),
+        "breath": lambda x, y, z, t: breath_response(1.0, 0.0, (x, y, z, t), params, HEIGHT),
+    }
+
+
+def cheap_field(x, y, z, t):
+    """Pointwise, reads every coordinate, and costs little at 10^6 points."""
+    return x * 1e-3 + y * y - z + t
+
+
 class TestMcReceiverExposure:
     def test_uniform_field_is_exact(self, recv):
         c0 = 2.5
@@ -978,3 +1036,35 @@ class TestMcReceiverExposure:
         uniform = lambda x, y, z, t: np.full(np.shape(x), 1.0)
         with pytest.raises(DomainError):
             mc_receiver_exposure(recv, uniform, samples=10**4, seed=0)
+
+    @pytest.mark.parametrize("samples", [100_000, 200_000])
+    @pytest.mark.parametrize("name", ["steady", "steady_linear_k", "breath"])
+    def test_equals_reference(self, params, recv, name, samples):
+        """Drawing each chunk a block at a time, offsets and times from two
+        generators in lockstep, changes no draw, pairing or value."""
+        field = mc_fields(params)[name]
+        assert (mc_receiver_exposure(recv, field, samples, seed=11)
+                == reference_mc_receiver_exposure(recv, field, samples, seed=11))
+
+    def test_second_chunk_equals_reference(self, recv):
+        # 3e6 samples take more than one 4e6-candidate chunk
+        assert (mc_receiver_exposure(recv, cheap_field, 3_000_000, seed=5)
+                == reference_mc_receiver_exposure(recv, cheap_field, 3_000_000, seed=5))
+
+    @pytest.mark.parametrize("samples", [200_000, 3_000_000])
+    def test_passed_generator_ends_in_the_reference_state(self, recv, samples):
+        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+        # a buffered half of a 64-bit draw must survive too
+        ours.integers(0, 2**32, dtype=np.uint32)
+        theirs.integers(0, 2**32, dtype=np.uint32)
+        assert (mc_receiver_exposure(recv, cheap_field, samples, ours)
+                == reference_mc_receiver_exposure(recv, cheap_field, samples, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    def test_peak_memory_is_the_values_and_their_deviation(self, params, recv):
+        samples = 10**6
+        est, peak = traced_peak(lambda: mc_receiver_exposure(
+            recv, steady_field(1.0, params, HEIGHT), samples, seed=3))
+        assert est.samples == samples
+        assert peak <= 2.5 * samples * 8

@@ -250,12 +250,20 @@ class TestTypedAccessors:
         config = parse_scenario({"noise": {"variance": 0.09}})
         assert config.noise_sigma == pytest.approx(0.3, rel=1e-15)
 
-    @pytest.mark.parametrize("rates, expected", [
-        ([1.0], 1.0), ([0.0, 0.37, 2.0], 0.37), ([0.0], 1.0), ([0.0, 0.0], 1.0),
-    ])
+    @pytest.mark.parametrize("rates, expected", [([1.0], 1.0), ([0.0, 0.37, 2.0], 0.37)])
     def test_reference_rate_is_the_first_breathing_users(self, rates, expected):
         config = parse_scenario({"sources": {"users": [{"breath_rate": r} for r in rates]}})
         assert config.reference_rate == expected
+
+    @pytest.mark.parametrize("rates", [[0.0], [0.0, 0.0]])
+    def test_no_breathing_user_has_no_reference_rate(self, rates):
+        config = parse_scenario({"sources": {"users": [{"breath_rate": r} for r in rates]},
+                                 "experiment": {"kind": "pmd"}})
+        with pytest.raises(ScenarioError, match="pmd experiment needs a breathing user") as exc:
+            config.reference_rate
+        assert exc.value.path == "sources.users"
+        with pytest.raises(ScenarioError):
+            config.noise_sigma
 
     def test_stochastic_scenario_built(self):
         config = parse_scenario(
