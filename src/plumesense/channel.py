@@ -333,11 +333,26 @@ def _check_downwind_band(x_pos, params):
         )
 
 
+# exp(x) is +0.0 for every x below log(2^-1075) = -745.1332; -746 leaves a margin
+_EXP_UNDERFLOW = -746.0
+
+
 def _crosswind_factor(y, z, scale, source_height):
-    return np.exp(-(y * y) / (4.0 * scale)) * (
-        np.exp(-((z - source_height) ** 2) / (4.0 * scale))
-        + np.exp(-((z + source_height) ** 2) / (4.0 * scale))
-    )
+    """exp(-y^2/4s) (exp(-(z-h)^2/4s) + exp(-(z+h)^2/4s)): the direct Gaussian
+    and its ground image.  The image is evaluated only when its largest
+    exponent, -(min z + h)^2 / (4 max s), lies above exp's underflow (a
+    dead point's placeholder s = 1 only makes the test more cautious); below
+    it every image value is +0.0 and direct + 0.0 is direct bit for bit, so
+    skipping it is exact.  Near source height this spares every node exp's
+    slow path on hugely negative arguments (numpy 2.4.6: 0.21 ms on 16,384
+    values at -746, 0.012 ms at -5).  a / (-4s) is -(a / 4s) exactly, so
+    the sign rides on the small scale array."""
+    neg = -4.0 * scale
+    factor = np.exp((z - source_height) ** 2 / neg)
+    gap = np.min(z, initial=np.inf) + source_height  # an empty z has nothing to add
+    if -(gap * gap) / (4.0 * np.max(scale)) > _EXP_UNDERFLOW:
+        factor += np.exp((z + source_height) ** 2 / neg)
+    return np.exp(y * y / neg) * factor
 
 
 # ---------------------------------------------------------------------------

@@ -1100,6 +1100,67 @@ class TestDownwindKernelAgainstReference:
             multi_user_response(scenario, (0.5, 0.0, HEIGHT, 1.0), params)
 
 
+def reference_frequency_magnitude(point, omega, params, height):
+    """frequency_response's magnitude with the reference crosswind factor, all x >= x_min."""
+    shape, (X, Y, Z, W) = _reference_flat(*point, omega)
+    s = np.asarray(diffusion_scale(X, params))
+    u = params.wind_speed
+    return _reference_output(1.0 / (4.0 * u * np.pi * s) * np.exp(-(W * W) * s / (u * u))
+                             * _reference_crosswind(Y, Z, s, height), shape)
+
+
+# exp underflows to +0.0 below log(2^-1075) and to subnormals below log(2^-1022)
+EXP_ZERO_BELOW = -745.1332
+EXP_SUBNORMAL_BELOW = -708.3964
+SLOW_AIR = ChannelParams.with_constant(WIND, 1e-4)
+
+# (channel, x, z, source height, what the image exponents -(z + h)^2 / 4s hold)
+IMAGE_GRIDS = {
+    "underflowed": (None, [1.0, 40.0, 210.0, 600.0], [HEIGHT - 1.0, HEIGHT, HEIGHT + 1.5],
+                    HEIGHT, lambda e: np.all(e < EXP_ZERO_BELOW)),
+    "representable": (None, [50.0, 210.0, 600.0], [0.0, 0.5, 2.0, 3.5], 2.0,
+                      lambda e: np.all(e > EXP_ZERO_BELOW)),
+    "straddling": (None, [1.0, 3.0, 40.0, 600.0], [0.0, 2.0, 12.0, 40.0], 2.0,
+                   lambda e: e.min() < EXP_ZERO_BELOW < e.max()),
+    "subnormal": (None, [99.5, 100.0, 100.5], [2.3, 2.4, 2.5], 20.0,
+                  lambda e: np.all((e > EXP_ZERO_BELOW) & (e < EXP_SUBNORMAL_BELOW))),
+    "near_ground": (None, [50.0, 210.0], [0.0, 0.25, 1.0], 0.25, lambda e: np.all(e > -5.0)),
+    # on the ground the image equals the direct Gaussian, both subnormal or
+    # nearly so: a skip taken above -746 would halve these values
+    "ground_subnormal": (SLOW_AIR, [29.4, 30.2, 31.1], [0.0, 0.01, 0.25, 0.5], 0.25,
+                         lambda e: np.all((e[:, 0] > -746.0) & (e[:, 0] < -700.0))),
+}
+
+
+class TestGroundImageSkip:
+    """The ground image is evaluated only where exp can return a nonzero
+    value; every output keeps the bits of the always-evaluated formula."""
+
+    @pytest.mark.parametrize("kind", IMAGE_GRIDS)
+    def test_bit_identical_to_the_full_crosswind_factor(self, params, kind):
+        channel_params, x, z, height, holds = IMAGE_GRIDS[kind]
+        p = channel_params or params
+        x = np.array(x)
+        s = np.asarray(diffusion_scale(x, p))
+        assert holds(-(np.array(z)[None, :] + height) ** 2 / (4.0 * s[:, None]))
+        point = (x[:, None, None], np.array([0.0, 0.3])[None, :, None],
+                 np.array(z)[None, None, :])
+        arrival = x[:, None, None] / WIND
+        omega = np.array([0.0, 3.0, 40.0])[:, None, None, None]
+        pairs = [
+            (steady_state_concentration, reference_steady_state_concentration,
+             (1.5, point, p, height)),
+            (jet_concentration, reference_jet_concentration,
+             (2.0, 0.0, (*point, arrival), p, height)),
+            (lambda *args: frequency_response(*args).magnitude, reference_frequency_magnitude,
+             (point, omega, p, height)),
+        ]
+        for new, old, args in pairs:
+            assert_same_bits(_bits(new, *args), _bits(old, *args))
+        if kind == "ground_subnormal":
+            assert np.all(steady_state_concentration(1.0, point, p, height)[:, 0, 0] > 0.0)
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("call", [
         lambda p: steady_state_concentration(math.nan, (100.0, 0.0, HEIGHT), p, HEIGHT),

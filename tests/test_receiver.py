@@ -229,6 +229,12 @@ class TestReceiverExposure:
         f = steady_field(1.0, params, HEIGHT)
         assert receiver_exposure(recv, f) == receiver_exposure(recv, f)
 
+    def test_source_height_exposure_leaves_the_vanished_image_unevaluated(self, recv, params):
+        # at (100, 0, 180) the ground image is below exp's underflow on every
+        # node, so it is not evaluated and no exp underflows
+        with np.errstate(under="raise"):
+            assert receiver_exposure(recv, steady_field(1.0, params, HEIGHT)) > 0.0
+
     @pytest.mark.parametrize("orders", [(32, 16, 32, 4), (16, 16, 16, 8)])
     def test_cached_nodes_match_fresh_nodes(self, recv, params, orders):
         # the cached ball rule, weighted one time node at a time, gives the

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -749,32 +750,6 @@ class TestSmallRunners:
         assert plain.columns == ("time", "concentration")
         assert np.array_equal(plain.rows, table.rows[:, :2])
 
-    def test_shipped_timeseries_bytes_unchanged(self):
-        # digest of the CSV before the expected column existed, with the
-        # config_hash of the schema without receiver.prior_infected; a
-        # scenario without a stochastic grid keeps its two columns and its bytes
-        table = run_timeseries(load_scenario(SCENARIOS / "timeseries.json"))
-        text = table.to_csv_text()
-        # the one row that moved with the package's erfc: libm's rule keeps
-        # erfc's subnormal tail past x = 26.55, which scipy's flushed to 0
-        moved = "\n5.55000000e-01,1.53071171e-317\n"
-        assert text.count(moved) == 1
-        before = text.replace(moved, "\n5.55000000e-01,0.00000000e+00\n")
-        digest = hashlib.sha256(before.encode()).hexdigest()
-        assert digest == "de7c25c5864b89f238e8b25b4cbca363fd9a6e728c5ebd6f171983dd0d98d7aa"
-
-    def test_shipped_detection_bytes_unchanged(self):
-        # digests of the published pmd and mc-pmd CSVs: README's commands on
-        # scenarios/pmd.json, the latter with --seed 1
-        pmd = run_pmd_vs_distance(load_scenario(SCENARIOS / "pmd.json")).to_csv_text()
-        assert hashlib.sha256(pmd.encode()).hexdigest() == (
-            "277abeb74aed2fcf98b267338275591144f63845c5402dbb0ad8fb90fbb787b4")
-        raw = json.loads((SCENARIOS / "pmd.json").read_text())
-        raw.update(experiment={"kind": "mc_pmd"}, seed=1)
-        mc = run_mc_pmd(parse_scenario(raw)).to_csv_text()
-        assert hashlib.sha256(mc.encode()).hexdigest() == (
-            "c82e01a5bb899e17f779ccbf7cdaf439bc3fb2433444bfedde4eddf5b8f8ee27")
-
     def test_frequency_sweep_shape(self):
         config = parse_scenario({"experiment": {"kind": "freq"}})
         table = run_frequency_sweep(config)
@@ -791,6 +766,103 @@ class TestSmallRunners:
         hi = table.column("ci_upper")
         analytic = table.column("pmd_analytic")
         assert np.all((analytic >= lo) & (analytic <= hi))
+
+
+# ---------------------------------------------------------------------------
+# the bytes contract: the CSV each README command writes
+# ---------------------------------------------------------------------------
+
+# sha256 of the file, config_hash line included, for each README command:
+# (scenario, what its --set and --seed options change, digest)
+README_CSV_SHA256 = {
+    "field": ("field.json", {},
+              "364de511c58ee96062607588816d62a92a29069138d1812e4c4a01e2950a5aa3"),
+    "timeseries": ("timeseries.json", {},
+                   "b4dd915b55171b6bc3c323d360b4e6f356835fc5e5586ef54de0bb8dfc7bae65"),
+    "freq": ("freq.json", {},
+             "461aa9f2556461e07af27a19f15e4f5adaee802fb249e7a291e828bdbdefe7e2"),
+    "conc-vs-dist": ("concentration.json", {},
+                     "dd918f4399cb9dadb81e15674947b7491afd8ed2fda36cc3718f3ea054de94c5"),
+    "delay": ("delay.json", {},
+              "a06c1312ad44d2a6fa17466089ac98811094b8453f16eef76fe693c392823d2f"),
+    "pmd": ("pmd.json", {},
+            "277abeb74aed2fcf98b267338275591144f63845c5402dbb0ad8fb90fbb787b4"),
+    "mc-pmd": ("pmd.json", {"experiment": {"kind": "mc_pmd"}, "seed": 1},
+               "c82e01a5bb899e17f779ccbf7cdaf439bc3fb2433444bfedde4eddf5b8f8ee27"),
+    "validate-oracles": ("validate.json", {},
+                         "5cde1e47b61aaffb70866fdc7cac9378cdcb4a72443f55723fd65107d68adfd4"),
+}
+
+# a directory of reference CSVs named <command>.csv (as the parent commit
+# writes them) turns a digest mismatch into a report of what moved
+REFERENCE_CSV_DIR = "PLUMESENSE_REFERENCE_CSV_DIR"
+
+
+def readme_csv(command):
+    scenario, changes, _ = README_CSV_SHA256[command]
+    raw = json.loads((SCENARIOS / scenario).read_text())
+    raw.update(changes)
+    return RUNNERS[raw["experiment"]["kind"]](parse_scenario(raw)).to_csv_text()
+
+
+def _csv_parts(text):
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:header + 1], np.array([line.split(",") for line in lines[header + 1:]])
+
+
+def csv_moves(reference, text):
+    """What moved from one CSV text of a table to another: each metadata or
+    header line that differs, and each column with a changed value, with its
+    largest relative move and the row (from 0) where it is."""
+    (old_head, old), (new_head, new) = _csv_parts(reference), _csv_parts(text)
+    moves = [f"line {i}: {a!r} -> {b!r}" for i, (a, b) in
+             enumerate(itertools.zip_longest(old_head, new_head)) if a != b]
+    if old.shape != new.shape:
+        return moves + [f"rows: shape {old.shape} -> {new.shape}"]
+    for j, column in enumerate(new_head[-1].split(",")):
+        changed = np.flatnonzero(old[:, j] != new[:, j])
+        if changed.size:
+            before, after = old[changed, j].astype(float), new[changed, j].astype(float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                relative = np.abs(after - before) / np.abs(before)
+            worst = int(np.argmax(np.where(np.isnan(relative), np.inf, relative)))
+            moves.append(f"{column}: {changed.size} rows moved, largest relative move "
+                         f"{relative[worst]:.3g} at row {changed[worst]} "
+                         f"({old[changed[worst], j]} -> {new[changed[worst], j]})")
+    return moves
+
+
+class TestBytesContract:
+    @pytest.mark.parametrize("command", README_CSV_SHA256)
+    def test_readme_csv_bytes_are_pinned(self, command):
+        text = readme_csv(command)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if digest == README_CSV_SHA256[command][2]:
+            return
+        reference = os.environ.get(REFERENCE_CSV_DIR)
+        report = (csv_moves(Path(reference, f"{command}.csv").read_text(), text) if reference
+                  else [f"set {REFERENCE_CSV_DIR} to a directory of the parent's CSVs "
+                        "to name what moved"])
+        pytest.fail(f"{command}: sha256 {digest}\n" + "\n".join(report))
+
+    def test_moves_name_the_column_row_and_metadata(self):
+        text = readme_csv("timeseries")
+        head, rows = _csv_parts(text)
+        # one row's next printed value (what a move of 1 ulp past a rounding
+        # boundary of %.8e writes), then one metadata byte
+        time, value = rows[600]
+        step = 10.0 ** (int(value.split("e")[1]) - 8)
+        moved = text.replace(f"\n{time},{value}\n", f"\n{time},{float(value) + step:.8e}\n")
+        assert moved != text
+        report = csv_moves(text, moved)
+        assert len(report) == 1 and report[0].startswith("concentration [1/cm^3]: 1 rows moved")
+        assert "at row 600" in report[0]
+        assert csv_moves(text, text) == []
+        hash_line = next(line for line in head if line.startswith("# config_hash"))
+        report = csv_moves(text, text.replace(hash_line, hash_line[:-1] + "x"))
+        assert report == [f"line {head.index(hash_line)}: {hash_line!r} -> "
+                          f"{hash_line[:-1] + 'x'!r}"]
 
 
 def tiny_validate_config(seed, channel=None):
