@@ -851,9 +851,9 @@ class TestBytesContract:
         head, rows = _csv_parts(text)
         # one row's next printed value (what a move of 1 ulp past a rounding
         # boundary of %.8e writes), then one metadata byte
-        time, value = rows[600]
+        when, value = rows[600]
         step = 10.0 ** (int(value.split("e")[1]) - 8)
-        moved = text.replace(f"\n{time},{value}\n", f"\n{time},{float(value) + step:.8e}\n")
+        moved = text.replace(f"\n{when},{value}\n", f"\n{when},{float(value) + step:.8e}\n")
         assert moved != text
         report = csv_moves(text, moved)
         assert len(report) == 1 and report[0].startswith("concentration [1/cm^3]: 1 rows moved")
