@@ -25,7 +25,6 @@ decides; validate-oracles rows and the CLI failure line read the same table.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 import time
@@ -656,8 +655,9 @@ def spectrum_oracle_report(spectrum: SampledSpectrum, params: ChannelParams,
 # Monte Carlo: missed detection and the receiver integral
 # ---------------------------------------------------------------------------
 
-# draws per block in both Monte Carlo oracles: the stream is drawn in pieces
-# of this many values, so their working memory does not grow with the count
+# the block of both Monte Carlo oracles: this many normals of the miss count,
+# or rows of four uniforms of the receiver integral, are drawn at a time, so
+# their working memory does not grow with the count
 _MC_BLOCK = 1 << 15
 
 
@@ -734,59 +734,43 @@ class McExposureEstimate:
         return abs(self.value - reference) / self.standard_error
 
 
-def _skip_draws(rng: np.random.Generator, count: int):
-    """Advance ``rng`` past ``count`` doubles, as ``count`` uniform draws
-    would, :data:`_MC_BLOCK` at a time."""
-    buffer = np.empty(min(count, _MC_BLOCK))
-    for start in range(0, count, _MC_BLOCK):
-        rng.random(out=buffer[:min(_MC_BLOCK, count - start)])
-
-
 def mc_receiver_exposure(recv: ReceiverSpec, field, samples: int, seed) -> McExposureEstimate:
     """Unbiased Monte Carlo estimate of the receiver space-time integral over
     the window from t = 0.
 
     Uniform rejection sampling inside the sphere paired with uniform times in
-    the window; deterministic for a fixed seed.  The stream comes in chunks
-    of ``max(65536, min(4e6, 2 * remaining + 1))`` candidates: 3 * chunk
-    offsets in the cube, then chunk times, the first accepted points taken
-    in order.  Each chunk is drawn :data:`_MC_BLOCK` candidates at a time,
-    its offsets from ``rng`` and its times from a copy skipped past the
-    offsets, and the field is called once per block; every field here is
-    pointwise, so the draws, their order and the estimate are the same as
-    drawing each chunk whole, and a ``Generator`` passed as ``seed`` ends in
-    the same state.  Memory is the ``samples`` values, the temporary of
-    their standard deviation, and O(block).
+    the window; deterministic for a fixed seed.  The stream is read as rows
+    of four uniforms, :data:`_MC_BLOCK` rows at a time: row i is draws 4i to
+    4i + 3, the offsets ``-r + 2r u`` and the time ``W u`` of candidate i
+    (the formulas of ``Generator.uniform``), and the first ``samples``
+    candidates inside the sphere are taken in order, so they do not depend
+    on the block.  The field is called once per block, and the block's mean
+    and summed squared deviations join running totals by the pairwise update
+    of Chan, Golub and LeVeque (1983), so memory is O(block) at any
+    ``samples``.  A ``Generator`` passed as ``seed`` ends after the whole
+    blocks drawn.
     """
     if samples < 100_000:
         raise DomainError("need at least 1e5 samples")
     rng = np.random.default_rng(seed)
     cx, cy, cz = recv.center
-    r = recv.radius
-    values = np.empty(samples)
-    accepted = 0
+    r, window = recv.radius, recv.sampling_window
+    accepted, mean, deviations = 0, 0.0, 0.0
     while accepted < samples:
-        # cube-to-sphere acceptance is pi/6; the chunk fixes only where its
-        # offsets end and its times begin
-        chunk = max(65_536, min(4_000_000, int((samples - accepted) / 0.5 + 1)))
-        times = copy.deepcopy(rng)
-        _skip_draws(times, 3 * chunk)
-        drawn = 0
-        while drawn < chunk and accepted < samples:
-            n = min(_MC_BLOCK, chunk - drawn)
-            x, y, z = rng.uniform(-r, r, size=(n, 3)).T
-            ts = times.uniform(0.0, recv.sampling_window, size=n)
-            keep = np.flatnonzero((x * x + y * y) + z * z <= r * r)[:samples - accepted]
-            if keep.size:
-                values[accepted:accepted + keep.size] = field(
-                    cx + x[keep], cy + y[keep], cz + z[keep], ts[keep])
-            accepted += keep.size
-            drawn += n
-        _skip_draws(times, chunk - drawn)
-        rng.bit_generator.state = times.bit_generator.state
-    measure = recv.volume * recv.sampling_window
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        rows = rng.random((_MC_BLOCK, 4))
+        x, y, z = -r + 2.0 * r * rows[:, :3].T
+        keep = np.flatnonzero((x * x + y * y) + z * z <= r * r)[:samples - accepted]
+        block = np.asarray(field(cx + x[keep], cy + y[keep], cz + z[keep],
+                                 window * rows[keep, 3]), dtype=float)
+        total = accepted + keep.size
+        block_mean = float(block.mean())
+        delta = block_mean - mean
+        mean += delta * keep.size / total
+        deviations += (float(np.sum((block - block_mean) ** 2))
+                       + delta * delta * accepted * keep.size / total)
+        accepted = total
+    measure = recv.volume * window
+    se = math.sqrt(deviations / (samples - 1)) / math.sqrt(samples)
     return McExposureEstimate(
         value=measure * mean, standard_error=measure * se, samples=int(samples)
     )

@@ -57,11 +57,14 @@ class ReceiverSpec:
         center = tuple(float(c) for c in self.center)
         if len(center) != 3:
             raise DomainError("receiver center must be (x, y, z)")
+        if not all(map(math.isfinite, center)):
+            raise DomainError("receiver center must be finite", field="center")
         object.__setattr__(self, "center", center)
-        if not (self.radius > 0.0):
-            raise DomainError("receiver radius must be positive")
-        if not (self.sampling_window > 0.0):
-            raise DomainError("sampling window must be positive")
+        if not (0.0 < self.radius < math.inf):
+            raise DomainError("receiver radius must be positive and finite", field="radius")
+        if not (0.0 < self.sampling_window < math.inf):
+            raise DomainError("sampling window must be positive and finite",
+                              field="sampling_window")
         if not (0.0 < self.sampler_efficiency <= 1.0):
             raise DomainError("sampler efficiency must lie in (0, 1]")
         if not (0.0 < self.binding_fraction <= 1.0):

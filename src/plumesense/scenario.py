@@ -96,7 +96,8 @@ _MAX_COUNT = int(np.iinfo(np.intp).max)
 _MAX_POINTS = 2**22
 # the most Monte Carlo detection trials, drawn 2^15 at a time
 _MAX_TRIALS = 10**8
-# the most volume-integral samples, all held in one array (80 MB)
+# the most volume-integral samples, a bound on run time: they are drawn in
+# rows of 2^15 candidates, so memory does not grow with the count
 _MAX_SAMPLES = 10**7
 
 

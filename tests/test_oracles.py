@@ -1,6 +1,7 @@
 """Numerical oracles: grid validation, closed-form agreement within budgets,
 determinism, and cross-oracle consistency."""
 
+import copy
 import dataclasses
 import math
 
@@ -951,35 +952,43 @@ def recv():
     return ReceiverSpec((100.0, 0.0, HEIGHT), RADIUS, 3.0, 0.85, 0.5)
 
 
+def reference_rows(recv, samples, rng):
+    """Twice ``samples`` rows of four uniforms drawn at once from ``rng``, and
+    the indices of the first ``samples`` rows whose offsets -r + 2r u lie
+    inside the sphere; it holds pi/6 of the cube, so twice is ample."""
+    r = recv.radius
+    rows = rng.random((2 * samples, 4))
+    x, y, z = -r + 2.0 * r * rows[:, :3].T
+    keep = np.flatnonzero((x * x + y * y) + z * z <= r * r)[:samples]
+    assert keep.size == samples
+    return rows, keep
+
+
 def reference_mc_receiver_exposure(recv, field, samples, seed):
-    """mc_receiver_exposure drawing each chunk whole: its 3 * chunk offsets,
-    then its chunk times, and one field call for its accepted points."""
+    """mc_receiver_exposure with every row drawn at once: row i is draws 4i
+    to 4i + 3, its offsets -r + 2r u and its time W u, the first ``samples``
+    rows inside the sphere are taken in order, and their mean and standard
+    deviation come from the whole array."""
     if samples < 100_000:
         raise DomainError("need at least 1e5 samples")
-    rng = np.random.default_rng(seed)
-    cx, cy, cz = recv.center
+    rows, keep = reference_rows(recv, samples, np.random.default_rng(seed))
     r = recv.radius
-    values = np.empty(samples)
-    accepted = 0
-    while accepted < samples:
-        chunk = max(65_536, min(4_000_000, int((samples - accepted) / 0.5 + 1)))
-        pts = rng.uniform(-r, r, size=(chunk, 3))
-        ts = rng.uniform(0.0, recv.sampling_window, size=chunk)
-        keep = np.sum(pts * pts, axis=1) <= r * r
-        pts, ts = pts[keep], ts[keep]
-        take = min(pts.shape[0], samples - accepted)
-        vals = np.asarray(
-            field(cx + pts[:take, 0], cy + pts[:take, 1], cz + pts[:take, 2], ts[:take]),
-            dtype=float,
-        )
-        values[accepted:accepted + take] = vals
-        accepted += take
+    x, y, z = -r + 2.0 * r * rows[keep, :3].T
+    cx, cy, cz = recv.center
+    values = np.asarray(
+        field(cx + x, cy + y, cz + z, recv.sampling_window * rows[keep, 3]), dtype=float)
     measure = recv.volume * recv.sampling_window
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return McExposureEstimate(
-        value=measure * mean, standard_error=measure * se, samples=int(samples)
+        value=measure * float(values.mean()),
+        standard_error=measure * float(values.std(ddof=1) / math.sqrt(samples)),
+        samples=samples,
     )
+
+
+def assert_estimates_close(ours, theirs, rel):
+    assert ours.samples == theirs.samples
+    assert ours.value == pytest.approx(theirs.value, rel=rel)
+    assert ours.standard_error == pytest.approx(theirs.standard_error, rel=rel)
 
 
 def mc_fields(params):
@@ -991,6 +1000,7 @@ def mc_fields(params):
         "steady": steady_field(1.0, params, HEIGHT),
         "steady_linear_k": steady_field(1.0, linear, HEIGHT),
         "breath": lambda x, y, z, t: breath_response(1.0, 0.0, (x, y, z, t), params, HEIGHT),
+        "cheap": cheap_field,
     }
 
 
@@ -1037,34 +1047,45 @@ class TestMcReceiverExposure:
         with pytest.raises(DomainError):
             mc_receiver_exposure(recv, uniform, samples=10**4, seed=0)
 
-    @pytest.mark.parametrize("samples", [100_000, 200_000])
-    @pytest.mark.parametrize("name", ["steady", "steady_linear_k", "breath"])
+    @pytest.mark.parametrize("name, samples", [
+        (name, samples) for name in ("steady", "steady_linear_k", "breath")
+        for samples in (100_000, 200_000)
+    ] + [("cheap", 3_000_000)])
     def test_equals_reference(self, params, recv, name, samples):
-        """Drawing each chunk a block at a time, offsets and times from two
-        generators in lockstep, changes no draw, pairing or value."""
+        """Drawing the rows a block at a time and folding each block's
+        moments into running totals changes no row, pairing or value, and
+        moves the estimate by rounding only."""
         field = mc_fields(params)[name]
-        assert (mc_receiver_exposure(recv, field, samples, seed=11)
-                == reference_mc_receiver_exposure(recv, field, samples, seed=11))
+        assert_estimates_close(mc_receiver_exposure(recv, field, samples, seed=11),
+                               reference_mc_receiver_exposure(recv, field, samples, seed=11),
+                               rel=1e-12)
 
-    def test_second_chunk_equals_reference(self, recv):
-        # 3e6 samples take more than one 4e6-candidate chunk
-        assert (mc_receiver_exposure(recv, cheap_field, 3_000_000, seed=5)
-                == reference_mc_receiver_exposure(recv, cheap_field, 3_000_000, seed=5))
+    def test_estimate_does_not_depend_on_the_block(self, params, recv, monkeypatch):
+        field = mc_fields(params)["steady"]
+        estimates = []
+        for block in (2**12, 2**15, 2**16):
+            monkeypatch.setattr(oracles, "_MC_BLOCK", block)
+            estimates.append(mc_receiver_exposure(recv, field, 300_001, seed=5))
+        for est in estimates[1:]:
+            assert_estimates_close(est, estimates[0], rel=1e-14)
 
     @pytest.mark.parametrize("samples", [200_000, 3_000_000])
-    def test_passed_generator_ends_in_the_reference_state(self, recv, samples):
-        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+    def test_passed_generator_ends_after_its_whole_blocks(self, recv, samples):
+        ours, twin = np.random.default_rng(99), np.random.default_rng(99)
         # a buffered half of a 64-bit draw must survive too
         ours.integers(0, 2**32, dtype=np.uint32)
-        theirs.integers(0, 2**32, dtype=np.uint32)
-        assert (mc_receiver_exposure(recv, cheap_field, samples, ours)
-                == reference_mc_receiver_exposure(recv, cheap_field, samples, theirs))
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random() == theirs.random()
+        twin.integers(0, 2**32, dtype=np.uint32)
+        mc_receiver_exposure(recv, cheap_field, samples, ours)
+        _, keep = reference_rows(recv, samples, copy.deepcopy(twin))
+        for _ in range(keep[-1] // oracles._MC_BLOCK + 1):
+            twin.random((oracles._MC_BLOCK, 4))
+        assert ours.bit_generator.state == twin.bit_generator.state
+        assert ours.bit_generator.state["has_uint32"] == 1
+        assert ours.random() == twin.random()
 
-    def test_peak_memory_is_the_values_and_their_deviation(self, params, recv):
+    def test_peak_memory_is_one_block(self, params, recv):
         samples = 10**6
         est, peak = traced_peak(lambda: mc_receiver_exposure(
             recv, steady_field(1.0, params, HEIGHT), samples, seed=3))
         assert est.samples == samples
-        assert peak <= 2.5 * samples * 8
+        assert peak <= 4_000_000

@@ -160,6 +160,21 @@ class TestReceiverSpec:
             with pytest.raises(DomainError):
                 ReceiverSpec((100.0, 0.0, HEIGHT), 2.0, 3.0, 0.85, gamma)
 
+    @pytest.mark.parametrize("center, radius, window, named", [
+        ((math.inf, 0.0, HEIGHT), 2.0, 3.0, "center"),
+        ((100.0, -math.inf, HEIGHT), 2.0, 3.0, "center"),
+        ((100.0, 0.0, math.inf), 2.0, 3.0, "center"),
+        ((math.nan, 0.0, HEIGHT), 2.0, 3.0, "center"),
+        ((100.0, 0.0, math.nan), 2.0, 3.0, "center"),
+        ((100.0, 0.0, HEIGHT), math.inf, 3.0, "radius"),
+        ((100.0, 0.0, HEIGHT), 2.0, math.inf, "window"),
+    ], ids=["inf_x", "minus_inf_y", "inf_z", "nan_x", "nan_z", "inf_radius", "inf_window"])
+    def test_non_finite_geometry_rejected(self, center, radius, window, named):
+        """An infinite centre or window would otherwise give an exposure of
+        0 or inf, and a NaN centre would fail only at evaluation."""
+        with pytest.raises(DomainError, match=named):
+            ReceiverSpec(center, radius, window, 0.85, 0.5)
+
     def test_volume(self, recv):
         assert recv.volume == pytest.approx(4.0 / 3.0 * math.pi * 8.0, rel=1e-15)
 

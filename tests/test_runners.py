@@ -790,7 +790,7 @@ README_CSV_SHA256 = {
     "mc-pmd": ("pmd.json", {"experiment": {"kind": "mc_pmd"}, "seed": 1},
                "c82e01a5bb899e17f779ccbf7cdaf439bc3fb2433444bfedde4eddf5b8f8ee27"),
     "validate-oracles": ("validate.json", {},
-                         "5cde1e47b61aaffb70866fdc7cac9378cdcb4a72443f55723fd65107d68adfd4"),
+                         "cb0f142368f04e3b05042852f20e703aa83fe7cd1eb33a7b1d04f9386500194b"),
 }
 
 # a directory of reference CSVs named <command>.csv (as the parent commit
